@@ -11,8 +11,9 @@ fully distributed):
   labels_0[v] = v
   labels_{t+1}[v] = min(labels_t[v], min over edges (u,v) of labels_t[u])
 
-Every round is one hash-partitioned equi-join (edges x labels, co-located
-by u — stages/exchange.hash_join) plus one hash-exchange min-reduce
+Every round is one co-partitioned equi-join (labels x the edge table,
+co-located by u and partitioned ONCE — stages/exchange.co_partition with
+the edges pinned) plus one hash-exchange min-reduce
 (stages/agg.reduce_by_key final='hash' — exactly one row per doc_id, which
 the label-sum certificate below depends on).  Labels are monotone non-increasing, so
 sum(labels) is a convergence certificate: the loop stops the first round
@@ -57,12 +58,22 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
         return pa.table({"u": np.concatenate([a, b]),
                          "v": np.concatenate([b, a])})
 
+    def pack(et: pa.Table) -> pa.Table:
+        # one partition's edges as ONE row of two lists: co_partition
+        # never drops a one-row output, so its blocks are exactly the
+        # num_parts partitions in partition order
+        offsets = pa.array([0, et.num_rows], pa.int64())
+        return pa.table({c: pa.LargeListArray.from_arrays(
+            offsets, et[c].combine_chunks()) for c in ("u", "v")})
+
     edges = pairs_ds.map_batches(to_edges, batch_format="pyarrow")
     # the STATIC edge table is hash-partitioned ONCE by u — each round
-    # only exchanges the labels and zips against the pinned edge shards
-    # (re-exchanging the full edge set every round would dominate the
-    # per-round cost at scale)
-    edge_parts = exchange.hash_exchange(edges, "u", num_parts)
+    # only exchanges the labels and runs against the pinned edge
+    # partitions (re-exchanging the full edge set every round would
+    # dominate the per-round cost at scale)
+    edge_parts = exchange.co_partition(
+        [(edges, "u", None)], num_parts, pack
+    ).to_arrow_refs()
 
     def init_labels(batch: pa.Table) -> pa.Table:
         i = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -78,8 +89,10 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
     def label_sum(ds) -> int:
         return int(ds.sum("label"))
 
-    def join_part(et: pa.Table, lt: pa.Table) -> pa.Table:
+    def join_part(lt: pa.Table, packed: pa.Table) -> pa.Table:
         # (u, v) x (doc_id==u, label) -> (doc_id=v, label)
+        et = pa.table({c: packed[c].combine_chunks().flatten()
+                       for c in ("u", "v")})
         j = et.join(lt, keys="u", right_keys=id_col, join_type="inner")
         return pa.table(
             {id_col: j["v"].to_numpy(zero_copy_only=False),
@@ -90,9 +103,9 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
     converged = False
     for _ in range(max_iters):
         # candidate labels flow along edges; labels co-partitioned with the
-        # pinned edge shards (same hash fn + partition count)
-        cand_v = exchange.zip_shards_with_parts(
-            labels, id_col, num_parts, edge_parts, join_part
+        # pinned edge partitions (same hash fn + partition count)
+        cand_v = exchange.co_partition(
+            [(labels, id_col, None)], num_parts, join_part, pinned=edge_parts
         )
         merged = labels.union(cand_v)
         # final='hash': the per-round reduce must yield exactly ONE row per

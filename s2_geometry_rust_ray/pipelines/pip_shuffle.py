@@ -7,7 +7,7 @@ hash-partition-joined against the points' cell_lK column; only then does
 the exact crossing-parity refine run, on (candidate point, polygon) pairs
 co-located by the join.  Skew note: a hot tile (dense city) explodes one
 level deeper before the join when its candidate count dominates
-(stages/exchange.salted_key is the generic mechanism; here fan-out is
+(stages/exchange.salted_cell_key is the generic mechanism; here fan-out is
 bounded by the covering granularity).
 """
 
@@ -377,8 +377,9 @@ def shuffle_pip_join(ds, key_col: str, layer, level: int = 8,
              "polygon_id": pa.array(pids[keep], type=pa.string())}
         )
 
-    # fused zip exchange: each refine task concats its own point and tile
-    # shards — the point payload crosses the object store exactly once
-    return exchange.zip_exchange_apply(
-        points, right, part_col, part_col, num_parts, refine_part
+    # each refine task concats its own point and tile shards — the point
+    # payload crosses the object store exactly once
+    return exchange.co_partition(
+        [(points, part_col, None), (right, part_col, None)], num_parts,
+        refine_part,
     )

@@ -1,26 +1,29 @@
-"""Explicit hash-partitioned exchange + equi-join on raw Ray tasks.
+"""Co-partitioned exchange on raw Ray tasks, plus broadcast joins and salting.
 
 WHY raw Ray here (the one deliberate drop below the Dataset API, per the
 mandate's escape hatch): Ray Data's groupby/aggregate combine runs ~20x
 slower than a NumPy reduce (see stages/agg.py), and Dataset has no
 key-partitioned exchange primitive — `repartition` ignores keys and
-`sort` gives ranges, which joins can't use without boundary surgery.  This
-module implements the classic M x P shuffle: M map tasks split each block
-by hash(key) % P (num_returns=P), P reduce tasks concat their shards.
-Everything is zero-copy Arrow through the object store; the reduce output
-is re-wrapped as a Dataset via from_arrow_refs so downstream stays in the
-Dataset API.
+`sort` gives ranges, which joins can't use without boundary surgery.
+
+Every operator that is not row-local (hash joins, hash-final aggregates,
+sessionize, the shuffle PIP join, LSH rounds, label propagation) runs on
+ONE primitive, `co_partition`, the classic M x P shuffle: M split tasks
+per side cut each block by hash(key) % P (num_returns=P, projection
+fused in); P partition tasks concat their shards from every side and run
+one fn, so a payload crosses the object store once.  Outputs are
+re-wrapped via from_arrow_refs so downstream stays in the Dataset API.
 
 Driver discipline (the 100 TB rules):
   * ALL split tasks are submitted before any result is awaited — the map
     side of the shuffle is fully parallel (static num_returns=P, so
     submission itself never blocks on task completion).
-  * The driver never `ray.get`s a partition payload.  Tasks that need
-    empty-partition filtering return ``(table_ref, nrows_ref)`` via
-    ``num_returns=2``; only the tiny int refs are fetched.
-  * Every partition table — including empty ones — carries the full input
-    schema (slices of the schema-ful source block), so downstream joins /
-    from_arrow_refs never see inconsistent block schemas.
+  * The driver never `ray.get`s a partition payload.  Partition tasks
+    return ``(table_ref, nrows_ref)`` via ``num_returns=2``; only the tiny
+    int refs are fetched, to drop empty partitions.
+  * Every shard — including empty ones — carries the full input schema,
+    and a zero-block side contributes one schema-ful empty table, so
+    partition fns and from_arrow_refs never see inconsistent schemas.
 
 Key hashing is deterministic ACROSS PROCESSES: integer keys use a
 multiplicative hash; string/bytes/other keys use pandas' keyed siphash
@@ -28,8 +31,8 @@ multiplicative hash; string/bytes/other keys use pandas' keyed siphash
 PYTHONHASHSEED randomization would route the same key to different
 partitions in different Ray workers.
 
-Skew handling (north_rule "salting for hot cells"): `salted_key` spreads a
-configurable hot-key set over SALT sub-keys on the map side; mergeable
+Skew handling (north_rule "salting for hot cells"): `salted_cell_key`
+spreads a hot-key set over SALT sub-keys on the map side; mergeable
 aggregations un-salt in a second tiny pass.  For joins, hot LEFT keys are
 salted and the matching RIGHT rows replicated to every salt (standard
 skew-join).
@@ -37,58 +40,32 @@ skew-join).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 
 
-def _cluster_cpus() -> int:
-    """CPU slots visible to this session (cluster resources when Ray is
-    up, host count otherwise) — the one CPU-detection point shared by the
-    partition-count and actor-pool resolvers."""
-    import ray
-
-    if ray.is_initialized():
-        return int(ray.cluster_resources().get("CPU", 4))
-    import os
-
-    return os.cpu_count() or 4
-
-
 def default_num_parts(min_parts: int = 8, per_cpu: int = 2) -> int:
     """Exchange partition count scaled to the cluster: ~`per_cpu` reduce
-    tasks per CPU slot (enough parallelism to keep every slot busy through
+    tasks per CPU slot (the cluster's when Ray is up, the host's
+    otherwise — enough parallelism to keep every slot busy through
     stragglers) with a floor of `min_parts`.  Pipelines that accept
     ``num_parts=None`` resolve it here at call time, so the same code runs
     right on a 4-cpu test session and a 1024-cpu cluster — fixed defaults
     were the round-2 scaling gap (VERDICT r2 #6)."""
-    return max(min_parts, per_cpu * _cluster_cpus())
+    import ray
 
-
-def default_actor_concurrency(frac: float = 0.85, min_actors: int = 2) -> int:
-    """FIXED actor-pool size for broadcast stages.
-
-    Fixed beats autoscaling (1, N) ~2x on short jobs — the lazy ramp from
-    one actor dominates wall time (measured: pip_join 4.7 s -> 2.4 s at
-    sf0.1).  Since the heavy upstream map fuses INTO the actor operator,
-    the pool takes most of the cluster (frac=0.85; compute-bound kNN went
-    7.4 s at half-width -> 4.7 s near-full) — but NEVER all of it: Ray
-    leaves the SOURCE operator (ReadRange/read_parquet) outside the fused
-    operator, and a full-width fixed pool reserves every slot so the
-    source can never schedule — a hard deadlock on 1-2-cpu sessions
-    (reproduced), source starvation beyond that.  Cap: cpus-1 on tiny
-    sessions, cpus-2 above 4 cpus (one slot for the source, one for
-    system/merge tasks)."""
-    cpus = _cluster_cpus()
-    cap = max(1, cpus - (1 if cpus <= 4 else 2))
-    return max(1, min(cap, max(min_actors, int(cpus * frac))))
+    cpus = (int(ray.cluster_resources().get("CPU", 4))
+            if ray.is_initialized() else os.cpu_count() or 4)
+    return max(min_parts, per_cpu * cpus)
 
 
 def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_format="pyarrow",
-              batch_size=None, concurrency=None, use_actors=False,
-              **mb_kwargs):
+              batch_size=None, **mb_kwargs):
     """map_batches with a stateful callable class, constructed once per
-    worker — by default as a TASK-pool map with a per-worker closure
-    cache, not an actor pool.
+    worker — as a TASK-pool map with a per-worker closure cache, not an
+    actor pool.
 
     Ray's ActorPoolMapOperator turns every batch into an actor call (RPC
     + object-store arg/result round trip) and never fuses with the input:
@@ -100,22 +77,7 @@ def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_format="pyarrow",
     per-batch RPC, the pool-sizing deadlock (r3 ADVICE: a full-width
     fixed pool starves the un-fused source operator; fatal at 1 cpu), or
     the reservation/starvation tuning.  ObjectRef kwargs are ray.get once
-    per worker (the broadcast pattern).
-
-    `use_actors=True` keeps the fixed actor pool for constructors too
-    expensive to run once per worker under task-level retry semantics, or
-    state that must not be replicated per worker; no current stage needs
-    it.  `concurrency` caps concurrent tasks (no reservation) in task
-    mode and sizes the pool in actor mode."""
-    if use_actors and _cluster_cpus() > 1:
-        return ds.map_batches(
-            cls,
-            fn_constructor_kwargs=fn_constructor_kwargs,
-            batch_format=batch_format,
-            batch_size=batch_size,
-            concurrency=concurrency or default_actor_concurrency(),
-            **mb_kwargs,
-        )
+    per worker (the broadcast pattern)."""
     import ray
 
     kw = dict(fn_constructor_kwargs or {})
@@ -131,8 +93,6 @@ def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_format="pyarrow",
             )
         return cache["inst"](batch)
 
-    if concurrency is not None:
-        mb_kwargs = dict(mb_kwargs, concurrency=concurrency)
     return ds.map_batches(
         fn, batch_format=batch_format, batch_size=batch_size, **mb_kwargs
     )
@@ -149,7 +109,8 @@ def _hash_keys(k: np.ndarray) -> np.ndarray:
     return pd.util.hash_array(np.asarray(k, dtype=object), categorize=False)
 
 
-def _hash_part(table: pa.Table, key_col, num_parts: int) -> list[pa.Table]:
+def _hash_part(table: pa.Table, key_col: str | list[str],
+               num_parts: int) -> list[pa.Table]:
     """key_col may be a single column name or a list/tuple of names; a
     composite key hashes the FULL tuple (FNV-style fold of per-column
     hashes) so partitioning spreads by the joint cardinality — hashing
@@ -182,7 +143,7 @@ def _hash_part(table: pa.Table, key_col, num_parts: int) -> list[pa.Table]:
     ]
 
 
-def _empty_exchange_table(ds, key_col, map_fn=None) -> pa.Table:
+def _empty_exchange_table(ds, key_col: str | list[str], map_fn=None) -> pa.Table:
     """Schema-ful empty table for a zero-block dataset's exchange."""
     schema = ds.schema()
     arrow_schema = getattr(schema, "base_schema", None) if schema else None
@@ -195,137 +156,77 @@ def _empty_exchange_table(ds, key_col, map_fn=None) -> pa.Table:
     return tbl
 
 
-def exchange_shards(ds, key_col: str, num_parts: int, map_fn=None):
-    """The split phase of a hash exchange: Dataset -> per-PARTITION lists
-    of shard ObjectRefs (one shard per input block), each shard a compact
-    schema-ful Arrow table.  `map_fn` (projection) runs inside the split
-    task.  Returns None for a zero-block dataset.  Consumers that fuse the
-    shard concat into their own reduce task (hash_exchange_apply,
-    hash_join, lsh prep) save one full object-store round-trip of the
-    partition payload vs consuming concat'd partitions."""
+def co_partition(sides, num_parts: int, fn, pinned=None):
+    """Co-partitioned exchange: split every side by hash(key) % num_parts,
+    then run ONE task per partition: ``fn(*tables) -> pa.Table``.
+
+    `sides`: list of ``(Dataset, key_col, map_fn or None)``; key_col is a
+    column name or a list of names (composite key), and map_fn (a
+    projection) runs in the split task.  Sides co-locate equal keys only
+    if their key columns hash alike (same dtypes and arity).  `tables` are
+    each side's partition, in `sides` order, then ``pinned[p]`` if
+    `pinned` (num_parts ObjectRefs, e.g. a static table partitioned once
+    and reused every round) is given.  A zero-block side contributes one
+    schema-ful empty table (after map_fn) to every partition.
+
+    Returns a Dataset of the non-empty outputs in partition order (empties
+    dropped by their count refs; one empty output is kept if all are)."""
     import ray
+    import ray.data
+
+    specs = [(key_col, map_fn) for _, key_col, map_fn in sides]
 
     @ray.remote
-    def split(block: pa.Table):
+    def split(side: int, block: pa.Table):
+        key_col, map_fn = specs[side]
         if map_fn is not None:
             block = map_fn(block)
         parts = _hash_part(block, key_col, num_parts)
         return parts[0] if num_parts == 1 else tuple(parts)
 
-    block_refs = ds.to_arrow_refs()
-    if not block_refs:
-        return None
+    @ray.remote(num_returns=2)
+    def run(sizes, *refs):
+        tables, i = [], 0
+        for n in sizes:
+            tables.append(pa.concat_tables(refs[i:i + n], promote_options="default"))
+            i += n
+        out = fn(*tables, *refs[i:])
+        return out, out.num_rows
+
     # static num_returns: submission returns refs immediately — no blocking,
-    # all map tasks in flight before the first reduce is scheduled
+    # all split tasks in flight before the first partition task is scheduled
     split_n = split.options(num_returns=num_parts) if num_parts > 1 else split
-    shard_lists = [split_n.remote(b) for b in block_refs]
-    if num_parts == 1:
-        shard_lists = [[r] for r in shard_lists]
-    # transpose: per-partition shard lists
-    return [[sl[p] for sl in shard_lists] for p in range(num_parts)]
+    per_side = []  # per side: per-partition shard lists
+    for side, (ds, key_col, map_fn) in enumerate(sides):
+        block_refs = ds.to_arrow_refs()
+        if not block_refs:
+            empty = ray.put(_empty_exchange_table(ds, key_col, map_fn))
+            per_side.append([[empty]] * num_parts)
+            continue
+        shard_lists = [split_n.remote(side, b) for b in block_refs]
+        if num_parts == 1:
+            shard_lists = [[r] for r in shard_lists]
+        per_side.append([[sl[p] for sl in shard_lists] for p in range(num_parts)])
 
-
-def hash_exchange(ds, key_col: str, num_parts: int):
-    """Dataset -> list of per-partition ObjectRef[pa.Table] (co-partitioned
-    by hash(key) % num_parts).  Every ref is a schema-ful Arrow table
-    (possibly 0 rows); nothing is pulled to the driver.  Prefer the fused
-    hash_exchange_apply / exchange_shards when the consumer is a single
-    per-partition fn — this materialized form is for partitions that are
-    REUSED (zip joins, multi-round label propagation)."""
-    import ray
-
-    @ray.remote
-    def concat(*shards):
-        return pa.concat_tables(shards, promote_options="default")
-
-    per_part = exchange_shards(ds, key_col, num_parts)
-    if per_part is None:
-        # zero-block dataset: emit schema-ful empties (concat_tables of
-        # nothing raises; downstream still needs a stable schema)
-        empty = ray.put(_empty_exchange_table(ds, key_col))
-        return [empty for _ in range(num_parts)]
-    return [concat.remote(*shards) for shards in per_part]
-
-
-def _pairs_to_dataset(pairs):
-    """Shared exchange epilogue: (table_ref, nrows_ref) pairs -> Dataset.
-    Empty partitions are dropped via the tiny count refs (the driver never
-    fetches a payload); if everything is empty ONE schema-ful empty table
-    is kept so the Dataset has a stable schema."""
-    import ray
-    import ray.data
-
+    pairs = []
+    for p in range(num_parts):
+        shards = [s for side in per_side for s in side[p]]
+        extra = [] if pinned is None else [pinned[p]]
+        pairs.append(run.remote([len(side[p]) for side in per_side],
+                                *shards, *extra))
     counts = ray.get([n for _, n in pairs])
-    refs = [t for (t, _), n in zip(pairs, counts) if n > 0]
-    if not refs:
-        refs = [pairs[0][0]]
+    refs = [t for (t, _), n in zip(pairs, counts) if n > 0] or [pairs[0][0]]
     return ray.data.from_arrow_refs(refs)
 
 
-def hash_exchange_apply(ds, key_col: str, num_parts: int, reduce_fn,
-                        map_fn=None):
-    """Fused one-round exchange: Dataset -> Dataset via
-    split(map_fn + hash-partition) -> reduce(concat shards + reduce_fn).
-
-    vs ``hash_exchange`` + ``partitions_to_dataset`` this removes TWO full
-    object-store round-trips of the exchanged payload: `map_fn` (the
-    pre-exchange projection) runs inside the split task instead of as a
-    separate Ray Data stage, and `reduce_fn` runs in the same task that
-    concatenates a partition's shards instead of re-reading a concat
-    output.  For a slim 16 B/row exchange the plasma traffic IS the job,
-    so this is ~2x end-to-end (sessions family: 102M rows 12.0 -> 20+M
-    rows/s at 8 slots).  Use it whenever the reduce is a pure
-    per-partition fn; keep `hash_exchange` for zip-partition consumers."""
-    import ray
-    import ray.data
-
-    @ray.remote(num_returns=2)
-    def reduce(*shards):
-        out = reduce_fn(pa.concat_tables(shards, promote_options="default"))
-        return out, out.num_rows
-
-    per_part = exchange_shards(ds, key_col, num_parts, map_fn=map_fn)
-    if per_part is None:
-        return ray.data.from_arrow(
-            reduce_fn(_empty_exchange_table(ds, key_col, map_fn))
-        )
-    pairs = [reduce.remote(*shards) for shards in per_part]
-    return _pairs_to_dataset(pairs)
-
-
-def partitions_to_dataset(parts, fn=None):
-    """Apply `fn` (pa.Table -> pa.Table, or None for identity) to each
-    partition ref as a parallel Ray task and wrap the non-empty results as
-    a Dataset.  Empty partitions are dropped using tiny row-count refs —
-    the driver never fetches a payload.  If everything is empty, one empty
-    (schema-ful) table is kept so the Dataset has a stable schema."""
-    import ray
-    import ray.data
-
-    @ray.remote(num_returns=2)
-    def apply(tbl: pa.Table):
-        out = fn(tbl) if fn is not None else tbl
-        return out, out.num_rows
-
-    pairs = [apply.remote(p) for p in parts]
-    return _pairs_to_dataset(pairs)
-
-
-def zip_partitions_to_dataset(parts_a, parts_b, fn):
-    """Apply `fn(table_a, table_b) -> table` pairwise over two co-partitioned
-    exchanges and wrap non-empty results as a Dataset (count-ref filtering,
-    no driver payload pulls).  The generic primitive behind partition-local
-    joins that need custom refine logic."""
-    import ray
-    import ray.data
-
-    @ray.remote(num_returns=2)
-    def apply(ta: pa.Table, tb: pa.Table):
-        out = fn(ta, tb)
-        return out, out.num_rows
-
-    pairs = [apply.remote(a, b) for a, b in zip(parts_a, parts_b)]
-    return _pairs_to_dataset(pairs)
+def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int,
+                        reduce_fn, map_fn=None):
+    """Single-side `co_partition`: `map_fn` (the projection) in the split
+    task, `reduce_fn` on each whole partition.  vs a projection stage plus
+    a materialized partition this saves TWO object-store round-trips of
+    the payload: ~2x for a slim 16 B/row exchange, where plasma traffic IS
+    the job (sessions family: 102M rows 12.0 -> 20+M rows/s at 8 slots)."""
+    return co_partition([(ds, key_col, map_fn)], num_parts, reduce_fn)
 
 
 class _BroadcastJoiner:
@@ -336,7 +237,6 @@ class _BroadcastJoiner:
 
     def __init__(self, right: pa.Table, key_col: str, right_on: str):
         self.key_col = key_col
-        self.right_on = right_on
         rk = right[right_on].to_numpy(zero_copy_only=False)
         self.order = np.argsort(rk, kind="stable")
         self.sorted_keys = rk[self.order]
@@ -398,145 +298,42 @@ def broadcast_join(ds, right_tbl: pa.Table, key_col: str,
     )
 
 
-def zip_exchange_apply(ds_a, ds_b, key_a: str, key_b: str,
-                       num_parts: int, fn):
-    """Fused zip exchange: both sides split by the same partitioner; ONE
-    task per partition concats its shards from both sides and applies
-    `fn(table_a, table_b)` — neither side's concat'd partition ever hits
-    the object store (vs hash_exchange x2 + zip_partitions_to_dataset)."""
-    import ray
-    import ray.data
-
-    @ray.remote(num_returns=2)
-    def run(n_a, *shards):
-        ta = pa.concat_tables(shards[:n_a], promote_options="default")
-        tb = pa.concat_tables(shards[n_a:], promote_options="default")
-        out = fn(ta, tb)
-        return out, out.num_rows
-
-    sa = exchange_shards(ds_a, key_a, num_parts)
-    sb = exchange_shards(ds_b, key_b, num_parts)
-    if sa is None or sb is None:
-        # zero-block side(s): pair the populated side's ALREADY-SPLIT
-        # shards (no re-split) with a schema-ful empty for the other side
-        ea = ray.put(_empty_exchange_table(ds_a, key_a))
-        eb = ray.put(_empty_exchange_table(ds_b, key_b))
-        sa = sa if sa is not None else [[ea]] * num_parts
-        sb = sb if sb is not None else [[eb]] * num_parts
-    pairs = [run.remote(len(a), *a, *b) for a, b in zip(sa, sb)]
-    return _pairs_to_dataset(pairs)
-
-
-def zip_shards_with_parts(ds, key_col: str, num_parts: int, static_parts,
-                          fn):
-    """Fused zip of a fresh exchange against PINNED partition refs (e.g.
-    a static edge table exchanged once, labels re-exchanged every round):
-    one task per partition concats the fresh side's shards and applies
-    `fn(static_table, fresh_table)`."""
-    import ray
-    import ray.data
-
-    @ray.remote(num_returns=2)
-    def run(static_tbl, *shards):
-        out = fn(static_tbl,
-                 pa.concat_tables(shards, promote_options="default"))
-        return out, out.num_rows
-
-    sh = exchange_shards(ds, key_col, num_parts)
-    if sh is None:
-        e = ray.put(_empty_exchange_table(ds, key_col))
-        sh = [[e]] * len(static_parts)
-    pairs = [run.remote(sp, *shards)
-             for sp, shards in zip(static_parts, sh)]
-    return _pairs_to_dataset(pairs)
+def _type_empty_key(tbl: pa.Table, key: str, other: pa.Table,
+                    other_key: str) -> pa.Table:
+    """A zero-block side's empty table may carry a null-typed key (no
+    schema to read); type it from the other side's key — int64 when both
+    are null — so the pyarrow join is valid."""
+    if tbl.num_rows or not pa.types.is_null(tbl[key].type):
+        return tbl
+    ktype = other.schema.field(other_key).type
+    if pa.types.is_null(ktype):
+        ktype = pa.int64()
+    return tbl.set_column(tbl.schema.get_field_index(key), key,
+                          pa.array([], ktype))
 
 
 def hash_join(left_ds, right_ds, key_col: str, num_parts: int = 32,
               how: str = "inner", right_on: str | None = None):
     """Hash-partitioned equi-join of two Datasets -> Dataset.
 
-    Joins left.key_col == right.(right_on or key_col).  Both sides are
-    exchanged with the same partitioner; per-partition pyarrow joins run as
-    parallel Ray tasks.  Empty partitions still produce the full joined
-    schema (pyarrow joins of schema-ful empty tables), so every output
-    block is schema-identical.  For broadcast-sized right sides prefer the
-    broadcast pattern (stages/pip.py) — this is the both-sides-large path."""
+    Joins left.key_col == right.(right_on or key_col): a two-side
+    `co_partition` whose partition fn is a pyarrow join.  Empty partitions
+    still produce the full joined schema (pyarrow joins of schema-ful
+    empty tables), so every output block is schema-identical, and a
+    zero-block side joins as a typed empty table (left-outer keeps every
+    left row, joined to nulls).  For broadcast-sized right sides prefer
+    broadcast_join — this is the both-sides-large path."""
     rk = right_on or key_col
     join_type = {"inner": "inner", "left": "left outer"}.get(how, how)
 
-    import ray
-    import ray.data
+    def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lt = _type_empty_key(lt, key_col, rt, rk)
+        rt = _type_empty_key(rt, rk, lt, key_col)
+        return lt.join(rt, keys=key_col, right_keys=rk, join_type=join_type)
 
-    # fused: each join task concats its own shards from BOTH sides — the
-    # per-partition concat outputs never hit the object store
-    @ray.remote(num_returns=2)
-    def run(n_left, *shards):
-        lt = pa.concat_tables(shards[:n_left], promote_options="default")
-        rt = pa.concat_tables(shards[n_left:], promote_options="default")
-        out = lt.join(rt, keys=key_col, right_keys=rk, join_type=join_type)
-        return out, out.num_rows
-
-    left_shards = exchange_shards(left_ds, key_col, num_parts)
-    right_shards = exchange_shards(right_ds, rk, num_parts)
-    if left_shards is None or right_shards is None:
-        # Zero-block side(s): join against a schema-ful empty table IN the
-        # tasks — no driver payload pull, and left-outer keeps all left
-        # rows (joined to nulls).  A schema-less empty side gets its key
-        # typed from the other side's (metadata-only) schema so the
-        # pyarrow join is valid; int64 when both are schema-less.
-        def _typed_empty(ds0, key, other_ds, other_key):
-            tbl = _empty_exchange_table(ds0, key)
-            if pa.types.is_null(tbl[key].type):
-                other = getattr(other_ds.schema(), "base_schema", None)
-                ktype = (other.field(other_key).type
-                         if other is not None
-                         and other_key in other.names
-                         and not pa.types.is_null(other.field(other_key).type)
-                         else pa.int64())
-                tbl = tbl.set_column(
-                    tbl.schema.get_field_index(key), key,
-                    pa.array([], ktype),
-                )
-            return tbl
-
-        if left_shards is None and right_shards is None:
-            lt = _typed_empty(left_ds, key_col, right_ds, rk)
-            rt = _typed_empty(right_ds, rk, left_ds, key_col)
-            out = lt.join(rt, keys=key_col, right_keys=rk,
-                          join_type=join_type)
-            return ray.data.from_arrow(out)
-        if left_shards is None:
-            e = ray.put(_typed_empty(left_ds, key_col, right_ds, rk))
-            pairs = [run.remote(1, e, *rs) for rs in right_shards]
-        else:
-            e = ray.put(_typed_empty(right_ds, rk, left_ds, key_col))
-            pairs = [run.remote(len(ls), *ls, e) for ls in left_shards]
-        return _pairs_to_dataset(pairs)
-    pairs = [run.remote(len(ls), *ls, *rs)
-             for ls, rs in zip(left_shards, right_shards)]
-    return _pairs_to_dataset(pairs)
-
-
-def rename_column(old: str, new: str):
-    """map_batches fn renaming one column (pyarrow batch format)."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        return t.rename_columns([new if c == old else c for c in t.column_names])
-
-    return fn
-
-
-def _sort_unique_bucket_ids(tbl: pa.Table, id_col: str, bucket_col: str):
-    """(bucket, id) rows -> dedup'd arrays sorted by (bucket, id).  The
-    one O(n log n) pass per partition, shared by small-bucket pair
-    emission AND the hot-bucket spill (run ONCE as a prep task)."""
-    bucket = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
-    ids = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-    order = np.lexsort((ids, bucket))
-    b_s, i_s = bucket[order], ids[order]
-    keep = np.ones(len(b_s), dtype=bool)
-    keep[1:] = (b_s[1:] != b_s[:-1]) | (i_s[1:] != i_s[:-1])
-    return b_s[keep], i_s[keep]
+    return co_partition(
+        [(left_ds, key_col, None), (right_ds, rk, None)], num_parts, join
+    )
 
 
 def _segments_of_sorted(b_s: np.ndarray):
@@ -606,140 +403,99 @@ def lsh_candidate_pairs(bands_ds, id_col: str, bucket_col: str,
     spreads over ceil(n/cap) tasks of <= cap*n pairs each — the same
     output set, no single-task funnel.  All emission paths are vectorized
     (triu_indices per segment-length class / repeat+gather per chunk)."""
-    import ray
+    # ONE fused concat + sort + dedup pass per partition (the prep round);
+    # both emission passes below read a prepped partition — unique
+    # (bucket, id) rows sorted by (bucket, id), one whole block each, so
+    # batch_size=None — in O(n)
+    def prep(tbl: pa.Table) -> pa.Table:
+        bucket = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
+        ids = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False),
+                         dtype=np.int64)
+        order = np.lexsort((ids, bucket))
+        b_s, i_s = bucket[order], ids[order]
+        keep = np.ones(len(b_s), dtype=bool)
+        keep[1:] = (b_s[1:] != b_s[:-1]) | (i_s[1:] != i_s[:-1])
+        return pa.table({bucket_col: b_s[keep], id_col: i_s[keep]})
 
-    # ONE fused concat+sort+dedup pass per partition (the shard concat
-    # happens inside prep — no materialized raw partition); both emission
-    # passes below read the prepped (sorted, unique) refs in O(n)
-    @ray.remote
-    def prep(*shards) -> pa.Table:
-        tbl = pa.concat_tables(shards, promote_options="default")
-        if tbl.num_rows == 0:
-            return pa.table({bucket_col: tbl[bucket_col], id_col: tbl[id_col]})
-        b_s, i_s = _sort_unique_bucket_ids(tbl, id_col, bucket_col)
-        return pa.table({bucket_col: b_s, id_col: i_s})
-
-    per_part = exchange_shards(bands_ds, bucket_col, num_parts)
-    if per_part is None:
-        empty = ray.put(_empty_exchange_table(bands_ds, bucket_col))
-        per_part = [[empty] for _ in range(num_parts)]
-    prepped = [prep.remote(*shards) for shards in per_part]
+    prepped = co_partition([(bands_ds, bucket_col, None)], num_parts, prep)
 
     empty_pairs = pa.table({a_col: pa.array([], pa.int64()),
                             b_col: pa.array([], pa.int64())})
 
     def small_pairs(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return empty_pairs
         b_s = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
         i_s = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False))
         starts, lens = _segments_of_sorted(b_s)
         small = lens <= hot_bucket_cap
         a, b = _segment_triu_pairs(i_s, starts[small], lens[small])
-        if len(a) == 0:
-            return empty_pairs
         t = pa.table({a_col: a, b_col: b})
         return t.group_by([a_col, b_col]).aggregate([])
 
-    cand_small = partitions_to_dataset(prepped, small_pairs)
+    cand_small = prepped.map_batches(small_pairs, batch_format="pyarrow",
+                                     batch_size=None)
 
-    # hot-bucket spill: (ckey, bucket_h, lo, idx, id) rows, one row per
-    # (chunk, member-above-chunk-start); ckey routes a chunk to one task
+    # hot-bucket spill: one (bucket, lo, id) row per (chunk, member at or
+    # above the chunk start); chunk c of a hot bucket of n members is
+    # lo = c*cap and carries members [lo, n), so (bucket, lo) routes one
+    # chunk to one task.  Fully vectorized (the _left_cross_pairs
+    # repeat/arange pattern).
     def spill_rows(tbl: pa.Table) -> pa.Table:
-        empty = pa.table({"ckey": pa.array([], pa.int64()),
-                          "bucket_h": pa.array([], pa.int64()),
-                          "lo": pa.array([], pa.int64()),
-                          "idx": pa.array([], pa.int64()),
-                          "id": pa.array([], pa.int64())})
-        if tbl.num_rows == 0:
-            return empty
         b_s = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
         i_s = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False))
         starts, lens = _segments_of_sorted(b_s)
         hot = np.nonzero(lens > hot_bucket_cap)[0]
-        if len(hot) == 0:
-            return empty
-        # fully vectorized chunk expansion (repeat/arange arithmetic, the
-        # _left_cross_pairs pattern): hot segment s of n rows emits chunks
-        # c = 0..ceil(n/cap)-1, chunk c carrying rows [c*cap, n).
-        # distinct buckets in one partition can share a hash only by
-        # collision; bucket_h + lo disambiguates the chunk groups
-        hot_n = lens[hot].astype(np.int64)
-        h_seg = _hash_keys(b_s[starts[hot]]).astype(np.uint64)  # (H,)
-        n_chunks = -(-hot_n // hot_bucket_cap)
-        tot_ch = int(n_chunks.sum())
-        seg_of_ch = np.repeat(np.arange(len(hot), dtype=np.int64), n_chunks)
-        ch0 = np.concatenate(([0], np.cumsum(n_chunks)[:-1]))
-        c_of_ch = np.arange(tot_ch, dtype=np.int64) - np.repeat(ch0, n_chunks)
-        lo_ch = c_of_ch * hot_bucket_cap
-        m_ch = hot_n[seg_of_ch] - lo_ch
-        # uint64 modular arithmetic == the two's-complement Python-int
-        # masking it replaces (bit-identical ckeys)
-        ckey_ch = (
-            h_seg[seg_of_ch] * np.uint64(0x9E3779B97F4A7C15)
-            + c_of_ch.astype(np.uint64)
-        ).view(np.int64)
-        tot_rows = int(m_ch.sum())
-        row_ch = np.repeat(np.arange(tot_ch, dtype=np.int64), m_ch)
-        r0 = np.concatenate(([0], np.cumsum(m_ch)[:-1]))
-        w = np.arange(tot_rows, dtype=np.int64) - np.repeat(r0, m_ch)
-        idx = lo_ch[row_ch] + w
-        seg_of_row = seg_of_ch[row_ch]
-        return pa.table({"ckey": ckey_ch[row_ch],
-                         "bucket_h": h_seg.view(np.int64)[seg_of_row],
-                         "lo": lo_ch[row_ch],
-                         "idx": idx,
-                         "id": i_s[starts[hot][seg_of_row] + idx]})
+        n_chunks = -(-lens[hot] // hot_bucket_cap)
+        seg_of_ch = np.repeat(hot, n_chunks)
+        lo_ch = hot_bucket_cap * (
+            np.arange(len(seg_of_ch)) - np.repeat(np.cumsum(n_chunks) - n_chunks,
+                                                  n_chunks))
+        m_ch = lens[seg_of_ch] - lo_ch
+        row_ch = np.repeat(np.arange(len(seg_of_ch)), m_ch)
+        w = np.arange(len(row_ch)) - np.repeat(np.cumsum(m_ch) - m_ch, m_ch)
+        rows = starts[seg_of_ch][row_ch] + lo_ch[row_ch] + w
+        return pa.table({bucket_col: b_s[rows],
+                         "lo": lo_ch[row_ch].astype(np.int64),
+                         id_col: i_s[rows]})
 
-    spill = partitions_to_dataset(prepped, spill_rows)
-    # no hot bucket anywhere (the common case): skip the chunk re-exchange
-    # entirely — the skew insurance costs nothing when unused.  count() is
-    # cheap here: partitions_to_dataset already materialized the refs.
+    spill = prepped.map_batches(spill_rows, batch_format="pyarrow",
+                                batch_size=None).materialize()
+    # no hot bucket anywhere (the common case): skip the chunk round
+    # entirely — the skew insurance costs nothing when unused
     has_spill = spill.count() > 0
-    if has_spill:
-        spill_parts = hash_exchange(spill, "ckey", num_parts)
 
     def chunk_pairs(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return empty_pairs
-        ckey = tbl["ckey"].to_numpy(zero_copy_only=False)
-        bh = tbl["bucket_h"].to_numpy(zero_copy_only=False)
+        bk = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
         lo = tbl["lo"].to_numpy(zero_copy_only=False)
-        idx = tbl["idx"].to_numpy(zero_copy_only=False)
-        ids = tbl["id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((idx, lo, bh, ckey))
-        ckey, bh, lo, idx, ids = (
-            ckey[order], bh[order], lo[order], idx[order], ids[order])
+        ids = tbl[id_col].to_numpy(zero_copy_only=False)
+        # a chunk's members ascend by id (prep sorted each bucket), so the
+        # sort restores the order _left_cross_pairs takes its lefts from
+        order = np.lexsort((ids, lo, bk))
+        bk, lo, ids = bk[order], lo[order], ids[order]
         is_new = np.ones(len(ids), dtype=bool)
-        is_new[1:] = ((ckey[1:] != ckey[:-1]) | (bh[1:] != bh[:-1])
-                      | (lo[1:] != lo[:-1]))
+        is_new[1:] = (bk[1:] != bk[:-1]) | (lo[1:] != lo[:-1])
         starts = np.nonzero(is_new)[0]
         lens = np.diff(np.concatenate([starts, [len(ids)]]))
         out_a, out_b = [], []
         for st, n in zip(starts, lens):  # loop over chunks, not pairs
             a, b = _left_cross_pairs(ids[st : st + n], hot_bucket_cap)
-            if len(a):
-                out_a.append(a)
-                out_b.append(b)
+            out_a.append(a)
+            out_b.append(b)
         if not out_a:
             return empty_pairs
         t = pa.table({a_col: np.concatenate(out_a),
                       b_col: np.concatenate(out_b)})
         return t.group_by([a_col, b_col]).aggregate([])
 
+    cand = cand_small
     if has_spill:
-        cand_big = partitions_to_dataset(spill_parts, chunk_pairs)
-        cand = cand_small.union(cand_big)
-    else:
-        cand = cand_small
-    pair_parts = hash_exchange(cand, a_col, num_parts)
+        cand = cand.union(
+            co_partition([(spill, [bucket_col, "lo"], None)], num_parts,
+                         chunk_pairs))
 
     def dedup_part(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return tbl
         return tbl.group_by([a_col, b_col]).aggregate([])
 
-    return partitions_to_dataset(pair_parts, dedup_part)
+    return co_partition([(cand, a_col, None)], num_parts, dedup_part)
 
 
 def attach_pair_payloads(cand, src_ds, id_col: str, payload_col: str,
@@ -747,16 +503,19 @@ def attach_pair_payloads(cand, src_ds, id_col: str, payload_col: str,
     """Join a candidate-pair Dataset back to a source table TWICE to pull
     the payload column for both pair members (columns {payload}_a /
     {payload}_b).  Hash-partitioned joins — never a broadcast."""
+    def rename(suffix: str):
+        return lambda t: t.rename_columns(
+            [f"{payload_col}_{suffix}" if c == payload_col else c
+             for c in t.column_names])
+
     j1 = hash_join(cand, src_ds, a_col, num_parts=num_parts, right_on=id_col)
-    j1 = j1.map_batches(rename_column(payload_col, f"{payload_col}_a"),
-                        batch_format="pyarrow")
+    j1 = j1.map_batches(rename("a"), batch_format="pyarrow")
     j2 = hash_join(j1, src_ds, b_col, num_parts=num_parts, right_on=id_col)
-    return j2.map_batches(rename_column(payload_col, f"{payload_col}_b"),
-                          batch_format="pyarrow")
+    return j2.map_batches(rename("b"), batch_format="pyarrow")
 
 
 def topk_merge_partials(partials, merge_fn, merge: str = "single",
-                        key_col: str = "query_id"):
+                        key_col: str | list[str] = "query_id"):
     """Shared top-k merge tail for the kNN/ANN pipelines.
 
     merge='single': one bounded reduce task (every partial is already
@@ -831,22 +590,12 @@ def hot_key_histogram(ds, key_col: str, top_n: int = 64,
     return (hist, total) if with_total else hist
 
 
-def salted_key(keys: np.ndarray, row_hash: np.ndarray, hot_keys: set, salt: int):
-    """Map-side salting for SMALL integer keys: hot keys spread over `salt`
-    sub-keys (key*salt + s).  Un-salt with key // salt.  Caller must
-    guarantee |key| * salt fits int64 — for 64-bit cell ids use
-    salted_cell_key (low-bit salting) instead."""
-    keys = np.asarray(keys, dtype=np.int64)
-    is_hot = np.isin(keys, np.fromiter(hot_keys, dtype=np.int64, count=len(hot_keys)))
-    s = (np.asarray(row_hash, dtype=np.uint64) % np.uint64(salt)).astype(np.int64)
-    return keys * salt + np.where(is_hot, s, 0)
-
-
 def salted_cell_key(tile_sort_keys: np.ndarray, row_hash: np.ndarray,
                     hot_keys: set, salt: int):
-    """Salting for S2 cell sort keys: a level-L cell id has 2*(30-L) zero
-    bits below its lsb, so hot tiles take the salt in the LOW bits (no
-    overflow, order preserved within a tile).  `salt` must be a power of
+    """Map-side salting for S2 cell sort keys: hot keys spread over `salt`
+    sub-keys.  A level-L cell id has 2*(30-L) zero bits below its lsb, so
+    hot tiles take the salt in the LOW bits (no overflow, order preserved
+    within a tile).  `salt` must be a power of
     two well below the level's lsb.  Un-salt: key & ~(salt-1)."""
     keys = np.asarray(tile_sort_keys, dtype=np.int64)
     is_hot = np.isin(keys, np.fromiter(hot_keys, dtype=np.int64, count=len(hot_keys)))

@@ -79,7 +79,8 @@ class BruteKnn:
         if not out_q:  # zero queries: typed empty partial, not a crash
             return pa.table(
                 {"query_id": pa.array([], pa.int64()),
-                 "neighbor": pa.array(keys[:0]),
+                 "neighbor": pa.array(
+                     [], batch.schema.field(self.key_col).type),
                  "d2": pa.array([], pa.float64())}
             )
         return pa.table(

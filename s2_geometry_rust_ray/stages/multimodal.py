@@ -101,19 +101,6 @@ def image_features(ds, concurrency=None, batch_size: int = 1024):
     )
 
 
-def frame_sample_stub(ds, every_n: int = 30):
-    """Video frame-sampling stage SHAPE (schema + plumbing only): emits
-    (video_id, frame_idx) rows; the actual decoder is NotImplementedError
-    in this container."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        raise NotImplementedError(
-            "video decode requires ffmpeg bindings not present in this container"
-        )
-
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=64)
-
-
 class PhashRecompute:
     """Actor stage: REAL PNG decode -> recompute the 64-bit perceptual
     hash from pixels.  The driver oracle compares the recomputed value

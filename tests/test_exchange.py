@@ -101,16 +101,15 @@ def test_hash_join_right_on(ray_session):
     assert out["text"].tolist() == ["x", "y"]
 
 
-def test_partitions_to_dataset_filters_empty(ray_session):
+def test_co_partition_drops_empty_partitions(ray_session):
     import ray.data
 
     src = ray.data.from_arrow(
         pa.table({"k": np.array([5, 5, 5], dtype=np.int64)})
     )
-    parts = exchange.hash_exchange(src, "k", 8)  # 7 empty partitions
-    out = exchange.partitions_to_dataset(parts)
+    out = exchange.co_partition([(src, "k", None)], 8, lambda t: t)
     assert out.count() == 3
-    assert out.num_blocks() == 1  # empties dropped without driver payload pulls
+    assert out.num_blocks() == 1  # 7 empties dropped by their count refs
 
 
 def test_hot_key_histogram(ray_session):
@@ -139,21 +138,112 @@ def test_salted_cell_key_roundtrip():
             assert len(np.unique(salted)) == 1
 
 
-def test_hash_exchange_zero_blocks(ray_session):
-    """A zero-block dataset must yield schema-ful empty partitions, not an
-    ArrowInvalid from concat_tables(())."""
+def test_co_partition_zero_blocks(ray_session):
+    """A zero-block side must reach every partition as a schema-ful empty
+    table (after its map_fn), not raise ArrowInvalid from
+    concat_tables(()); all-empty output keeps one schema-ful block."""
     import pyarrow as pa
+    import ray.data
+
+    # an empty block that lost its columns
+    gone = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+    gone = gone.filter(lambda r: False)
+    assert exchange.co_partition([(gone, "k", None)], 4, lambda t: t).count() == 0
+
+    src = ray.data.from_items([]).map_batches(lambda b: b,
+                                              batch_format="pyarrow")
+    assert src.to_arrow_refs() == []
+    out = exchange.co_partition([(src, "k", None)], 4, lambda t: t)
+    assert out.count() == 0
+    assert out.schema().names == ["k"]
+
+    full = ray.data.from_arrow(pa.table({"k": np.arange(10, dtype=np.int64)}))
+    tag = lambda t: t.append_column("m", pa.array(np.ones(t.num_rows)))  # noqa: E731
+    seen = exchange.co_partition(
+        [(src, "k", tag), (full, "k", None)], 4,
+        lambda a, b: pa.table({"cols": [",".join(a.column_names)],
+                               "na": [a.num_rows], "nb": [b.num_rows]}),
+    ).to_pandas()
+    assert len(seen) == 4  # one fn call per partition
+    assert set(seen["cols"]) == {"k,m"}
+    assert seen["na"].sum() == 0 and seen["nb"].sum() == 10
+
+
+def test_co_partition_pinned_refs_follow_partitions(ray_session):
+    """pinned[p] is appended to partition p's tables: every row meets the
+    pinned table of the partition its key hashes to."""
     import ray
     import ray.data
 
-    src = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
-    src = src.filter(lambda r: False)  # may drop to zero blocks
-    parts = exchange.hash_exchange(src, "k", 4)
-    tables = ray.get(parts)
-    assert len(tables) == 4
-    assert all(t.num_rows == 0 for t in tables)
-    out = exchange.partitions_to_dataset(parts)
-    assert out.count() == 0
+    t = pa.table({"k": np.arange(200, dtype=np.int64)})
+    pinned = [ray.put(pa.table({"p": [p]})) for p in range(5)]
+
+    def tag(tbl, pin):
+        return tbl.append_column(
+            "p", pa.array(np.full(tbl.num_rows, pin["p"][0].as_py())))
+
+    out = exchange.co_partition(
+        [(ray.data.from_arrow(t).repartition(3), "k", None)], 5, tag,
+        pinned=pinned,
+    ).to_pandas()
+    want = {k: p for p, part in enumerate(exchange._hash_part(t, "k", 5))
+            for k in part["k"].to_pylist()}
+    assert len(out) == 200
+    assert all(want[k] == p for k, p in zip(out["k"], out["p"]))
+
+
+def _crash_once(marker: str) -> None:
+    """Kill this worker process the first time any task gets here."""
+    import os
+
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return
+    os.close(fd)
+    os._exit(1)
+
+
+def test_co_partition_lost_worker_is_deterministic(ray_session, tmp_path):
+    """A split task (in map_fn) and a partition task (in fn) each lose
+    their worker once; Ray's default retries rerun them and the output is
+    byte-identical to a clean run."""
+    import os
+
+    import ray
+    import ray.data
+
+    rng = np.random.default_rng(4)
+    src = ray.data.from_arrow(pa.table({
+        "k": rng.integers(0, 50, 2000), "v": rng.normal(size=2000),
+    })).repartition(4).materialize()
+    map_marker = str(tmp_path / "map")
+    fn_marker = str(tmp_path / "fn")
+
+    def run(crash: bool) -> list[bytes]:
+        def map_fn(t):
+            if crash:
+                _crash_once(map_marker)
+            return t
+
+        def fn(t):
+            if crash:
+                _crash_once(fn_marker)
+            return t.sort_by([("k", "ascending"), ("v", "ascending")])
+
+        out = exchange.co_partition([(src, "k", map_fn)], 4, fn)
+        blobs = []
+        for tbl in ray.get(out.to_arrow_refs()):
+            sink = pa.BufferOutputStream()
+            with pa.ipc.new_stream(sink, tbl.schema) as w:
+                w.write_table(tbl)
+            blobs.append(sink.getvalue().to_pybytes())
+        return blobs
+
+    clean = run(False)
+    crashed = run(True)
+    assert os.path.exists(map_marker) and os.path.exists(fn_marker)
+    assert crashed == clean
 
 
 def _bruteforce_pairs(ids, buckets):

@@ -285,3 +285,21 @@ def test_edge_crosser_chain_matches_pairwise():
         assert c2.crossing_sign(chain[i], chain[i + 1]) == pred.crossing_sign(
             a, b, chain[i], chain[i + 1]
         )
+
+
+def test_brute_knn_zero_queries_string_key_schema():
+    """Zero queries over a string key column yield the documented partial
+    schema (query_id int64, neighbor typed like the key, d2 float64)."""
+    import pyarrow as pa
+
+    from s2_geometry_rust_ray.stages.knn import BruteKnn
+
+    empty = {c: np.array([], dtype=np.float64) for c in ("x", "y", "z")}
+    empty["query_id"] = np.array([], dtype=np.int64)
+    batch = pa.table({"name": pa.array(["a", "b"]),
+                      "lat": [1.0, 2.0], "lng": [3.0, 4.0]})
+    out = BruteKnn(empty, k=3, key_col="name")(batch)
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("query_id", pa.int64()),
+                                    ("neighbor", pa.string()),
+                                    ("d2", pa.float64())])

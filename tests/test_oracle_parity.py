@@ -108,6 +108,15 @@ def test_rows_only_queries_smoke(ray_session, name):
     assert len(res) > 0
 
 
+def test_oracled_queries_come_first():
+    """Every oracled query precedes the rows-only ones, so a correctness
+    sweep capped below len(queries()) still checks all of them."""
+    import __ray_entry__ as e
+
+    names, oracled = list(e.queries()), set(e.oracle_sql())
+    assert set(names[:len(oracled)]) == oracled
+
+
 def test_entry_smoke(ray_session):
     import __ray_entry__ as e
 
