@@ -6,11 +6,13 @@ the Rust port's sign-sum winding heuristic (src/loop.rs:380-394) is one of
 its documented simplifications and is NOT reproduced (SURVEY.md §0).
 
 The kernel evaluates all four crossing orientation signs for (points x
-edges) with two matmuls; pairs whose float triage is inconclusive (|det| <=
-3.6548*eps — <1% in practice, src/lib.rs:71) are re-evaluated with exact
-rational predicates + Simulation-of-Simplicity (functions/predicates.py), so
-results are deterministic and boundary cases (point == vertex, point on
-edge) follow C++ semantics exactly.
+edges) with two matmuls, one row tile of at most TILE_PAIRS pairs at a
+time, so its memory is constant however many points and edges.  Pairs
+whose float triage is inconclusive (|det| <= 3.6548*eps — <1% in
+practice, src/lib.rs:71) are re-evaluated with exact rational predicates +
+Simulation-of-Simplicity (functions/predicates.py), so results are
+deterministic and boundary cases (point == vertex, point on edge) follow
+C++ semantics exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,18 @@ import numpy as np
 from ..functions import predicates as pred
 from ..functions.coords import latlng_deg_to_xyz
 from .interval import PI, R1Interval, S1Interval
+
+
+# Point-edge pairs one kernel tile evaluates: the (points x edges)
+# temporaries stay a few MB whatever the candidate and edge counts.
+TILE_PAIRS = 1 << 16
+
+
+def row_tiles(m: int, cols: int) -> list[slice]:
+    """Row slices covering m rows, each at most TILE_PAIRS // cols rows
+    (at least one row)."""
+    step = max(1, TILE_PAIRS // max(1, cols))
+    return [slice(lo, lo + step) for lo in range(0, m, step)]
 
 
 def latlng_deg_to_unit_xyz(lat_deg, lng_deg):
@@ -126,11 +140,19 @@ class Loop:
     # -- queries ------------------------------------------------------------
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
-        """(m,3) unit points -> bool (m,).  Crossing parity from ORIGIN."""
+        """(m,3) unit points -> bool (m,).  Crossing parity from ORIGIN,
+        evaluated over row tiles of at most TILE_PAIRS point-edge pairs, so
+        the kernel's memory is constant in m (rows are independent: the
+        result does not depend on the tiling)."""
         pts = np.asarray(pts, dtype=np.float64)
-        m, n = pts.shape[0], self.v.shape[0]
-        if m == 0:
-            return np.zeros(0, dtype=bool)
+        parity = np.empty(pts.shape[0], dtype=bool)
+        for rows in row_tiles(pts.shape[0], self.v.shape[0]):
+            parity[rows] = self._crossing_parity(pts[rows])
+        return np.logical_xor(parity, self.origin_inside)
+
+    def _crossing_parity(self, pts: np.ndarray) -> np.ndarray:
+        """Odd number of edge crossings on the segment ORIGIN -> p, per row
+        of one tile."""
         ov = np.cross(np.broadcast_to(pred.ORIGIN, pts.shape), pts)  # (m,3)
         # A[i,j] = det(O, p_i, v_j) = (O x p_i) . v_j.  Written as explicit
         # left-associated mul/adds (not BLAS matmul) so the DuckDB PIP oracle
@@ -156,8 +178,9 @@ class Loop:
             (acb == bda) & (acb == cbd) & (acb == self.dac[None, :]) & (acb != 0)
         )
         uncertain = (sA == 0) | (sA_next == 0) | (sB == 0)
-        parity = (crossing & ~uncertain).sum(axis=1) & 1
-        # exact slow path for inconclusive (point, edge) pairs
+        parity = ((crossing & ~uncertain).sum(axis=1) & 1) == 1
+        # exact slow path for inconclusive (point, edge) pairs; i indexes
+        # this tile's rows of both pts and parity
         if uncertain.any():
             rows, cols = np.nonzero(uncertain)
             for i, e in zip(rows.tolist(), cols.tolist()):
@@ -167,8 +190,8 @@ class Loop:
                 if pred.edge_or_vertex_crossing(
                     pred.ORIGIN, p, self.v[e], self.vnext[e]
                 ):
-                    parity[i] ^= 1
-        return np.logical_xor(parity == 1, self.origin_inside)
+                    parity[i] ^= True
+        return parity
 
     def contains_latlng_deg(self, lat_deg, lng_deg):
         return self.contains_points(latlng_deg_to_unit_xyz(lat_deg, lng_deg))

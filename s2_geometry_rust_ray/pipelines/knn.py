@@ -11,7 +11,7 @@ import numpy as np
 from ..functions import geo
 from ..functions.coords import latlng_deg_to_xyz
 from ..stages import knn as knn_stages
-from ..stages.exchange import actor_map as _actor_map
+from ..stages.exchange import actor_map as _actor_map, topk_merge_partials
 from ..stages.encode import derive_geotags
 
 QUERY_KEY_BASE = 900_000_000  # query keys live far above any row key
@@ -24,16 +24,6 @@ def make_queries(n_queries: int = 50):
     lat, lng = geo.derive_latlng(QUERY_KEY_BASE + qid)
     x, y, z = latlng_deg_to_xyz(lat, lng)
     return {"query_id": qid, "x": x, "y": y, "z": z, "lat": lat, "lng": lng}
-
-
-def merge_partials(partials, k: int, merge: str = "single"):
-    """Global top-k merge of per-partition (query_id, neighbor, d2) rows —
-    delegates to the shared stages/exchange.topk_merge_partials tail."""
-    from ..stages import exchange
-
-    return exchange.topk_merge_partials(
-        partials, lambda b: knn_stages.merge_topk(b, k), merge
-    )
 
 
 class _GeotagKnn:
@@ -62,7 +52,9 @@ def knn_brute(ds, key_col: str, k: int = 5, n_queries: int = 50,
     )
     # each partition emits <= Q*k rows, so the single-task merge input is
     # tiny (B_blocks * Q * k); merge='distributed' for very large Q
-    return merge_partials(partials, k, merge)
+    return topk_merge_partials(
+        partials, lambda b: knn_stages.merge_topk(b, k), merge
+    )
 
 
 def knn_cell(ds, key_col: str, k: int = 5, n_queries: int = 50,
@@ -90,4 +82,6 @@ def knn_cell(ds, key_col: str, k: int = 5, n_queries: int = 50,
         batch_size=262144,
         concurrency=concurrency,
     )
-    return merge_partials(partials, k, merge)
+    return topk_merge_partials(
+        partials, lambda b: knn_stages.merge_topk(b, k), merge
+    )

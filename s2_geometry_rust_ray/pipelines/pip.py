@@ -151,15 +151,21 @@ class _GeotagEncodePIPJoin:
 
 
 def pip_join(ds, key_col: str, layer=None, mode: str = "inner", concurrency=None):
-    """Broadcast PIP join: one fused geotag+encode+join actor-pool stage.
+    """Broadcast PIP join: one fused geotag+encode+join stage, run as a
+    task-pool map (`exchange.actor_map`) whose instance is built once per
+    worker and cached there.
 
-    At scale `concurrency` is sized to the cluster; the layer rides the
-    object store once per actor (PIPJoin.__init__), never per batch.
+    At scale `concurrency` is sized to the cluster; the prepared layer
+    rides the object store once per worker (PIPJoin.__init__), never per
+    batch.  The exact refine tiles its kernel, so a batch's memory is the
+    batch's columns plus a constant, whatever the candidate and edge
+    counts.
 
-    batch_size 131072: every actor-pool batch is a separate actor call
-    (RPC + object-store arg/result round trip) — at 32768 that per-call
-    overhead halved 4-slot throughput on a materialized input (measured
-    10.7 s -> 5.9 s at 131072; 262144 regresses on cache pressure).
+    batch_size 131072: each batch pays a fixed cost (slicing and wrapping
+    the block, one filter pass per polygon), which 131072 rows amortize.
+    The size was chosen when this stage was an actor pool (32768 -> 131072
+    took a 4-slot run from 10.7 s to 5.9 s; 262144 regressed on cache
+    pressure) and is kept for the task-pool map.
     """
     if layer is None:
         layer = standard_polygon_layer()

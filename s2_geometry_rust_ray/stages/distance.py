@@ -21,7 +21,9 @@ i.e. inside it, or within r of its boundary.  Composition:
     totally ordered and the threshold comparison is reproduced bit-for-bit
     by the oracle.
 
-Broadcast actor-pool stage, same shape as stages/pip.PIPJoin.
+Broadcast stages for `exchange.actor_map` (a task-pool map with a cached
+per-worker instance), sharing stages/pip's covering filter and its
+candidate-only, bounded-memory refine.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.coords import latlng_deg_to_xyz
-from ..geometry.loop import Polygon
+from ..geometry.loop import Polygon, row_tiles
+from .pip import batch_latlng_leaves, covering_filter, rows_xyz
 
 
 class PreparedDistanceLayer:
@@ -123,8 +125,14 @@ def points_edge_chord2_matrix(px, py, pz, consts) -> np.ndarray:
 
 
 def points_min_edge_chord2(px, py, pz, consts) -> np.ndarray:
-    """Min chord^2 from each point to any edge.  (m,) for m points."""
-    return points_edge_chord2_matrix(px, py, pz, consts).min(axis=1)
+    """Min chord^2 from each point to any edge.  (m,) for m points, over
+    row tiles of at most TILE_PAIRS point-edge pairs (the min is per row,
+    so the tiling does not change a bit)."""
+    out = np.empty(len(px), dtype=np.float64)
+    for rows in row_tiles(len(px), len(consts[0])):
+        out[rows] = points_edge_chord2_matrix(
+            px[rows], py[rows], pz[rows], consts).min(axis=1)
+    return out
 
 
 def prepare_distance_layer(layer: dict, radius_rad: float, chord2: float,
@@ -176,9 +184,9 @@ def prepare_polyline_layer(routes: dict, radius_rad: float, chord2: float,
 
 
 class RouteBufferJoin:
-    """Actor-pool stage: (key, route_id) for points within r of a
-    polyline — the 'images within r of route' join (min edge chord^2 only;
-    a 1-D region has no interior)."""
+    """Broadcast stage for `exchange.actor_map`: (key, route_id) for points
+    within r of a polyline — the 'images within r of route' join (min edge
+    chord^2 only; a 1-D region has no interior)."""
 
     def __init__(self, prepared, key_col: str = "k"):
         import ray
@@ -189,26 +197,14 @@ class RouteBufferJoin:
         self.key_col = key_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions import cellid as _cellid
-        from .pip import _face_ij_of, _ranges_contain
-
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        lng = batch["lng"].to_numpy(zero_copy_only=False)
-        x, y, z = latlng_deg_to_xyz(lat, lng)
+        lat, lng, leaves = batch_latlng_leaves(batch)
         keys = batch[self.key_col].to_numpy(zero_copy_only=False)
-        if "cell_id" in batch.schema.names:
-            leaves = batch["cell_id"].to_numpy(zero_copy_only=False)
-        else:
-            leaves = _cellid.from_face_ij(*_face_ij_of(x, y, z))
 
         out_keys, out_rids = [], []
-        for rid, consts in self.p.edge_consts.items():
-            rmin, rmax = self.p.coverings[rid]
-            cand = _ranges_contain(rmin, rmax, leaves)
-            if not cand.any():
-                continue
-            idx = np.nonzero(cand)[0]
-            d2 = points_min_edge_chord2(x[idx], y[idx], z[idx], consts)
+        for rid, _, idx in covering_filter(leaves, self.p.coverings):
+            pts = rows_xyz(lat, lng, idx)
+            d2 = points_min_edge_chord2(pts[:, 0], pts[:, 1], pts[:, 2],
+                                        self.p.edge_consts[rid])
             hit = idx[d2 <= self.p.chord2]
             if hit.size:
                 out_keys.append(keys[np.sort(hit)])
@@ -229,8 +225,8 @@ class RouteBufferJoin:
 
 
 class WithinDistanceJoin:
-    """Actor-pool stage: (key, polygon_id) for points with
-    distance(point, polygon region) <= r."""
+    """Broadcast stage for `exchange.actor_map`: (key, polygon_id) for
+    points with distance(point, polygon region) <= r."""
 
     def __init__(self, prepared, key_col: str = "k"):
         import ray
@@ -241,38 +237,22 @@ class WithinDistanceJoin:
         self.key_col = key_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions import cellid as _cellid
-        from .pip import _face_ij_of, _ranges_contain
-
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        lng = batch["lng"].to_numpy(zero_copy_only=False)
-        x, y, z = latlng_deg_to_xyz(lat, lng)
-        pts = np.stack([x, y, z], axis=-1)
+        lat, lng, leaves = batch_latlng_leaves(batch)
         keys = batch[self.key_col].to_numpy(zero_copy_only=False)
-        if "cell_id" in batch.schema.names:
-            leaves = batch["cell_id"].to_numpy(zero_copy_only=False)
-        else:
-            leaves = _cellid.from_face_ij(*_face_ij_of(x, y, z))
 
         out_keys, out_pids = [], []
-        for pid, poly in self.p.polys.items():
-            rmin, rmax = self.p.coverings[pid]
-            cand = _ranges_contain(rmin, rmax, leaves)
-            if not cand.any():
-                continue
-            idx = np.nonzero(cand)[0]
-            irmin, irmax = self.p.interiors[pid]
-            accepted = _ranges_contain(irmin, irmax, leaves[idx])
-            exact_idx = idx[~accepted]
-            inside = poly.contains_points(pts[exact_idx])
+        for pid, accepted, exact_idx in covering_filter(
+                leaves, self.p.coverings, self.p.interiors):
+            pts = rows_xyz(lat, lng, exact_idx)
+            inside = self.p.polys[pid].contains_points(pts)
             near = np.zeros(exact_idx.size, dtype=bool)
             check = ~inside
             if check.any():
-                ci = exact_idx[check]
-                d2 = points_min_edge_chord2(x[ci], y[ci], z[ci],
+                c = pts[check]
+                d2 = points_min_edge_chord2(c[:, 0], c[:, 1], c[:, 2],
                                             self.p.edge_consts[pid])
                 near[check] = d2 <= self.p.chord2
-            hit = np.concatenate([idx[accepted], exact_idx[inside | near]])
+            hit = np.concatenate([accepted, exact_idx[inside | near]])
             if hit.size:
                 hit = np.sort(hit)
                 out_keys.append(keys[hit])

@@ -2,10 +2,14 @@
 
 Broadcast path (this module): the polygon layer is tiny relative to the
 point table (10^1..10^5 polygons vs 10^12 points), so it is broadcast ONCE
-per actor — `ray.put(layer_spec)` on the driver, `ray.get` + Loop/Polygon
-construction in the actor pool's `__init__`, then every batch is a
-vectorized (points x edges) crossing-parity evaluation with a bbox
-pre-filter.  No shuffle at all.  (SURVEY.md §2.10 "Joins/lookups".)
+per worker — `ray.put(layer_spec)` on the driver, then `exchange.actor_map`
+(a task-pool map) builds the Loop/Polygon state once per worker process
+and caches the instance.  Every batch runs the covering filter, then a
+vectorized (points x edges) crossing-parity refine on the candidates the
+interior covering did not accept; the refine builds point geometry for
+those rows only and tiles its kernel, so its memory is bounded whatever
+the candidate and edge counts.  No shuffle at all.  (SURVEY.md §2.10
+"Joins/lookups".)
 
 Shuffle path (pipelines/pip.py builds it from the coverer): explode polygon
 coverings at level K -> equi-join on cell_lK -> exact refine — for layers
@@ -138,20 +142,62 @@ def _face_ij_of(x, y, z):
     return face, coords.st_to_ij(coords.uv_to_st(u)), coords.st_to_ij(coords.uv_to_st(v))
 
 
+def batch_latlng_leaves(batch: pa.Table):
+    """(lat, lng, leaf ids) of a point batch.  The leaves come from the
+    `cell_id` column, or from lat/lng when the batch has none."""
+    from ..functions import cellid as _cellid
+
+    lat = batch["lat"].to_numpy(zero_copy_only=False)
+    lng = batch["lng"].to_numpy(zero_copy_only=False)
+    if "cell_id" in batch.schema.names:
+        leaves = batch["cell_id"].to_numpy(zero_copy_only=False)
+    else:
+        leaves = _cellid.from_face_ij(*_face_ij_of(*latlng_deg_to_xyz(lat, lng)))
+    return lat, lng, leaves
+
+
+def rows_xyz(lat: np.ndarray, lng: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), 3) points of the selected rows — built for refine
+    candidates only.  NOT normalized: signs are scale-invariant and the
+    raw values are the oracle's bit-exact twins (latlng_deg_to_xyz is
+    elementwise, so a subset gives the same bits as the whole batch)."""
+    return np.stack(latlng_deg_to_xyz(lat[rows], lng[rows]), axis=-1)
+
+
+def covering_filter(leaves: np.ndarray, coverings: dict, interiors: dict | None = None):
+    """The broadcast joins' shared cell filter.  Yields, per region whose
+    covering holds any leaf, (region_id, accepted, refine): the batch rows
+    fast-accepted by the region's interior covering and the rows left for
+    its exact refine (every candidate when `interiors` is None)."""
+    for rid, (rmin, rmax) in coverings.items():
+        cand = _ranges_contain(rmin, rmax, leaves)
+        if not cand.any():
+            continue
+        idx = np.nonzero(cand)[0]
+        if interiors is None:
+            yield rid, idx[:0], idx
+            continue
+        accepted = _ranges_contain(*interiors[rid], leaves[idx])
+        yield rid, idx[accepted], idx[~accepted]
+
+
 class PIPJoin:
-    """Actor-pool stage: callable class for ds.map_batches(PIPJoin, ...,
-    concurrency=N).  fn_constructor_kwargs carries the broadcast layer
-    (either an ObjectRef to put()-data or a plain dict of
-    {polygon_id: [ [(lat,lng),...] loop, ... ]})."""
+    """Broadcast stage: callable class for `exchange.actor_map` (a task-pool
+    map that constructs it once per worker and caches the instance).  The
+    layer is either an ObjectRef to put()-data, a PreparedLayer, or a plain
+    dict of {polygon_id: [ [(lat,lng),...] loop, ... ]}.  Per batch the
+    covering filter picks candidates and the exact refine builds point
+    geometry for the non-fast-accepted candidates only, in bounded memory
+    (Loop.contains_points tiles its kernel)."""
 
     def __init__(self, layer, key_col: str = "k", mode: str = "inner"):
         import ray
 
         if isinstance(layer, ray.ObjectRef):
             layer = ray.get(layer)
-        # unpack geometry state ONCE per actor; coverings are computed ONCE
-        # on the driver (prepare_layer) and broadcast — an actor pool must
-        # not re-run the coverer per replica
+        # unpack geometry state ONCE per worker; coverings are computed
+        # ONCE on the driver (prepare_layer) and broadcast — a worker must
+        # not re-run the coverer
         prepared = layer if isinstance(layer, PreparedLayer) else prepare_layer(layer)
         self.polys = prepared.polys
         self.coverings = prepared.coverings
@@ -160,36 +206,17 @@ class PIPJoin:
         self.mode = mode
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions import cellid as _cellid
-
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        lng = batch["lng"].to_numpy(zero_copy_only=False)
-        x, y, z = latlng_deg_to_xyz(lat, lng)
-        pts = np.stack([x, y, z], axis=-1)  # NOT normalized: signs are
-        # scale-invariant and the raw values are the oracle's bit-exact twins
+        lat, lng, leaves = batch_latlng_leaves(batch)
         keys = batch[self.key_col].to_numpy(zero_copy_only=False)
-        if "cell_id" in batch.schema.names:
-            leaves = batch["cell_id"].to_numpy(zero_copy_only=False)
-        else:
-            leaves = _cellid.from_face_ij(
-                *_face_ij_of(x, y, z)
-            )
 
         out_keys = []
         out_pids = []
         any_match = np.zeros(len(keys), dtype=bool)
-        for pid, poly in self.polys.items():
-            rmin, rmax = self.coverings[pid]
-            cand = _ranges_contain(rmin, rmax, leaves)
-            if not cand.any():
-                continue
-            irmin, irmax = self.interiors[pid]
-            idx = np.nonzero(cand)[0]
-            # fast-accept: leaf inside an interior-covering cell => inside
-            accepted = _ranges_contain(irmin, irmax, leaves[idx])
-            exact_idx = idx[~accepted]
-            inside_exact = poly.contains_points(pts[exact_idx])
-            hit = np.concatenate([idx[accepted], exact_idx[inside_exact]])
+        for pid, accepted, exact_idx in covering_filter(
+                leaves, self.coverings, self.interiors):
+            pts = rows_xyz(lat, lng, exact_idx)
+            inside_exact = self.polys[pid].contains_points(pts)
+            hit = np.concatenate([accepted, exact_idx[inside_exact]])
             if self.mode == "inner" and hit.size:
                 hit = np.sort(hit)
                 out_keys.append(keys[hit])

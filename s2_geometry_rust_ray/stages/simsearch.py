@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .exchange import actor_map as _actor_map
+from .exchange import actor_map as _actor_map, topk_merge_partials
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -97,15 +97,6 @@ def _topk_with_ties(d: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return cand[np.lexsort((ids[cand], -d[cand]))][:k]
 
 
-def _merge_partials(partials, k: int, merge: str):
-    """Shared top-k merge tail (stages/exchange.topk_merge_partials)."""
-    from . import exchange
-
-    return exchange.topk_merge_partials(
-        partials, lambda b: merge_topk(b, k), merge
-    )
-
-
 def ann_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int = 10,
              concurrency=None, merge: str = "single"):
     """Brute-force cosine top-k pipeline (baseline)."""
@@ -116,7 +107,7 @@ def ann_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int = 10,
         batch_size=65536,
         concurrency=concurrency,
     )
-    return _merge_partials(partials, k, merge)
+    return topk_merge_partials(partials, lambda b: merge_topk(b, k), merge)
 
 
 def quantize_q15(vecs: np.ndarray) -> np.ndarray:
@@ -165,11 +156,6 @@ class Q15TopK:
         )
 
 
-def merge_topk_int(batch: pa.Table, k: int) -> pa.Table:
-    """Integer-dot merge — the shared merge_topk over the dot_q15 column."""
-    return merge_topk(batch, k, val_col="dot_q15")
-
-
 def ann_topk_q15(ds, queries: np.ndarray, query_ids: np.ndarray, k: int = 10,
                  concurrency=None, merge: str = "single"):
     """Quantized fixed-point ANN top-k — hash-exact oracle-checkable
@@ -181,10 +167,8 @@ def ann_topk_q15(ds, queries: np.ndarray, query_ids: np.ndarray, k: int = 10,
         batch_size=65536,
         concurrency=concurrency,
     )
-    from . import exchange
-
-    return exchange.topk_merge_partials(
-        partials, lambda b: merge_topk_int(b, k), merge
+    return topk_merge_partials(
+        partials, lambda b: merge_topk(b, k, val_col="dot_q15"), merge
     )
 
 
@@ -289,7 +273,7 @@ def ann_topk_ivf(ds, queries: np.ndarray, query_ids: np.ndarray, centroids,
         batch_size=65536,
         concurrency=concurrency,
     )
-    return _merge_partials(partials, k, merge)
+    return topk_merge_partials(partials, lambda b: merge_topk(b, k), merge)
 
 
 def build_ivf_index(ds, centroids, out_dir: str, concurrency=None):

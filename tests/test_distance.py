@@ -13,7 +13,11 @@ from s2_geometry_rust_ray.geometry.coverer import (
     RegionCoverer,
     _point_to_arc_chord2,
 )
-from s2_geometry_rust_ray.geometry.loop import Polygon, latlng_deg_to_unit_xyz
+from s2_geometry_rust_ray.geometry.loop import (
+    TILE_PAIRS,
+    Polygon,
+    latlng_deg_to_unit_xyz,
+)
 from s2_geometry_rust_ray.stages import distance as D
 
 U = np.uint64
@@ -35,6 +39,18 @@ def test_min_edge_chord2_matches_scalar():
     got = D.points_min_edge_chord2(pts[:, 0], pts[:, 1], pts[:, 2], consts)
     a, b, n = consts[0], consts[1], consts[2]
     for i in range(0, 200, 17):
+        want = min(
+            _point_to_arc_chord2(pts[i], a[e], b[e], n[e]) for e in range(len(a))
+        )
+        assert abs(got[i] - want) < 1e-12
+    # m x E over the tile pair budget: the row-tiled min equals the
+    # one-shot matrix min bit for bit, and rows in later tiles match scalar
+    m = TILE_PAIRS // len(a) * 2 + 123
+    pts = latlng_deg_to_unit_xyz(rng.uniform(-30, 50, m), rng.uniform(-10, 70, m))
+    got = D.points_min_edge_chord2(pts[:, 0], pts[:, 1], pts[:, 2], consts)
+    full = D.points_edge_chord2_matrix(pts[:, 0], pts[:, 1], pts[:, 2], consts)
+    assert np.array_equal(got, full.min(axis=1))
+    for i in range(m - 1, 0, -(m // 11)):
         want = min(
             _point_to_arc_chord2(pts[i], a[e], b[e], n[e]) for e in range(len(a))
         )

@@ -7,7 +7,12 @@ import pytest
 
 from s2_geometry_rust_ray.functions import predicates as pred
 from s2_geometry_rust_ray.geometry import fixtures
-from s2_geometry_rust_ray.geometry.loop import Loop, latlng_deg_to_unit_xyz, validate_loop
+from s2_geometry_rust_ray.geometry.loop import (
+    TILE_PAIRS,
+    Loop,
+    latlng_deg_to_unit_xyz,
+    validate_loop,
+)
 
 
 def pt(lat, lng):
@@ -51,19 +56,37 @@ def test_hemisphere_complements():
         assert np.all(ia ^ ib), f"{a}/{b} must partition the sphere"
 
 
+def _scalar_contains(lp, p) -> bool:
+    inside = lp.origin_inside
+    for e in range(lp.num_vertices()):
+        if pred.edge_or_vertex_crossing(pred.ORIGIN, p, lp.v[e], lp.vnext[e]):
+            inside = not inside
+    return inside
+
+
+def _random_pts(rng, m):
+    return latlng_deg_to_unit_xyz(rng.uniform(-89, 89, m), rng.uniform(-180, 180, m))
+
+
 def test_vectorized_matches_scalar_crossing():
     """The vectorized parity kernel must agree with a per-point scalar loop
     over edge_or_vertex_crossing (independent code path)."""
     rng = np.random.default_rng(77)
     lp = fixtures.make_loop("candy_cane")
-    pts = latlng_deg_to_unit_xyz(rng.uniform(-89, 89, 300), rng.uniform(-180, 180, 300))
+    pts = _random_pts(rng, 300)
     fast = lp.contains_points(pts)
     for i in range(pts.shape[0]):
-        inside = lp.origin_inside
-        for e in range(lp.num_vertices()):
-            if pred.edge_or_vertex_crossing(pred.ORIGIN, pts[i], lp.v[e], lp.vnext[e]):
-                inside = not inside
-        assert inside == bool(fast[i]), f"mismatch at point {i}"
+        assert _scalar_contains(lp, pts[i]) == bool(fast[i]), f"mismatch at point {i}"
+    # behind one full tile of filler, the same points and the loop's own
+    # vertices (uncertain pairs) land in the second tile: a slow-path row
+    # offset error shows in either tile
+    tile = TILE_PAIRS // lp.num_vertices()
+    filler = _random_pts(rng, tile)
+    multi = lp.contains_points(np.concatenate([filler, pts, lp.v]))
+    assert np.array_equal(multi[:tile], lp.contains_points(filler))
+    assert np.array_equal(multi[tile:tile + pts.shape[0]], fast)
+    for j, v in enumerate(lp.v):
+        assert bool(multi[tile + pts.shape[0] + j]) == _scalar_contains(lp, v)
 
 
 def test_point_equals_vertex_is_deterministic():
@@ -72,11 +95,41 @@ def test_point_equals_vertex_is_deterministic():
     lp = fixtures.make_loop("arctic_80")
     got = lp.contains_points(lp.v)
     for i in range(lp.num_vertices()):
-        inside = lp.origin_inside
-        for e in range(lp.num_vertices()):
-            if pred.edge_or_vertex_crossing(pred.ORIGIN, lp.v[i], lp.v[e], lp.vnext[e]):
-                inside = not inside
-        assert bool(got[i]) == inside
+        assert bool(got[i]) == _scalar_contains(lp, lp.v[i])
+    # the same vertices behind one full tile of filler: their uncertain
+    # pairs sit in the second tile
+    tile = TILE_PAIRS // lp.num_vertices()
+    filler = _random_pts(np.random.default_rng(3), tile)
+    multi = lp.contains_points(np.concatenate([filler, lp.v]))
+    assert np.array_equal(multi[:tile], lp.contains_points(filler))
+    assert np.array_equal(multi[tile:], got)
+
+
+def test_many_edge_loop_refine_memory_is_bounded():
+    """1,440 edges x 13,240 points: the tiled kernel stays under a fixed
+    tracemalloc bound (a one-shot (points x edges) kernel peaks near
+    1 GB here) and matches per-point evaluation."""
+    import tracemalloc
+
+    ang = np.linspace(0.0, 2.0 * np.pi, 1440, endpoint=False)
+    lp = Loop.from_latlng_deg(40.0 + 3.0 * np.sin(ang), -74.0 + 3.0 * np.cos(ang))
+    rng = np.random.default_rng(11)
+    m = 13234
+    pts = np.concatenate([
+        latlng_deg_to_unit_xyz(rng.uniform(36, 44, m), rng.uniform(-78, -70, m)),
+        lp.v[::240],  # point == vertex: uncertain pairs
+    ])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = lp.contains_points(pts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"kernel peak {peak / 2**20:.1f} MB"
+    want = np.array([lp.contains_points(p[None, :])[0] for p in pts])
+    assert np.array_equal(got, want)
+    assert 0 < got.sum() < got.size
 
 
 def test_polygon_shell_hole():
