@@ -228,9 +228,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ).astype(np.int64),
             })
 
-        return agg.reduce_by_key_multi(
+        return agg.reduce_by_key(
             joined.map_batches(project, batch_format="pyarrow"),
-            ["p_brand"], {"n": "sum", "sum_qty": "sum"}, final="single",
+            "p_brand", {"n": "sum", "sum_qty": "sum"},
         )
 
     def q_hll(sf_dir: str):

@@ -322,9 +322,9 @@ def run_benchmarks() -> dict:
 
         # res-6 cells are NEAR-UNIQUE at this density (3.2M distinct from
         # 9.6M points), so map-side combining barely shrinks the partials
-        # and a range-sort final pays O(n log n) on ~6.6M rows; the hash
-        # final is the right plan for high-cardinality keys (7.4 -> 3.2 s
-        # measured) and its output rows are identical
+        # and a one-block tree final would merge ~6.6M rows in one task; the
+        # hash final is the right plan for high-cardinality keys (7.4 s for
+        # a range-sort final -> 3.2 s measured) and its rows are identical
         t0 = time.perf_counter()
         ds = expanded_points(SF_DIR, EXPAND)
         tiling.h3_tile_counts(ds, "k", res=6, final="hash").count()

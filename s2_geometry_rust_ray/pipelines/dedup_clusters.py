@@ -14,8 +14,10 @@ fully distributed):
 Every round is one co-partitioned equi-join (labels x the edge table,
 co-located by u and partitioned ONCE — stages/exchange.co_partition with
 the edges pinned) plus one hash-exchange min-reduce
-(stages/agg.reduce_by_key final='hash' — exactly one row per doc_id, which
-the label-sum certificate below depends on).  Labels are monotone non-increasing, so
+(stages/agg.reduce_by_key final='hash': the labels table has one row per
+document, so it stays hash-partitioned instead of merging into one tree
+block; either final returns exactly one row per doc_id, which the
+label-sum certificate below depends on).  Labels are monotone non-increasing, so
 sum(labels) is a convergence certificate: the loop stops the first round
 the sum is unchanged (no label moved).  Rounds needed = graph diameter —
 near-dup components are duplicate clusters, diameter O(1)-ish in practice;
@@ -108,11 +110,9 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
             [(labels, id_col, None)], num_parts, join_part, pinned=edge_parts
         )
         merged = labels.union(cand_v)
-        # final='hash': the per-round reduce must yield exactly ONE row per
-        # doc_id — a range-sort final can split an oversized partition at
-        # arbitrary rows and return a straddling key as two partial-min
-        # rows, silently corrupting both the label-sum convergence
-        # certificate and the returned labels (ADVICE r3)
+        # final='hash': one label row per document is the high-cardinality
+        # case; the reduce yields exactly ONE row per doc_id, which the
+        # label-sum convergence certificate relies on (ADVICE r3)
         labels = agg.reduce_by_key(
             merged, id_col, {"label": "min"}, final="hash"
         ).materialize()

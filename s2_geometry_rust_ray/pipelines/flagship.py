@@ -3,7 +3,7 @@
   read images (COLUMN-PRUNED: geometry stages read only image_id/lat/lng;
   the wide `bytes` payload never enters the object store for them)
     -> leaf S2 cell encode + tile parents        (stateless map_batches)
-    -> (a) tile assignment groupby               (sort-exchange aggregate)
+    -> (a) tile assignment groupby               (tree-final reduce)
     -> (b) PIP join vs the polygon layer         (broadcast actor pool)
     -> (c) indexed pass-through write            (payload + derived cols,
            partitioned by coarse tile, resumable via state/manifest)
@@ -54,7 +54,7 @@ def _tile_tokenize(count_cols):
     return fn
 
 
-def image_tile_counts(images_dir: str, level: int = 8, final: str = "single"):
+def image_tile_counts(images_dir: str, level: int = 8):
     ds = geometry_view(images_dir)
     encoded = ds.map_batches(
         lambda b: encode_cells(b), batch_format="pyarrow", batch_size=131072
@@ -64,7 +64,7 @@ def image_tile_counts(images_dir: str, level: int = 8, final: str = "single"):
     )
     from ..stages import agg
 
-    summed = agg.sum_by_key(partials, "tile", ["n_partial"], final=final)
+    summed = agg.reduce_by_key(partials, "tile", ["n_partial"])
 
     return summed.map_batches(
         _tile_tokenize({"n_partial": "n"}), batch_format="pyarrow"
@@ -180,8 +180,7 @@ def image_phash_near_dup(images_dir: str, max_hamming: int = 7,
     return j2.map_batches(verify, batch_format="pyarrow")
 
 
-def image_caption_token_tiles(images_dir: str, level: int = 6,
-                              final: str = "single"):
+def image_caption_token_tiles(images_dir: str, level: int = 6):
     """The image+caption multimodal aggregate from the north rule: per
     level-K S2 tile, the image count and total caption tokens — geometry
     (stored lat/lng -> leaf encode -> parent tile) and text (ASCII word
@@ -216,7 +215,7 @@ def image_caption_token_tiles(images_dir: str, level: int = 6,
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=131072)
     summed = agg.reduce_by_key(
-        partials, "tile", {"n": "sum", "caption_tokens": "sum"}, final=final
+        partials, "tile", {"n": "sum", "caption_tokens": "sum"}
     )
 
     return summed.map_batches(

@@ -2,10 +2,10 @@
 token stats, quality/lang scoring, exact dedup, MinHash-LSH near-dup,
 fingerprinting, tumbling-window event aggregation.
 
-Each op is a map_batches kernel + (where a shuffle is needed) the
-sort-exchange aggregate from stages/agg.py.  The SQL-oracle'd ops restrict
-themselves to cross-engine-identical operations (ASCII regex, md5, integer
-sums) — see each docstring.
+Each op is a map_batches kernel + (where a shuffle is needed) a grouped
+reduce from stages/agg.py (tree or hash final) or a hash exchange.  The
+SQL-oracle'd ops restrict themselves to cross-engine-identical operations
+(ASCII regex, md5, integer sums) — see each docstring.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def quality(ds):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def exact_dedup(ds, final: str = "single"):
+def exact_dedup(ds):
     """Exact dedup by content hash: (content_hash16, keep_id, n_dups).
 
     keep_id = min(doc_id) within each md5-16hex(text) group.  Scale path:
@@ -88,7 +88,7 @@ def exact_dedup(ds, final: str = "single"):
 
     hashed = ds.map_batches(hash_stage, batch_format="pyarrow")
     return agg.reduce_by_key(
-        hashed, "content_hash", {"keep_id": "min", "n_dups": "sum"}, final=final
+        hashed, "content_hash", {"keep_id": "min", "n_dups": "sum"}
     )
 
 
@@ -316,8 +316,8 @@ def term_counts(ds, top_n: int = 100):
 
     Physical plan: per-batch token explode + LOCAL combine (one row per
     distinct term per batch — the map-side combine that keeps the exchange
-    proportional to vocabulary, not corpus size), sort-exchange reduce
-    (stages/agg), single bounded truncation task.  At 100 TB the
+    proportional to vocabulary, not corpus size), tree-final reduce
+    (stages/agg) into one block, one bounded truncation task.  At 100 TB the
     vocabulary is the shuffle payload; Zipf skew is absorbed by the
     map-side combine (a hot term contributes one row per block)."""
 
@@ -331,7 +331,7 @@ def term_counts(ds, top_n: int = 100):
         )
 
     partials = ds.map_batches(explode_count, batch_format="pyarrow")
-    red = agg.reduce_by_key(partials, "term", {"n": "sum"}, final="single")
+    red = agg.reduce_by_key(partials, "term", {"n": "sum"})
 
     def truncate(batch: pa.Table) -> pa.Table:
         term = batch["term"].to_numpy(zero_copy_only=False)
@@ -478,7 +478,7 @@ def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
 
     Physical plan: vectorized n_hops-fold row replication inside
     map_batches (the fan-out happens AFTER the projection to 3 narrow
-    columns), then the map-side-combine + sort-exchange reduce.
+    columns), then the map-side-combine + tree-final reduce.
     window_counts (tumbling) is the n_hops=1 special case and delegates
     here.
 
@@ -546,10 +546,9 @@ def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
 
     partials = ds.map_batches(fn, batch_format="pyarrow")
     # cross-batch merge: exact composite GROUP BY (event_type, window_s)
-    return agg.reduce_by_key_multi(
+    return agg.reduce_by_key(
         partials, ["event_type", "window_s"],
         {"n": "sum", "sum_floor_value": "sum"},
-        final="single",
     ).map_batches(
         lambda b: b.select(["event_type", "window_s", "n",
                             "sum_floor_value"]),
@@ -671,7 +670,7 @@ def quantiles_by_key(ds, key_col: str = "event_type", val_col: str = "value",
         )
 
     pairs = ds.map_batches(to_pairs, batch_format="pyarrow")
-    counts = agg.reduce_by_key_multi(
+    counts = agg.reduce_by_key(
         pairs, [key_col, val_col], {"cnt": "sum"}, final="hash"
     )
 
@@ -761,7 +760,7 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
             {key_col: batch[key_col], "bucket": bucket, "rho": rho}
         )
 
-    regs = agg.reduce_by_key_multi(
+    regs = agg.reduce_by_key(
         ds.map_batches(to_regs, batch_format="pyarrow"),
         [key_col, "bucket"], {"rho": "max"}, final="hash",
     )
@@ -772,9 +771,9 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
              "n_buckets": np.ones(batch.num_rows, dtype=np.int64)}
         )
 
-    return agg.reduce_by_key_multi(
+    return agg.reduce_by_key(
         regs.map_batches(to_hist, batch_format="pyarrow"),
-        [key_col, "rho"], {"n_buckets": "sum"}, final="single",
+        [key_col, "rho"], {"n_buckets": "sum"},
     )
 
 

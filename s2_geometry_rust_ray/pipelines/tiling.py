@@ -37,14 +37,14 @@ def tile_counts(
     key_col: str,
     level: int,
     batch_size: int = 32768,
-    final: str = "single",
+    final: str = "tree",
 ) -> "ray.data.Dataset":
     """key -> geotag -> leaf cell -> tile counts at `level`.
 
     Returns a Dataset with columns (tile_token:str, n:int64).  The groupby is
-    the sort-exchange aggregate from stages/agg.py (map-side partial combine
-    first); pass final='sorted' for high tile levels whose cardinality should
-    stay distributed.
+    agg.reduce_by_key over the map-side partial counts: final='tree' merges
+    them into one block (bounded cardinality, <= 6*4^level tiles); pass
+    final='hash' for high tile levels whose counts should stay distributed.
     """
     # encode + map-side combine FUSED into one wrapper: each extra
     # map_batches layer re-slices and re-wraps every batch (~10-20% of the
@@ -54,11 +54,7 @@ def tile_counts(
     partials = ds.map_batches(
         lambda b: tp(enc(b)), batch_format="pyarrow", batch_size=batch_size
     )
-    if final == "single" and level <= 10:
-        # bounded cardinality (<= 6*4^level keys): sort-free tree merge
-        summed = agg.tree_reduce_by_key(partials, "tile", ["n_partial"])
-    else:
-        summed = agg.sum_by_key(partials, "tile", ["n_partial"], final=final)
+    summed = agg.reduce_by_key(partials, "tile", ["n_partial"], final=final)
 
     def tokenize(batch: pa.Table) -> pa.Table:
         toks = cellid.to_hex(
@@ -81,7 +77,7 @@ def face_histogram(ds: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
         return pa.table({"face": uniq, "n": counts.astype(np.int64)})
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return agg.sum_by_key(partials, "face", ["n"], final="single")
+    return agg.reduce_by_key(partials, "face", ["n"])
 
 
 def tile_counts_salted(
@@ -120,7 +116,7 @@ def tile_counts_salted(
     partials = ds.map_batches(
         salted_partials, batch_format="pyarrow", batch_size=131072
     )
-    salted = agg.sum_by_key(partials, "skey", ["n_partial"], final="single")
+    salted = agg.reduce_by_key(partials, "skey", ["n_partial"])
 
     def unsalt(batch: pa.Table) -> pa.Table:
         skey = batch["skey"].to_numpy(zero_copy_only=False)
@@ -129,9 +125,8 @@ def tile_counts_salted(
              "n_partial": batch["n_partial"].to_numpy(zero_copy_only=False)}
         )
 
-    unsalted = agg.sum_by_key(
-        salted.map_batches(unsalt, batch_format="pyarrow"),
-        "tile", ["n_partial"], final="single",
+    unsalted = agg.reduce_by_key(
+        salted.map_batches(unsalt, batch_format="pyarrow"), "tile", ["n_partial"]
     )
 
     def tokenize(batch: pa.Table) -> pa.Table:
@@ -241,7 +236,7 @@ def snap_dedup(
 
     reduced = agg.reduce_by_key(
         ds.map_batches(partial, batch_format="pyarrow"),
-        "snap", {"keep_key": "min", "n": "sum"}, final="single",
+        "snap", {"keep_key": "min", "n": "sum"},
     )
 
     def tokenize(batch: pa.Table) -> pa.Table:
@@ -256,10 +251,10 @@ def snap_dedup(
 
 
 def h3_tile_counts(
-    ds: "ray.data.Dataset", key_col: str, res: int, final: str = "single"
+    ds: "ray.data.Dataset", key_col: str, res: int, final: str = "tree"
 ) -> "ray.data.Dataset":
     """H3-parity tile assignment: key -> geotag -> h3 cell at `res` ->
-    counts.  Same sort-exchange shape as the S2 path, keyed by h3_cell
+    counts.  Same reduce_by_key shape as the S2 path, keyed by h3_cell
     (uint64 < 2^55, so the int64 view preserves order directly)."""
     from ..functions import geo, h3
 
@@ -271,7 +266,7 @@ def h3_tile_counts(
         return pa.table({"h3_cell": uniq, "n_partial": counts.astype(np.int64)})
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-    summed = agg.sum_by_key(partials, "h3_cell", ["n_partial"], final=final)
+    summed = agg.reduce_by_key(partials, "h3_cell", ["n_partial"], final=final)
 
     def tokenize(batch: pa.Table) -> pa.Table:
         toks = cellid.to_hex(

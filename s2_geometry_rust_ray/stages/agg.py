@@ -1,23 +1,27 @@
-"""Shuffle-efficient aggregation patterns.
+"""Grouped reduces: one block reducer, two physical plans.
 
 Measured on this Ray build (2.49): ``Dataset.groupby().aggregate()`` runs its
-combine in a single task at ~20k rows/s — 20-100x slower than
-``Dataset.sort()`` (polars-backed range-partition shuffle, ~4M rows/s) plus a
-vectorized per-block NumPy reduce.  So the engine's aggregates are built on:
+combine in a single task at ~20k rows/s — 20-100x slower than a vectorized
+per-block NumPy reduce.  So every grouped operator here (sum/min/max,
+DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call:
 
-  1. optional map-side partial combine (one row per key per batch),
-  2. ``ds.sort(key)`` — the only all-to-all exchange,
-  3. per-block unique+reduce (keys are contiguous after the range sort, so a
-     key is split across at most adjacent blocks),
-  4. a final boundary merge: the per-block outputs are re-reduced either in
-     one small task (`final='single'`, for bounded-cardinality keys like tile
-     levels <= 12: at most 6*4^K tiles exist) or with a second (much smaller)
-     sort+reduce round (`final='sorted'`, stays distributed — the 100 TB
-     path for high-cardinality keys).
+  1. a map-side combine per block (one row per key per block for the
+     reducers; at most n rows per key for top-N),
+  2. a final that brings each key's partials together and re-runs the
+     same combine (every combine is re-reducible), then an optional
+     `finish` that is applied exactly once per key:
 
-Skew note: a pathologically hot key concentrates in one range partition of
-the sort; the map-side partial combine bounds its contribution to one row per
-input block, so the sort itself never sees the skew.
+     * ``final='tree'`` (default) — raw-Ray merge tasks, BRANCHING blocks
+       each, log_8(B) rounds down to ONE key-sorted block.  No all-to-all
+       exchange; the right plan for bounded key sets (tile levels: at most
+       6*4^K keys) and for small results a consumer reads whole.
+     * ``final='hash'`` — `exchange.hash_exchange_apply` on the full key
+       tuple: every key lands in exactly one partition, so the result stays
+       distributed with one row per key — the plan for high-cardinality
+       keys (h3_tile_r6: 1.83-1.90 s vs 2.10-2.37 s for a range-sort final).
+
+Skew note: the map-side combine bounds a hot key's contribution to one row
+(n rows for top-N) per input block, so neither final ever sees the skew.
 """
 
 from __future__ import annotations
@@ -25,293 +29,152 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+# raw-Ray merge fan-in: a concat+reduce task over 8 blocks costs ~0.3 s at
+# the tile shapes, where a Dataset.repartition costs ~2 s per task (measured)
+BRANCHING = 8
 
-def _reduce_block(key_col: str, spec: dict[str, str] | list[str]):
-    """Per-block grouped reduce.  spec: {col: 'sum'|'min'|'max'} (a list
-    means all-sum).  Works for numeric and (min/max) string columns."""
-    if isinstance(spec, list):
-        spec = {c: "sum" for c in spec}
+_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _reduce_block(keys: list[str], spec: dict[str, str]):
+    """Per-block grouped reduce over a (composite) key — SQL GROUP BY a, b:
+    lexsort over the key columns (string keys supported), group boundaries
+    where ANY key changes, one reduceat per value column.  The output is
+    key-sorted, one row per key tuple.  Exact — no hashed composite."""
+    ufuncs = {}
+    for c, op in spec.items():
+        if op not in _UFUNCS:
+            raise ValueError(f"unknown reduce op {op!r} for column {c!r}")
+        ufuncs[c] = _UFUNCS[op]
 
     def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="stable")
-        ks = k[order]
-        boundaries = np.nonzero(ks[1:] != ks[:-1])[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        uk = ks[starts]
-        cols = {key_col: uk}
-        for c, op in spec.items():
+        ks = [batch[c].to_numpy(zero_copy_only=False) for c in keys]
+        order = np.lexsort(ks[::-1])  # keys[0] is primary
+        ks = [k[order] for k in ks]
+        diff = np.zeros(batch.num_rows - 1, dtype=bool)
+        for k in ks:
+            diff |= k[1:] != k[:-1]
+        starts = np.concatenate([[0], np.nonzero(diff)[0] + 1])
+        cols = {c: k[starts] for c, k in zip(keys, ks)}
+        for c, uf in ufuncs.items():
             v = batch[c].to_numpy(zero_copy_only=False)[order]
-            if op == "sum":
-                cols[c] = np.add.reduceat(v, starts)
-            elif op == "min":
-                cols[c] = np.minimum.reduceat(v, starts)
-            elif op == "max":
-                cols[c] = np.maximum.reduceat(v, starts)
-            else:
-                raise ValueError(op)
+            cols[c] = uf.reduceat(v, starts)
         return pa.table(cols)
 
     return fn
 
 
-def tree_reduce_by_key(ds, key_col: str, spec: dict[str, str] | list[str],
-                       branching: int = 8):
-    """Sort-free TREE merge for BOUNDED-cardinality keys (e.g. level-K tile
-    counts: at most 6*4^K keys exist): per-block partial reduce, then
-    log_branching(B) rounds of repartition+reduce down to one block.  No
-    all-to-all exchange at all — each round only concatenates blocks —
-    which beats sorting when the per-block partials compress poorly
-    (high-cardinality blocks of a bounded-key aggregate).  The final block
-    holds one row per distinct key; use the sort-based reduce_by_key
-    final='sorted' when that can't fit a single task."""
+def _group(ds, keys: list[str], combine, final: str, finish=None):
+    """The one grouped plan: `combine` per block, then the `final` merge
+    re-running `combine` over each key's partials, then `finish` once.
+
+    `combine` and `finish` never see a zero-row table (it passes through);
+    a zero-block input gives an empty Dataset."""
     import ray
     import ray.data
 
-    if isinstance(spec, list):
-        spec = {c: "sum" for c in spec}
-    reduce_fn = _reduce_block(key_col, spec)
-    partials = ds.map_batches(reduce_fn, batch_format="pyarrow")
-    # raw-Ray merge tasks instead of Dataset.repartition: the Repartition
-    # operator costs ~2 s/task of split overhead at this shape (measured),
-    # while a concat+reduceat task on the same data costs ~0.3 s
-    refs = partials.to_arrow_refs()
+    from . import exchange
+
+    if final not in ("tree", "hash"):
+        raise ValueError(f"unknown final {final!r}: use 'tree' or 'hash'")
+
+    def step(t: pa.Table) -> pa.Table:
+        return combine(t) if t.num_rows else t
+
+    def last(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return t
+        t = combine(t)
+        return t if finish is None else finish(t)
+
+    partials = ds.map_batches(step, batch_format="pyarrow")
+    if final == "hash":
+        return exchange.hash_exchange_apply(
+            partials, keys, exchange.default_num_parts(), last
+        )
 
     @ray.remote
-    def merge(*tbls):
-        tbls = [t for t in tbls if t is not None and t.num_rows > 0]
-        if not tbls:
-            return None
-        return reduce_fn(pa.concat_tables(tbls, promote_options="default"))
+    def merge(is_last: bool, *tbls):
+        live = [t for t in tbls if t.num_rows] or tbls[:1]
+        t = pa.concat_tables(live, promote_options="default")
+        return last(t) if is_last else step(t)
 
-    while len(refs) > 1:
+    refs = partials.to_arrow_refs() or [
+        ray.put(exchange._empty_exchange_table(partials, keys))
+    ]
+    while len(refs) > BRANCHING:
         refs = [
-            merge.remote(*refs[i : i + branching])
-            for i in range(0, len(refs), branching)
+            merge.remote(False, *refs[i : i + BRANCHING])
+            for i in range(0, len(refs), BRANCHING)
         ]
-    out = ray.get(refs[0])
-    if out is None:
-        out = pa.table({key_col: []})
-    return ray.data.from_arrow(out)
+    return ray.data.from_arrow_refs([merge.remote(True, *refs)])
 
 
-def reduce_by_key(
-    ds,
-    key_col: str,
-    spec: dict[str, str],
-    final: str = "single",
-    batch_size: int | None = None,
-):
-    """Distributed grouped reduce with per-column ops ('sum'/'min'/'max').
-    Same sort-exchange plan as sum_by_key; all three ops are re-reducible
-    so partial combine -> sort -> block reduce -> boundary merge is exact.
-
-    `final='hash'`: hash exchange + per-partition reduce instead of the
-    second sort round.  Unlike a range sort (whose oversized partitions
-    split at ARBITRARY rows, so a straddling key can come back as two
-    partial rows), hash partitioning co-locates every key exactly —
-    guaranteed ONE row per key.  Use it whenever the consumer counts or
-    sums the reduced rows directly (e.g. a convergence certificate)."""
-    if final not in ("single", "sorted", "hash"):
-        raise ValueError(f"unknown final {final!r}")
-    reduce_fn = _reduce_block(key_col, spec)
-    partials = ds.map_batches(reduce_fn, batch_format="pyarrow", batch_size=batch_size)
-    if final == "hash":
-        from . import exchange
-
-        return exchange.hash_exchange_apply(
-            partials, key_col, exchange.default_num_parts(), reduce_fn
-        )
-    first = partials.sort(key_col).map_batches(
-        reduce_fn, batch_format="pyarrow", batch_size=None
-    )
-    if final == "single":
-        return first.repartition(1).map_batches(
-            reduce_fn, batch_format="pyarrow", batch_size=None
-        )
-    return first.sort(key_col).map_batches(
-        reduce_fn, batch_format="pyarrow", batch_size=None
-    )
+def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
+                  final: str = "tree"):
+    """Distributed grouped reduce: spec {col: 'sum'|'min'|'max'} (a list
+    means all-sum) GROUP BY `keys` (one column or a composite).  All three
+    ops are re-reducible, so combine -> final merge is exact; both finals
+    return exactly one row per key."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    if isinstance(spec, list):
+        spec = {c: "sum" for c in spec}
+    return _group(ds, keys, _reduce_block(keys, spec), final)
 
 
-def _reduce_block_multi(key_cols: list[str], spec: dict[str, str]):
-    """Per-block grouped reduce over a COMPOSITE key (SQL GROUP BY a, b):
-    lexsort over the key columns (object/string keys supported), group
-    boundaries where ANY key changes, then the same reduceat kernels as
-    _reduce_block.  Exact — no hashed composite, no string concatenation."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        ks = [batch[c].to_numpy(zero_copy_only=False) for c in key_cols]
-        order = np.lexsort(tuple(ks[::-1]))  # key_cols[0] is primary
-        ks_s = [k[order] for k in ks]
-        diff = np.zeros(batch.num_rows - 1, dtype=bool)
-        for k in ks_s:
-            diff |= k[1:] != k[:-1]
-        starts = np.concatenate([[0], np.nonzero(diff)[0] + 1])
-        cols = {c: k[starts] for c, k in zip(key_cols, ks_s)}
-        for c, op in spec.items():
-            v = batch[c].to_numpy(zero_copy_only=False)[order]
-            if op == "sum":
-                cols[c] = np.add.reduceat(v, starts)
-            elif op == "min":
-                cols[c] = np.minimum.reduceat(v, starts)
-            elif op == "max":
-                cols[c] = np.maximum.reduceat(v, starts)
-            else:
-                raise ValueError(op)
-        return pa.table(cols)
-
-    return fn
+# plain aliases: perfbench/layers.py calls these names
+sum_by_key = reduce_by_key
+tree_reduce_by_key = reduce_by_key
 
 
-def reduce_by_key_multi(
-    ds,
-    key_cols: list[str],
-    spec: dict[str, str],
-    final: str = "single",
-    batch_size: int | None = None,
-):
-    """Distributed grouped reduce over a composite key — the multi-column
-    GROUP BY.  Same physical plan as reduce_by_key (map-side partial
-    combine -> sort exchange on the key tuple -> block reduce -> boundary
-    merge); `final='hash'` hash-partitions on the FULL key tuple, so the
-    partition spread follows the joint cardinality even when the leading
-    key has few distinct values (e.g. (event_type, window))."""
-    if final not in ("single", "sorted", "hash"):
-        raise ValueError(f"unknown final {final!r}")
-    reduce_fn = _reduce_block_multi(key_cols, spec)
-    partials = ds.map_batches(
-        reduce_fn, batch_format="pyarrow", batch_size=batch_size
-    )
-    if final == "hash":
-        from . import exchange
-
-        return exchange.hash_exchange_apply(
-            partials, key_cols, exchange.default_num_parts(), reduce_fn
-        )
-    first = partials.sort(key_cols).map_batches(
-        reduce_fn, batch_format="pyarrow", batch_size=None
-    )
-    if final == "single":
-        return first.repartition(1).map_batches(
-            reduce_fn, batch_format="pyarrow", batch_size=None
-        )
-    return first.sort(key_cols).map_batches(
-        reduce_fn, batch_format="pyarrow", batch_size=None
-    )
+def distinct_keys(ds, key_col: str, final: str = "tree"):
+    """DISTINCT key_col — a grouped reduce with no value columns."""
+    return reduce_by_key(ds, key_col, {}, final=final)
 
 
-def sum_by_key(
-    ds,
-    key_col: str,
-    sum_cols: list[str],
-    final: str = "single",
-    batch_size: int | None = None,
-):
-    """Distributed SUM(...) GROUP BY key — sort-exchange + NumPy reduces.
-
-    `final='single'`: last merge in one task (bounded-cardinality keys).
-    `final='sorted'`: second sort round; result stays range-partitioned by
-    key and sorted (scale path; also what a downstream merge-join wants).
-    `final='hash'`: hash exchange + per-partition reduce (the
-    high-cardinality path; see reduce_by_key).
-
-    The all-sum special case of reduce_by_key — one plan dispatcher, so
-    the finals can never drift apart (a silent fallthrough here once let
-    final='hash' run the sorted plan unnoticed)."""
-    return reduce_by_key(
-        ds, key_col, {c: "sum" for c in sum_cols}, final=final,
-        batch_size=batch_size,
-    )
-
-
-def distinct_keys(ds, key_col: str, final: str = "single"):
-    """DISTINCT key_col — per-block unique, sort-exchange, boundary dedup."""
-
-    def uniq(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return pa.table({key_col: np.unique(k)})
-
-    partials = ds.map_batches(uniq, batch_format="pyarrow")
-    first = partials.sort(key_col).map_batches(uniq, batch_format="pyarrow")
-    if final == "single":
-        return first.repartition(1).map_batches(uniq, batch_format="pyarrow")
-    return first.sort(key_col).map_batches(uniq, batch_format="pyarrow")
+def _rank_in_group(k: np.ndarray) -> np.ndarray:
+    """0-based position of each row within its run of equal keys."""
+    is_new = np.ones(len(k), dtype=bool)
+    is_new[1:] = k[1:] != k[:-1]
+    starts = np.nonzero(is_new)[0]
+    return np.arange(len(k)) - np.repeat(starts, np.diff(np.append(starts, len(k))))
 
 
 def grouped_topk(ds, key_col: str, val_col: str, id_col: str, n: int,
-                 final: str = "single"):
+                 final: str = "tree"):
     """Per-group top-N: for each key the n rows with largest (val desc,
     id asc) — the grouped companion of the kNN/ANN top-k merges.
 
-    Plan: per-block LOCAL top-n per key (the combine — each block emits at
-    most n rows per distinct key it contains), sort-exchange by key, final
-    per-key truncation.  The exchange payload is bounded by
-    distinct_keys_per_block * n, independent of row count.  Ties break by
-    id ascending — the SQL row_number contract."""
+    The combine is a LOCAL top-n per key (a block emits at most n rows per
+    distinct key it contains, so the merge payload is bounded by
+    distinct_keys * n, independent of row count); the finish numbers the
+    survivors.  Ties break by id ascending — the SQL row_number contract."""
 
     def local_topn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.select([key_col, val_col, id_col])
         k = batch[key_col].to_numpy(zero_copy_only=False)
         v = batch[val_col].to_numpy(zero_copy_only=False)
         i = batch[id_col].to_numpy(zero_copy_only=False)
         order = np.lexsort((i, -v, k))
         k, v, i = k[order], v[order], i[order]
-        is_new = np.ones(len(k), dtype=bool)
-        is_new[1:] = k[1:] != k[:-1]
-        starts = np.nonzero(is_new)[0]
-        rank = np.arange(len(k)) - np.repeat(
-            starts, np.diff(np.append(starts, len(k)))
-        )
-        keep = rank < n
+        keep = _rank_in_group(k) < n
         return pa.table({key_col: k[keep], val_col: v[keep], id_col: i[keep]})
-
-    partials = ds.map_batches(local_topn, batch_format="pyarrow")
 
     def add_rank(batch: pa.Table) -> pa.Table:
         k = batch[key_col].to_numpy(zero_copy_only=False)
-        is_new = np.ones(len(k), dtype=bool)
-        is_new[1:] = k[1:] != k[:-1]
-        starts = np.nonzero(is_new)[0]
-        rank = np.arange(len(k)) - np.repeat(
-            starts, np.diff(np.append(starts, len(k)))
+        return batch.append_column(
+            "rank", pa.array(_rank_in_group(k) + 1, pa.int64())
         )
-        return batch.append_column("rank", pa.array(rank + 1, pa.int64()))
 
-    if final == "single":
-        # one bounded task (<= distinct_keys * n rows after a range sort)
-        merged = partials.sort(key_col).map_batches(
-            local_topn, batch_format="pyarrow", batch_size=None
-        )
-        out = merged.repartition(1).map_batches(
-            local_topn, batch_format="pyarrow", batch_size=None
-        )
-        return out.map_batches(add_rank, batch_format="pyarrow", batch_size=None)
-    # scale path: HASH exchange — unlike a range sort (whose oversized
-    # partitions get split at arbitrary rows, letting one key straddle two
-    # blocks and emit 2n rows with duplicate ranks), hash partitioning
-    # co-locates every key exactly, so the per-partition top-n + rank is
-    # final
-    from . import exchange
-
-    return exchange.hash_exchange_apply(
-        partials, key_col, exchange.default_num_parts(),
-        lambda t: add_rank(local_topn(t)),
-    )
+    return _group(ds, [key_col], local_topn, final, finish=add_rank)
 
 
 def distinct_count_by_key(ds, key_col: str, distinct_col: str,
-                          out_col: str = "n_distinct", final: str = "single"):
+                          out_col: str = "n_distinct", final: str = "tree"):
     """Exact COUNT(DISTINCT distinct_col) GROUP BY key_col.
 
-    Plan: per-block (key, value) dedup (combine), sort-exchange on the
-    key, per-block pair dedup + boundary-safe final count in one bounded
-    task (pair cardinality = sum of per-key distinct counts).
+    The combine is a per-block (key, value) pair dedup (re-reducible: a
+    dedup of deduped pairs); the finish counts each key's pairs once all
+    of them have met (pair cardinality = sum of per-key distinct counts).
 
     NULL semantics match SQL exactly: COUNT(DISTINCT) ignores NULL values,
     but a key whose values are ALL null still appears (n_distinct = 0) —
@@ -321,7 +184,7 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
     filler so the value array stays its native dtype — an int column with
     nulls would otherwise decay to float NaN, whose NaN != NaN also
     defeats the != dedup mask), every all-null row collapses to one
-    (key, filler, False) sentinel per key per block, and the finalizer
+    (key, filler, False) sentinel per key per block, and the finish
     counts only v_ok rows."""
 
     import pyarrow.compute as pc
@@ -332,7 +195,9 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
     # type.  fetch_if_missing executes at most the first block's task chain.
     sch = ds.schema(fetch_if_missing=True)
     arrow_sch = getattr(sch, "base_schema", sch)
-    if hasattr(arrow_sch, "field"):
+    if arrow_sch is None:  # zero-block input: no value ever needs a type
+        vtype = pa.null()
+    elif hasattr(arrow_sch, "field"):
         vtype = arrow_sch.field(distinct_col).type
     else:  # PandasBlockSchema: parallel name/dtype lists (may be pandas
         # extension dtypes like StringDtype — infer via an empty Series)
@@ -362,9 +227,6 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
             v = pc.fill_null(col, _filler(col.type)).to_numpy(
                 zero_copy_only=False
             )
-        if batch.num_rows == 0:
-            return pa.table({key_col: batch[key_col], distinct_col: v,
-                             "v_ok": pa.array(ok, pa.bool_())})
         k = batch[key_col].to_numpy(zero_copy_only=False)
         order = np.lexsort((v, ok, k))
         k, v, ok = k[order], v[order], ok[order]
@@ -373,43 +235,11 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
         return pa.table({key_col: k[keep], distinct_col: v[keep],
                          "v_ok": pa.array(ok[keep], pa.bool_())})
 
-    def count_final(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({key_col: batch[key_col],
-                             out_col: pa.array([], pa.int64())})
-        t = pair_dedup(batch)
-        k = t[key_col].to_numpy(zero_copy_only=False)
-        ok = t["v_ok"].to_numpy(zero_copy_only=False)
+    def count_pairs(batch: pa.Table) -> pa.Table:
+        k = batch[key_col].to_numpy(zero_copy_only=False)
+        ok = batch["v_ok"].to_numpy(zero_copy_only=False)
         uk, inv = np.unique(k, return_inverse=True)
         counts = np.bincount(inv, weights=ok).astype(np.int64)
         return pa.table({key_col: uk, out_col: counts})
 
-    partials = ds.map_batches(pair_dedup, batch_format="pyarrow")
-    if final == "single":
-        merged = partials.sort(key_col).map_batches(
-            pair_dedup, batch_format="pyarrow", batch_size=None
-        )
-        return merged.repartition(1).map_batches(
-            count_final, batch_format="pyarrow", batch_size=None
-        )
-    # scale path: HASH exchange co-locates every key exactly (a range
-    # sort's oversized partitions split at arbitrary rows, which would
-    # double-count a straddling key — and the count finalizer, unlike
-    # sum/min/max, is NOT re-reducible, so no later round could fix it)
-    from . import exchange
-
-    return exchange.hash_exchange_apply(
-        partials, key_col, exchange.default_num_parts(), count_final
-    )
-
-
-def count_by_key(ds, key_col: str, final: str = "single", out_col: str = "n"):
-    """COUNT(*) GROUP BY key via sum_by_key over a ones column."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        uk, counts = np.unique(k, return_counts=True)
-        return pa.table({key_col: uk, out_col: counts.astype(np.int64)})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return sum_by_key(partials, key_col, [out_col], final=final)
+    return _group(ds, [key_col], pair_dedup, final, finish=count_pairs)

@@ -536,7 +536,7 @@ def hot_key_histogram(ds, key_col: str, top_n: int = 64,
                       with_total: bool = False,
                       total_sentinel: int = -(1 << 63)):
     """Cheap first-pass histogram for salting decisions: per-block top-N
-    partial counts -> distributed tree merge (stages/agg.tree_reduce_by_key)
+    partial counts -> distributed tree merge (stages/agg.reduce_by_key)
     -> final top-N truncation in ONE task.  The driver only ever pulls
     <= top_n rows — no linear-in-num_blocks driver merge.
 
@@ -574,7 +574,7 @@ def hot_key_histogram(ds, key_col: str, top_n: int = 64,
         return pa.table({key_col: uk, "n": counts.astype(np.int64)})
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    merged = agg.tree_reduce_by_key(partials, key_col, {"n": "sum"})
+    merged = agg.reduce_by_key(partials, key_col, {"n": "sum"})
 
     def truncate(batch: pa.Table) -> pa.Table:
         if batch.num_rows <= keep_n:

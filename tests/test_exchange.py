@@ -4,7 +4,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from s2_geometry_rust_ray.stages import exchange
+from s2_geometry_rust_ray.stages import agg, exchange
 
 
 def test_hash_part_partitions_all_rows():
@@ -322,11 +322,11 @@ def test_lsh_candidate_pairs_hot_bucket(ray_session, cap):
     assert len(got) == len(out)  # deduped
 
 
-def test_reduce_by_key_multi_matches_pandas(ray_session):
-    """Composite GROUP BY (string, int) — exact, no hashed key."""
+def test_reduce_by_key_matches_pandas(ray_session):
+    """GROUP BY a composite (string, int) key, a single int key and a
+    single string key, plus DISTINCT — exact, no hashed key, both finals."""
     import pandas as pd
     import ray.data
-    from s2_geometry_rust_ray.stages import agg
 
     rng = np.random.default_rng(7)
     et = np.array(["view", "buy", "add", "zz|weird"], dtype=object)[
@@ -337,20 +337,65 @@ def test_reduce_by_key_multi_matches_pandas(ray_session):
     df = pd.DataFrame({"et": et, "w": w, "v": v,
                        "n": np.ones(5000, dtype=np.int64)})
     ds = ray.data.from_pandas(df).repartition(7)
-    for final in ["single", "sorted", "hash"]:
-        out = agg.reduce_by_key_multi(
-            ds, ["et", "w"], {"n": "sum", "v": "min"}, final=final
-        ).to_pandas()
+    for keys in (["et", "w"], "w", "et"):
+        kl = [keys] if isinstance(keys, str) else keys
         exp = (
-            df.groupby(["et", "w"], sort=False)
+            df.groupby(kl, sort=False)
             .agg(n=("n", "sum"), v=("v", "min"))
             .reset_index()
         )
-        a = out.sort_values(["et", "w"]).reset_index(drop=True)
-        b = exp.sort_values(["et", "w"]).reset_index(drop=True)[a.columns]
-        assert a.equals(b), final
-        # one row per composite key, every final mode
-        assert len(out) == len(exp), final
+        for final in ["tree", "hash"]:
+            out = agg.reduce_by_key(
+                ds, keys, {"n": "sum", "v": "min"}, final=final
+            ).to_pandas()
+            a = out.sort_values(kl).reset_index(drop=True)
+            b = exp.sort_values(kl).reset_index(drop=True)[a.columns]
+            assert a.equals(b), (keys, final)
+            # one row per key, every final mode
+            assert len(out) == len(exp), (keys, final)
+    for final in ["tree", "hash"]:
+        got = agg.distinct_keys(ds, "et", final=final).to_pandas()["et"]
+        assert sorted(got) == sorted(set(et)), final
+
+
+_AGG_OPS = {
+    "reduce_by_key": lambda ds, final: agg.reduce_by_key(
+        ds, "k", ["x"], final=final),
+    "distinct_keys": lambda ds, final: agg.distinct_keys(ds, "k", final=final),
+    "grouped_topk": lambda ds, final: agg.grouped_topk(
+        ds, "k", "x", "i", 2, final=final),
+    "distinct_count_by_key": lambda ds, final: agg.distinct_count_by_key(
+        ds, "k", "x", final=final),
+}
+_EMPTY_INPUTS = {
+    "limit0": lambda ds: ds.limit(0),
+    "filter_all": lambda ds: ds.filter(lambda r: False),
+}
+
+
+@pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
+@pytest.mark.parametrize("op,final", [
+    (op, final) for op in _AGG_OPS for final in ("tree", "hash", "bogus")
+] + [("hot_key_histogram", None)])
+def test_grouped_ops_on_empty_input(ray_session, op, final, inp):
+    """Every grouped op on a zero-block (limit 0) or all-rows-filtered
+    input gives 0 rows under either final and raises on an unknown one."""
+    import ray.data
+
+    src = ray.data.from_arrow(pa.table({
+        "k": np.arange(20, dtype=np.int64) % 4,
+        "x": np.arange(20, dtype=np.int64),
+        "i": np.arange(20, dtype=np.int64),
+    })).repartition(3)
+    ds = _EMPTY_INPUTS[inp](src)
+    if op == "hot_key_histogram":
+        assert exchange.hot_key_histogram(ds, "k") == {}
+        assert exchange.hot_key_histogram(ds, "k", with_total=True) == ({}, 0)
+    elif final == "bogus":
+        with pytest.raises(ValueError, match="bogus"):
+            _AGG_OPS[op](ds, final)
+    else:
+        assert _AGG_OPS[op](ds, final).count() == 0
 
 
 def test_shuffle_pip_salted_matches_unsalted(ray_session):

@@ -418,8 +418,8 @@ def test_q15_topk_tie_break_matches_sql_semantics(ray_session):
     assert g.values.tolist() == w.values.tolist()
 
 
-def test_grouped_aggregates_sorted_final_matches_single(ray_session):
-    """final='sorted' (distributed) must equal final='single' for both
+def test_grouped_aggregates_hash_final_matches_tree(ray_session):
+    """final='hash' (distributed) must equal final='tree' for both
     grouped_topk and distinct_count_by_key."""
     import pandas as pd
     import ray.data
@@ -436,7 +436,7 @@ def test_grouped_aggregates_sorted_final_matches_single(ray_session):
     ds = ray.data.from_pandas(df).repartition(6)
     cols = ["k", "v", "i", "rank"]
     a = agg.grouped_topk(ds, "k", "v", "i", 3).to_pandas()
-    b = agg.grouped_topk(ds, "k", "v", "i", 3, final="sorted").to_pandas()
+    b = agg.grouped_topk(ds, "k", "v", "i", 3, final="hash").to_pandas()
     a = a[cols].sort_values(cols).reset_index(drop=True)
     b = b[cols].sort_values(cols).reset_index(drop=True)
     assert a.equals(b)
@@ -450,7 +450,7 @@ def test_grouped_aggregates_sorted_final_matches_single(ray_session):
     assert a[cols].values.tolist() == w.values.tolist()
 
     da = agg.distinct_count_by_key(ds, "k", "v").to_pandas()
-    db = agg.distinct_count_by_key(ds, "k", "v", final="sorted").to_pandas()
+    db = agg.distinct_count_by_key(ds, "k", "v", final="hash").to_pandas()
     da = da.sort_values("k").reset_index(drop=True)
     db = db.sort_values("k").reset_index(drop=True)
     assert da.equals(db)
@@ -495,22 +495,22 @@ def test_distinct_count_all_null_groups(ray_session):
         "v": pd.array([10, 10, None, None, 7, None, 8], dtype="Int64"),
     })
     ds = ray.data.from_pandas(df).repartition(3)
-    for final in ("single", "sorted"):
-        out = agg.distinct_count_by_key(ds, "k", "v", final=final).to_pandas()
-        got = dict(zip(out["k"], out["n_distinct"]))
-        assert got == {1: 1, 2: 0, 3: 2}, (final, got)
     # string distinct col with an all-null group
     df2 = pd.DataFrame({
         "k": [1, 2, 2], "v": pd.array(["x", None, None], dtype="string"),
     })
     ds2 = ray.data.from_pandas(df2).repartition(2)
-    out2 = agg.distinct_count_by_key(ds2, "k", "v", final="sorted").to_pandas()
-    assert dict(zip(out2["k"], out2["n_distinct"])) == {1: 1, 2: 0}
+    for final in ("tree", "hash"):
+        out = agg.distinct_count_by_key(ds, "k", "v", final=final).to_pandas()
+        got = dict(zip(out["k"], out["n_distinct"]))
+        assert got == {1: 1, 2: 0, 3: 2}, (final, got)
+        out2 = agg.distinct_count_by_key(ds2, "k", "v", final=final).to_pandas()
+        assert dict(zip(out2["k"], out2["n_distinct"])) == {1: 1, 2: 0}, final
 
 
 def test_reduce_by_key_hash_final_one_row_per_key(ray_session):
     """final='hash' must return exactly one row per key (the dedup_clusters
-    convergence certificate depends on it) and equal the single-task final."""
+    convergence certificate depends on it) and equal a brute-force min."""
     import pandas as pd
     import ray.data
 
