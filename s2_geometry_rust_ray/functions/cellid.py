@@ -18,6 +18,7 @@ test.  All functions are NumPy-vectorized; no Python loops over rows (the
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 from . import coords
 from .coords import (
@@ -432,15 +433,20 @@ def from_sort_key(key):
     return (np.asarray(key, dtype=np.int64).view(U)) ^ U(1 << 63)
 
 
-def to_hex(cell_id):
-    """Full 16-hex lowercase, fully vectorized (big-endian bytes -> hexlify
-    -> reinterpret as fixed-width strings).  Oracle twin:
+def to_hex(cell_id) -> pa.StringArray:
+    """Full 16-hex lowercase as an Arrow string array, fully vectorized:
+    the hexlified big-endian bytes ARE the data buffer and the offsets are
+    a fixed stride of 16, so no per-row string is ever built (int32
+    offsets: at most 2^27 ids per call).  Oracle twin:
     lower(lpad(hex(id),16,'0'))."""
     import binascii
 
     cid = np.atleast_1d(np.ascontiguousarray(cell_id, dtype=U))
-    hx = binascii.hexlify(cid.astype(">u8").tobytes())
-    return np.frombuffer(hx, dtype="S16").astype("U16")
+    hx = binascii.hexlify(cid.astype(">u8"))
+    offsets = np.arange(0, 16 * len(cid) + 1, 16, dtype=np.int32)
+    return pa.StringArray.from_buffers(
+        len(cid), pa.py_buffer(offsets), pa.py_buffer(hx)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,26 +34,6 @@ def geometry_view(images_dir: str):
     )
 
 
-def _tile_tokenize(count_cols):
-    """Finalizer: int64 sort-key `tile` -> hex `tile_token`, carrying the
-    given count columns through ({src_name: out_name} or an iterable of
-    names kept as-is) — shared by every tile-aggregate pipeline so the
-    token format can never diverge between them."""
-    if not isinstance(count_cols, dict):
-        count_cols = {c: c for c in count_cols}
-
-    def fn(batch: pa.Table) -> pa.Table:
-        toks = cellid.to_hex(
-            cellid.from_sort_key(batch["tile"].to_numpy(zero_copy_only=False))
-        )
-        cols = {"tile_token": toks}
-        for src_c, out_c in count_cols.items():
-            cols[out_c] = batch[src_c].to_numpy(zero_copy_only=False)
-        return pa.table(cols)
-
-    return fn
-
-
 def image_tile_counts(images_dir: str, level: int = 8):
     ds = geometry_view(images_dir)
     encoded = ds.map_batches(
@@ -64,10 +44,9 @@ def image_tile_counts(images_dir: str, level: int = 8):
     )
     from ..stages import agg
 
-    summed = agg.reduce_by_key(partials, "tile", ["n_partial"])
-
-    return summed.map_batches(
-        _tile_tokenize({"n_partial": "n"}), batch_format="pyarrow"
+    return agg.reduce_by_key(
+        partials, "tile", ["n_partial"],
+        finish=tiling.tokenize("tile", "tile_token", {"n_partial": "n"}),
     )
 
 
@@ -214,10 +193,7 @@ def image_caption_token_tiles(images_dir: str, level: int = 6):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=131072)
-    summed = agg.reduce_by_key(
-        partials, "tile", {"n": "sum", "caption_tokens": "sum"}
-    )
-
-    return summed.map_batches(
-        _tile_tokenize(["n", "caption_tokens"]), batch_format="pyarrow"
+    return agg.reduce_by_key(
+        partials, "tile", {"n": "sum", "caption_tokens": "sum"},
+        finish=tiling.tokenize("tile", "tile_token", ["n", "caption_tokens"]),
     )

@@ -92,13 +92,6 @@ def exact_dedup(ds):
     )
 
 
-def _rename_col(old: str, new: str):
-    def fn(t: pa.Table) -> pa.Table:
-        return t.rename_columns([new if c == old else c for c in t.column_names])
-
-    return fn
-
-
 def near_dup_pairs(ds, num_hashes: int = 32, band_size: int = 4,
                    threshold: float = 0.5, num_parts: int | None = None,
                    shingle_k: int = 5, shingle_mode: str = "word",
@@ -317,9 +310,10 @@ def term_counts(ds, top_n: int = 100):
     Physical plan: per-batch token explode + LOCAL combine (one row per
     distinct term per batch — the map-side combine that keeps the exchange
     proportional to vocabulary, not corpus size), tree-final reduce
-    (stages/agg) into one block, one bounded truncation task.  At 100 TB the
-    vocabulary is the shuffle payload; Zipf skew is absorbed by the
-    map-side combine (a hot term contributes one row per block)."""
+    (stages/agg) into one block, truncated inside the last merge task
+    (the reduce's finish).  At 100 TB the vocabulary is the shuffle
+    payload; Zipf skew is absorbed by the map-side combine (a hot term
+    contributes one row per block)."""
 
     def explode_count(batch: pa.Table) -> pa.Table:
         tokens = _texts(batch).str.lower().str.findall(T.TOKEN_RE)
@@ -330,12 +324,9 @@ def term_counts(ds, top_n: int = 100):
              "n": vc.to_numpy(dtype=np.int64)}
         )
 
-    partials = ds.map_batches(explode_count, batch_format="pyarrow")
-    red = agg.reduce_by_key(partials, "term", {"n": "sum"})
-
     def truncate(batch: pa.Table) -> pa.Table:
-        term = batch["term"].to_numpy(zero_copy_only=False)
-        n = batch["n"].to_numpy(zero_copy_only=False)
+        term = agg.column(batch, "term", pa.string()).to_numpy(zero_copy_only=False)
+        n = agg.column(batch, "n").to_numpy(zero_copy_only=False)
         order = np.lexsort((term, -n))[:top_n]
         return pa.table(
             {"term": pa.array(term[order], pa.string()),
@@ -343,7 +334,8 @@ def term_counts(ds, top_n: int = 100):
              "rank": pa.array(np.arange(1, len(order) + 1), pa.int64())}
         )
 
-    return red.map_batches(truncate, batch_format="pyarrow")
+    partials = ds.map_batches(explode_count, batch_format="pyarrow")
+    return agg.reduce_by_key(partials, "term", {"n": "sum"}, finish=truncate)
 
 
 def sessionize(ds, gap_minutes: int = 30, num_parts: int | None = None):
@@ -494,17 +486,14 @@ def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
     hop_us = hop_minutes * 60_000_000
 
     hop_s = hop_minutes * 60
+    out = pa.schema([("event_type", pa.string()), ("window_s", pa.int64()),
+                     ("n", pa.int64()), ("sum_floor_value", pa.int64())])
 
     def fn(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             # Ray Data can hand map_batches an empty block (upstream filter
             # / block split); starts=[0] below would index an empty array
-            return pa.table({
-                "event_type": pa.array([], type=pa.string()),
-                "window_s": pa.array([], type=pa.int64()),
-                "n": pa.array([], type=pa.int64()),
-                "sum_floor_value": pa.array([], type=pa.int64()),
-            })
+            return out.empty_table()
         ts = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
         epoch_us = ts.astype(np.int64)
         base = epoch_us // hop_us * hop_us  # latest hop-aligned start <= ts
@@ -549,10 +538,7 @@ def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
     return agg.reduce_by_key(
         partials, ["event_type", "window_s"],
         {"n": "sum", "sum_floor_value": "sum"},
-    ).map_batches(
-        lambda b: b.select(["event_type", "window_s", "n",
-                            "sum_floor_value"]),
-        batch_format="pyarrow",
+        finish=lambda t: t if t.num_rows else out.empty_table(),
     )
 
 
@@ -760,21 +746,18 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
             {key_col: batch[key_col], "bucket": bucket, "rho": rho}
         )
 
-    regs = agg.reduce_by_key(
-        ds.map_batches(to_regs, batch_format="pyarrow"),
-        [key_col, "bucket"], {"rho": "max"}, final="hash",
-    )
-
     def to_hist(batch: pa.Table) -> pa.Table:
         return pa.table(
-            {key_col: batch[key_col], "rho": batch["rho"],
+            {key_col: agg.column(batch, key_col, pa.string()),
+             "rho": agg.column(batch, "rho"),
              "n_buckets": np.ones(batch.num_rows, dtype=np.int64)}
         )
 
-    return agg.reduce_by_key(
-        regs.map_batches(to_hist, batch_format="pyarrow"),
-        [key_col, "rho"], {"n_buckets": "sum"},
+    regs = agg.reduce_by_key(
+        ds.map_batches(to_regs, batch_format="pyarrow"),
+        [key_col, "bucket"], {"rho": "max"}, final="hash", finish=to_hist,
     )
+    return agg.reduce_by_key(regs, [key_col, "rho"], {"n_buckets": "sum"})
 
 
 def hll_estimate(hist, b: int = 12) -> dict:

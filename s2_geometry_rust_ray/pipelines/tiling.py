@@ -17,6 +17,29 @@ from ..functions import cellid
 from ..stages import agg
 from ..stages.encode import geotag_and_encode
 
+BATCH_SIZE = 32768  # rows per tile_counts encode + combine batch
+
+
+def tokenize(key_col: str, token_col: str, carry, decode=cellid.from_sort_key):
+    """Grouped-reduce finish: int64 key column `key_col` -> 16-hex
+    `token_col` (`decode` maps a key back to its uint64 id: from_sort_key
+    for S2 cells, the raw uint64 view for H3), then the `carry` columns
+    ({src: out}, or names kept as-is).  Every tile pipeline builds its
+    token here, so the format cannot diverge between them.  A zero-row
+    table gives the typed empty result (carried columns default to
+    int64)."""
+    if not isinstance(carry, dict):
+        carry = {c: c for c in carry}
+
+    def fn(t: pa.Table) -> pa.Table:
+        keys = agg.column(t, key_col).to_numpy(zero_copy_only=False)
+        cols = {token_col: cellid.to_hex(decode(keys))}
+        for src, out in carry.items():
+            cols[out] = agg.column(t, src)
+        return pa.table(cols)
+
+    return fn
+
 
 def tile_partial_counts(level: int):
     """Per-batch combiner: cell_id column -> one (tile, partial n) row per
@@ -36,15 +59,17 @@ def tile_counts(
     ds: "ray.data.Dataset",
     key_col: str,
     level: int,
-    batch_size: int = 32768,
     final: str = "tree",
 ) -> "ray.data.Dataset":
     """key -> geotag -> leaf cell -> tile counts at `level`.
 
-    Returns a Dataset with columns (tile_token:str, n:int64).  The groupby is
-    agg.reduce_by_key over the map-side partial counts: final='tree' merges
-    them into one block (bounded cardinality, <= 6*4^level tiles); pass
-    final='hash' for high tile levels whose counts should stay distributed.
+    Returns a Dataset with columns (tile_token:str, n:int64), also for an
+    empty input.  The groupby is agg.reduce_by_key over the map-side
+    partial counts: final='tree' merges them into one block (bounded
+    cardinality, <= 6*4^level tiles); pass final='hash' for high tile
+    levels whose counts should stay distributed.  The token is built
+    inside the final (`tokenize` as the reduce's finish), so the query is
+    one Ray Data execution.
     """
     # encode + map-side combine FUSED into one wrapper: each extra
     # map_batches layer re-slices and re-wraps every batch (~10-20% of the
@@ -52,19 +77,12 @@ def tile_counts(
     enc = geotag_and_encode(key_col)
     tp = tile_partial_counts(level)
     partials = ds.map_batches(
-        lambda b: tp(enc(b)), batch_format="pyarrow", batch_size=batch_size
+        lambda b: tp(enc(b)), batch_format="pyarrow", batch_size=BATCH_SIZE
     )
-    summed = agg.reduce_by_key(partials, "tile", ["n_partial"], final=final)
-
-    def tokenize(batch: pa.Table) -> pa.Table:
-        toks = cellid.to_hex(
-            cellid.from_sort_key(batch["tile"].to_numpy(zero_copy_only=False))
-        )
-        return pa.table(
-            {"tile_token": toks, "n": batch["n_partial"].to_numpy(zero_copy_only=False)}
-        )
-
-    return summed.map_batches(tokenize, batch_format="pyarrow")
+    return agg.reduce_by_key(
+        partials, "tile", ["n_partial"], final=final,
+        finish=tokenize("tile", "tile_token", {"n_partial": "n"}),
+    )
 
 
 def face_histogram(ds: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
@@ -116,28 +134,19 @@ def tile_counts_salted(
     partials = ds.map_batches(
         salted_partials, batch_format="pyarrow", batch_size=131072
     )
-    salted = agg.reduce_by_key(partials, "skey", ["n_partial"])
 
     def unsalt(batch: pa.Table) -> pa.Table:
-        skey = batch["skey"].to_numpy(zero_copy_only=False)
+        skey = agg.column(batch, "skey").to_numpy(zero_copy_only=False)
         return pa.table(
             {"tile": skey & ~np.int64(salt - 1),
-             "n_partial": batch["n_partial"].to_numpy(zero_copy_only=False)}
+             "n_partial": agg.column(batch, "n_partial")}
         )
 
-    unsalted = agg.reduce_by_key(
-        salted.map_batches(unsalt, batch_format="pyarrow"), "tile", ["n_partial"]
+    salted = agg.reduce_by_key(partials, "skey", ["n_partial"], finish=unsalt)
+    return agg.reduce_by_key(
+        salted, "tile", ["n_partial"],
+        finish=tokenize("tile", "tile_token", {"n_partial": "n"}),
     )
-
-    def tokenize(batch: pa.Table) -> pa.Table:
-        toks = cellid.to_hex(
-            cellid.from_sort_key(batch["tile"].to_numpy(zero_copy_only=False))
-        )
-        return pa.table(
-            {"tile_token": toks, "n": batch["n_partial"].to_numpy(zero_copy_only=False)}
-        )
-
-    return unsalted.map_batches(tokenize, batch_format="pyarrow")
 
 
 def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
@@ -167,6 +176,7 @@ def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
 
     if num_parts is None:
         num_parts = exchange.default_num_parts()
+    to_token = tokenize("tile", "tile_token", ["keep_key", "n", "r2"])
 
     def per_partition(tbl: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -192,11 +202,10 @@ def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
         dx, dy, dz = x - cx, y - cy, z - cz
         c2 = (dx * dx + dy * dy) + dz * dz
         r2 = np.maximum.reduceat(c2, starts)
-        toks = cellid.to_hex(cellid.from_sort_key(uniq))
-        return pa.table(
-            {"tile_token": toks, "keep_key": k[starts],
+        return to_token(pa.table(
+            {"tile": uniq, "keep_key": k[starts],
              "n": counts.astype(np.int64), "r2": r2}
-        )
+        ))
 
     def project_chunked(batch: pa.Table) -> pa.Table:
         # split tasks see WHOLE blocks; cap the geotag+encode temporaries
@@ -234,20 +243,11 @@ def snap_dedup(
              "n": np.ones(len(keys), dtype=np.int64)}
         )
 
-    reduced = agg.reduce_by_key(
+    return agg.reduce_by_key(
         ds.map_batches(partial, batch_format="pyarrow"),
         "snap", {"keep_key": "min", "n": "sum"},
+        finish=tokenize("snap", "snap_token", ["keep_key", "n"]),
     )
-
-    def tokenize(batch: pa.Table) -> pa.Table:
-        toks = cellid.to_hex(
-            cellid.from_sort_key(batch["snap"].to_numpy(zero_copy_only=False))
-        )
-        return pa.table(
-            {"snap_token": toks, "keep_key": batch["keep_key"], "n": batch["n"]}
-        )
-
-    return reduced.map_batches(tokenize, batch_format="pyarrow")
 
 
 def h3_tile_counts(
@@ -266,17 +266,11 @@ def h3_tile_counts(
         return pa.table({"h3_cell": uniq, "n_partial": counts.astype(np.int64)})
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-    summed = agg.reduce_by_key(partials, "h3_cell", ["n_partial"], final=final)
-
-    def tokenize(batch: pa.Table) -> pa.Table:
-        toks = cellid.to_hex(
-            batch["h3_cell"].to_numpy(zero_copy_only=False).view(np.uint64)
-        )
-        return pa.table(
-            {"h3_token": toks, "n": batch["n_partial"].to_numpy(zero_copy_only=False)}
-        )
-
-    return summed.map_batches(tokenize, batch_format="pyarrow")
+    return agg.reduce_by_key(
+        partials, "h3_cell", ["n_partial"], final=final,
+        finish=tokenize("h3_cell", "h3_token", {"n_partial": "n"},
+                        decode=lambda k: k.view(np.uint64)),
+    )
 
 
 def cell_encode_table(

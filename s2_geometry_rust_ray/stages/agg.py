@@ -9,7 +9,10 @@ DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call:
      reducers; at most n rows per key for top-N),
   2. a final that brings each key's partials together and re-runs the
      same combine (every combine is re-reducible), then an optional
-     `finish` that is applied exactly once per key:
+     `finish` that runs INSIDE the final — in the last tree-merge task or
+     in each hash-partition task — exactly once per key, so a caller's
+     output projection (tokenize, unsalt, truncate) costs no extra Ray
+     Data execution:
 
      * ``final='tree'`` (default) — raw-Ray merge tasks, BRANCHING blocks
        each, log_8(B) rounds down to ONE key-sorted block.  No all-to-all
@@ -19,6 +22,12 @@ DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call:
        tuple: every key lands in exactly one partition, so the result stays
        distributed with one row per key — the plan for high-cardinality
        keys (h3_tile_r6: 1.83-1.90 s vs 2.10-2.37 s for a range-sort final).
+
+Zero-row rule: `combine` never sees a zero-row table; `finish` does.  A
+zero-block input, an all-filtered input or an empty hash partition reaches
+`finish` as a zero-row table that may lack columns or carry null-typed key
+columns, and every finish returns its typed empty table (use `column`), so
+an empty input keeps the documented output schema.
 
 Skew note: the map-side combine bounds a hot key's contribution to one row
 (n rows for top-N) per input block, so neither final ever sees the skew.
@@ -64,12 +73,24 @@ def _reduce_block(keys: list[str], spec: dict[str, str]):
     return fn
 
 
+def column(t: pa.Table, name: str, default: pa.DataType = pa.int64()):
+    """Column `name` of `t`, or an empty `default`-typed array where a
+    zero-row table lacks it or holds it null-typed — the two shapes in
+    which an empty input reaches a finish."""
+    if name in t.column_names and not pa.types.is_null(t.schema.field(name).type):
+        return t[name]
+    return pa.array([], default)
+
+
 def _group(ds, keys: list[str], combine, final: str, finish=None):
     """The one grouped plan: `combine` per block, then the `final` merge
-    re-running `combine` over each key's partials, then `finish` once.
+    re-running `combine` over each key's partials, then `finish` once,
+    inside the final (the last tree-merge task, or each hash-partition
+    task).
 
-    `combine` and `finish` never see a zero-row table (it passes through);
-    a zero-block input gives an empty Dataset."""
+    `combine` never sees a zero-row table (it passes through); `finish`
+    gets every final table, zero-row ones included, and returns its typed
+    empty table for those."""
     import ray
     import ray.data
 
@@ -82,9 +103,8 @@ def _group(ds, keys: list[str], combine, final: str, finish=None):
         return combine(t) if t.num_rows else t
 
     def last(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return t
-        t = combine(t)
+        if t.num_rows:
+            t = combine(t)
         return t if finish is None else finish(t)
 
     partials = ds.map_batches(step, batch_format="pyarrow")
@@ -111,15 +131,17 @@ def _group(ds, keys: list[str], combine, final: str, finish=None):
 
 
 def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
-                  final: str = "tree"):
+                  final: str = "tree", finish=None):
     """Distributed grouped reduce: spec {col: 'sum'|'min'|'max'} (a list
     means all-sum) GROUP BY `keys` (one column or a composite).  All three
     ops are re-reducible, so combine -> final merge is exact; both finals
-    return exactly one row per key."""
+    return exactly one row per key.  `finish` (table -> table) maps the
+    reduced table inside the final instead of in a trailing map_batches;
+    it follows `_group`'s zero-row rule."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     if isinstance(spec, list):
         spec = {c: "sum" for c in spec}
-    return _group(ds, keys, _reduce_block(keys, spec), final)
+    return _group(ds, keys, _reduce_block(keys, spec), final, finish)
 
 
 # plain aliases: perfbench/layers.py calls these names
@@ -160,10 +182,10 @@ def grouped_topk(ds, key_col: str, val_col: str, id_col: str, n: int,
         return pa.table({key_col: k[keep], val_col: v[keep], id_col: i[keep]})
 
     def add_rank(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "rank", pa.array(_rank_in_group(k) + 1, pa.int64())
-        )
+        cols = {c: column(batch, c) for c in (key_col, val_col, id_col)}
+        k = cols[key_col].to_numpy(zero_copy_only=False)
+        cols["rank"] = pa.array(_rank_in_group(k) + 1, pa.int64())
+        return pa.table(cols)
 
     return _group(ds, [key_col], local_topn, final, finish=add_rank)
 
@@ -236,10 +258,11 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
                          "v_ok": pa.array(ok[keep], pa.bool_())})
 
     def count_pairs(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        ok = batch["v_ok"].to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(k, return_inverse=True)
+        kc = column(batch, key_col)
+        ok = column(batch, "v_ok", pa.bool_()).to_numpy(zero_copy_only=False)
+        uk, inv = np.unique(kc.to_numpy(zero_copy_only=False),
+                            return_inverse=True)
         counts = np.bincount(inv, weights=ok).astype(np.int64)
-        return pa.table({key_col: uk, out_col: counts})
+        return pa.table({key_col: pa.array(uk, kc.type), out_col: counts})
 
     return _group(ds, [key_col], pair_dedup, final, finish=count_pairs)

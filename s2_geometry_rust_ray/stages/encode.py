@@ -50,7 +50,7 @@ def encode_cells(
     if with_face:
         batch = batch.append_column("face", pa.array(cellid.face_of(cid)))
     if with_token:
-        batch = batch.append_column("cell_token", pa.array(cellid.to_hex(cid)))
+        batch = batch.append_column("cell_token", cellid.to_hex(cid))
     return batch
 
 

@@ -537,8 +537,8 @@ def hot_key_histogram(ds, key_col: str, top_n: int = 64,
                       total_sentinel: int = -(1 << 63)):
     """Cheap first-pass histogram for salting decisions: per-block top-N
     partial counts -> distributed tree merge (stages/agg.reduce_by_key)
-    -> final top-N truncation in ONE task.  The driver only ever pulls
-    <= top_n rows — no linear-in-num_blocks driver merge.
+    -> top-N truncation inside the last merge task.  The driver only ever
+    pulls <= top_n rows — no linear-in-num_blocks driver merge.
 
     `with_total=True` returns `(hist, total_rows)` from the SAME single
     pass: each block's partial appends one sentinel-key row carrying the
@@ -573,9 +573,6 @@ def hot_key_histogram(ds, key_col: str, top_n: int = 64,
             counts = np.concatenate([counts, [batch.num_rows]])
         return pa.table({key_col: uk, "n": counts.astype(np.int64)})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    merged = agg.reduce_by_key(partials, key_col, {"n": "sum"})
-
     def truncate(batch: pa.Table) -> pa.Table:
         if batch.num_rows <= keep_n:
             return batch
@@ -583,7 +580,10 @@ def hot_key_histogram(ds, key_col: str, top_n: int = 64,
         idx = np.argpartition(-n, keep_n)[:keep_n]
         return batch.take(pa.array(np.sort(idx)))
 
-    rows = merged.map_batches(truncate, batch_format="pyarrow").take_all()
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    rows = agg.reduce_by_key(
+        partials, key_col, {"n": "sum"}, finish=truncate
+    ).take_all()
     out = {row[key_col]: row["n"] for row in rows}
     total = out.pop(total_sentinel, 0) if with_total else None
     hist = dict(sorted(out.items(), key=lambda kv: -kv[1])[:top_n])

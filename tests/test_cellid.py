@@ -143,6 +143,27 @@ def test_tokens():
     assert cellid.from_token(["3"])[0] == 0x3000000000000000
 
 
+def test_to_hex_golden():
+    """to_hex is an Arrow string array of f"{id:016x}" — zero-padded
+    lowercase, big-endian — for any uint64, including a strided view."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(5)
+    face5_leaf = cellid.from_face_ij([5], [123456789], [987654321])
+    assert int(face5_leaf[0]) >> 63 == 1
+    ids = np.concatenate([
+        np.array([0, 1, 2**64 - 1], dtype=U), face5_leaf,
+        rng.integers(0, 2**63, 64, dtype=np.int64).view(U) * U(2) + U(1),
+    ])
+    for arr in (ids, ids[::2], np.array([], dtype=U)):
+        got = cellid.to_hex(arr)
+        assert got.type == pa.string()
+        assert len(got) == len(arr)
+        assert got.to_pylist() == [f"{int(v):016x}" for v in arr]
+    assert cellid.to_hex(ids[:3]).to_pylist() == [
+        "0000000000000000", "0000000000000001", "ffffffffffffffff"]
+
+
 def test_lsb_level_identities():
     rng = np.random.default_rng(3)
     leaf = cellid.from_face_ij(

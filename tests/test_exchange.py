@@ -4,6 +4,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from s2_geometry_rust_ray.pipelines import textops, tiling
 from s2_geometry_rust_ray.stages import agg, exchange
 
 
@@ -373,22 +374,53 @@ _EMPTY_INPUTS = {
 }
 
 
+# pipelines whose grouped reduce ends in a finish: (op, schema) for an
+# empty input
+_STR, _I64 = pa.string(), pa.int64()
+_PIPELINES = {
+    "tile_counts": (
+        lambda ds, final: tiling.tile_counts(ds, "k", 8, final=final),
+        pa.schema([("tile_token", _STR), ("n", _I64)])),
+    "h3_tile_counts": (
+        lambda ds, final: tiling.h3_tile_counts(ds, "k", 5, final=final),
+        pa.schema([("h3_token", _STR), ("n", _I64)])),
+    "snap_dedup": (
+        lambda ds, final: tiling.snap_dedup(ds, "k"),
+        pa.schema([("snap_token", _STR), ("keep_key", _I64), ("n", _I64)])),
+    "term_counts": (
+        lambda ds, final: textops.term_counts(ds),
+        pa.schema([("term", _STR), ("n", _I64), ("rank", _I64)])),
+}
+
+
 @pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
 @pytest.mark.parametrize("op,final", [
     (op, final) for op in _AGG_OPS for final in ("tree", "hash", "bogus")
-] + [("hot_key_histogram", None)])
+] + [("hot_key_histogram", None)] + [
+    (op, final) for op in ("tile_counts", "h3_tile_counts")
+    for final in ("tree", "hash")
+] + [("snap_dedup", None), ("term_counts", None)])
 def test_grouped_ops_on_empty_input(ray_session, op, final, inp):
     """Every grouped op on a zero-block (limit 0) or all-rows-filtered
-    input gives 0 rows under either final and raises on an unknown one."""
+    input gives 0 rows under either final and raises on an unknown one;
+    a pipeline whose reduce ends in a finish keeps its documented schema."""
+    import ray
     import ray.data
 
     src = ray.data.from_arrow(pa.table({
         "k": np.arange(20, dtype=np.int64) % 4,
         "x": np.arange(20, dtype=np.int64),
         "i": np.arange(20, dtype=np.int64),
+        "text": pa.array(["a b"] * 20),
     })).repartition(3)
     ds = _EMPTY_INPUTS[inp](src)
-    if op == "hot_key_histogram":
+    if op in _PIPELINES:
+        run, schema = _PIPELINES[op]
+        blocks = ray.get(run(ds, final).to_arrow_refs())
+        assert blocks and sum(b.num_rows for b in blocks) == 0
+        for b in blocks:
+            assert b.schema.equals(schema), (b.schema, schema)
+    elif op == "hot_key_histogram":
         assert exchange.hot_key_histogram(ds, "k") == {}
         assert exchange.hot_key_histogram(ds, "k", with_total=True) == ({}, 0)
     elif final == "bogus":
