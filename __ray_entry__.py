@@ -294,16 +294,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def q_fingerprints(sf_dir: str):
         return textops.fingerprints(_read(sf_dir, "documents", columns=["doc_id", "text"]))
 
-    def q_emb_near_dup(sf_dir: str):
+    def _emb_with_copy(sf_dir: str):
         # the synthetic embeddings are isotropic (max pairwise cosine ~0.51
         # at sf0.01), so the near-dup op would be vacuously empty; union the
         # table with an exact copy under offset ids so every vector has one
-        # deterministic cosine-1.0 duplicate — identical vectors always
-        # share every LSH bucket, making recall exact and the row count
-        # stable (= n_vectors) for the driver's check
+        # deterministic duplicate — identical vectors always share every
+        # LSH bucket, making recall exact and the row count stable
+        # (= n_vectors) for the driver's check.  Both near-dup queries read
+        # it; oracle/sql.q_emb_near_dup_q15 rebuilds it with the same offset.
         import pyarrow.compute as pc
-
-        from s2_geometry_rust_ray.stages import simsearch
 
         ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
@@ -316,7 +315,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         dup = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]).map_batches(
             offset_ids, batch_format="pyarrow"
         )
-        return simsearch.embedding_near_dup(ds.union(dup), threshold=0.9)
+        return ds.union(dup)
+
+    def q_emb_near_dup(sf_dir: str):
+        # float cosine: rows-only (no bit-exact SQL twin for float dots)
+        from s2_geometry_rust_ray.stages import simsearch
+
+        return simsearch.embedding_near_dup(_emb_with_copy(sf_dir), threshold=0.9)
 
     def q_ann(sf_dir: str):
         import numpy as np
@@ -387,29 +392,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
             shutil.rmtree(idx_dir, ignore_errors=True)
 
     def q_emb_near_dup_q15(sf_dir: str):
-        # exact-arithmetic variant of q_emb_near_dup: same union-with-
-        # offset-copy corpus, integer Q15 buckets + dots -> hash-exact twin
-        import pyarrow.compute as pc
-
+        # the same pipeline and corpus as q_emb_near_dup in Q15 arithmetic:
+        # integer buckets and dots -> hash-exact twin
         from s2_geometry_rust_ray.stages import simsearch
 
-        ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-        def offset_ids(batch):
-            return batch.set_column(
-                batch.schema.get_field_index("vec_id"), "vec_id",
-                pc.add(batch["vec_id"], 10_000_000),
-            )
-
-        dup = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]).map_batches(
-            offset_ids, batch_format="pyarrow"
-        )
-        return simsearch.embedding_near_dup_q15(
-            ds.union(dup), threshold_q15=1_000_000_000
+        return simsearch.embedding_near_dup(
+            _emb_with_copy(sf_dir), threshold=1_000_000_000, arith=simsearch.Q15
         )
 
     def q_ann_q15(sf_dir: str):
-        # quantized fixed-point ANN (Q15 integer dots are order-free =>
+        # ann_topk in Q15 arithmetic (integer dots are order-free =>
         # hash-exact SQL twin, unlike float cosine): queries are the
         # first 25 table vectors, pulled driver-side (bounded)
         import numpy as np
@@ -427,7 +419,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         qvecs = np.array(t["embedding"].to_pylist(), dtype=np.float32)
         order = np.argsort(qids)
         ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-        return simsearch.ann_topk_q15(ds, qvecs[order], qids[order], k=10)
+        return simsearch.ann_topk(ds, qvecs[order], qids[order], k=10,
+                                  arith=simsearch.Q15)
 
     def q_within(sf_dir: str):
         ds = _read(sf_dir, "documents", columns=["doc_id"])

@@ -265,7 +265,7 @@ def q_near_dup_pairs(num_hashes: int = 32, band_size: int = 4,
 
 
 def q_ann_q15(n_queries: int = 25, k: int = 10) -> str:
-    """SQL twin of stages/simsearch.ann_topk_q15 over `embeddings`:
+    """SQL twin of stages/simsearch.ann_topk(arith=Q15) over `embeddings`:
     Q15-quantize every vector (round_even == np.rint, exact float64
     scaling), integer dot products (ORDER-FREE sums — the property float
     cosine lacks), top-k per query with (dot desc, vec_id asc) ties.
@@ -317,7 +317,7 @@ def q_dedup_clusters(pair_sql: str,
 def q_emb_near_dup_q15(threshold_q15: int, num_planes: int = 16,
                        dim: int = 64, seed: int = 7,
                        id_offset: int = 10_000_000) -> str:
-    """SQL twin of stages/simsearch.embedding_near_dup_q15 over the
+    """SQL twin of stages/simsearch.embedding_near_dup(arith=Q15) over the
     `embeddings` table unioned with an id-offset copy (the driver query's
     shape): Q15 quantization, integer hyperplane sign buckets (the plane
     constants are THE SAME int64 literals the engine uses), candidate

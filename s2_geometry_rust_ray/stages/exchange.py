@@ -300,16 +300,20 @@ def broadcast_join(ds, right_tbl: pa.Table, key_col: str,
 
 def _type_empty_key(tbl: pa.Table, key: str, other: pa.Table,
                     other_key: str) -> pa.Table:
-    """A zero-block side's empty table may carry a null-typed key (no
-    schema to read); type it from the other side's key — int64 when both
-    are null — so the pyarrow join is valid."""
-    if tbl.num_rows or not pa.types.is_null(tbl[key].type):
+    """An empty side's key may be null-typed (a zero-block side has no
+    schema to read) or missing (a filter that dropped every row leaves
+    column-less blocks); type it from the other side's key — int64 when
+    that is untyped too — so the pyarrow join is valid."""
+    def has_type(t: pa.Table, k: str) -> bool:
+        return k in t.column_names and not pa.types.is_null(t[k].type)
+
+    if tbl.num_rows or has_type(tbl, key):
         return tbl
-    ktype = other.schema.field(other_key).type
-    if pa.types.is_null(ktype):
-        ktype = pa.int64()
-    return tbl.set_column(tbl.schema.get_field_index(key), key,
-                          pa.array([], ktype))
+    col = pa.array([], other[other_key].type if has_type(other, other_key)
+                   else pa.int64())
+    if key in tbl.column_names:
+        return tbl.set_column(tbl.schema.get_field_index(key), key, col)
+    return tbl.append_column(key, col)
 
 
 def hash_join(left_ds, right_ds, key_col: str, num_parts: int = 32,
@@ -402,12 +406,24 @@ def lsh_candidate_pairs(bands_ds, id_col: str, bucket_col: str,
     and re-exchanged by a per-chunk key, so pair emission for a hot bucket
     spreads over ceil(n/cap) tasks of <= cap*n pairs each — the same
     output set, no single-task funnel.  All emission paths are vectorized
-    (triu_indices per segment-length class / repeat+gather per chunk)."""
+    (triu_indices per segment-length class / repeat+gather per chunk).
+
+    An empty input (zero blocks, or blocks a filter left column-less)
+    returns 0 rows typed (a_col: int64, b_col: int64): the prep and dedup
+    rounds map a zero-row partition to their typed empty table, and the
+    emission passes read only prepped partitions."""
+    def int64_table(*cols: str) -> pa.Table:
+        return pa.table({c: pa.array([], pa.int64()) for c in cols})
+
+    empty_pairs = int64_table(a_col, b_col)
+
     # ONE fused concat + sort + dedup pass per partition (the prep round);
     # both emission passes below read a prepped partition — unique
     # (bucket, id) rows sorted by (bucket, id), one whole block each, so
     # batch_size=None — in O(n)
     def prep(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            return int64_table(bucket_col, id_col)
         bucket = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
         ids = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
@@ -418,9 +434,6 @@ def lsh_candidate_pairs(bands_ds, id_col: str, bucket_col: str,
         return pa.table({bucket_col: b_s[keep], id_col: i_s[keep]})
 
     prepped = co_partition([(bands_ds, bucket_col, None)], num_parts, prep)
-
-    empty_pairs = pa.table({a_col: pa.array([], pa.int64()),
-                            b_col: pa.array([], pa.int64())})
 
     def small_pairs(tbl: pa.Table) -> pa.Table:
         b_s = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
@@ -493,6 +506,8 @@ def lsh_candidate_pairs(bands_ds, id_col: str, bucket_col: str,
                          chunk_pairs))
 
     def dedup_part(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            return empty_pairs
         return tbl.group_by([a_col, b_col]).aggregate([])
 
     return co_partition([(cand, a_col, None)], num_parts, dedup_part)

@@ -1,20 +1,32 @@
 """Similarity search over an embedding column (list<float>).
 
-- Brute-force cosine top-k baseline: numpy matmul per batch against a
-  broadcast query matrix (queries ride the object store once per actor),
-  partial top-k per block, tiny merge — same plan shape as geo kNN.
-- IVF-bucketed variant (scale path): assign vectors to nprobe nearest of
-  K centroids (deterministic seeded k-means-lite on a sample); queries only
-  scan their nprobe buckets.  Bucket id becomes the partition/shuffle key.
-- Embedding near-dup: cosine >= threshold pairs via the same bucketing.
+Every step that differs between float cosine and exact Q15 fixed-point
+arithmetic lives in one `Arith` object, `COSINE` or `Q15`; the pipelines
+are written once and take it as `arith`.
+
+- Top-k (`ann_topk`): one stage, `TopKScan`, scans each batch against
+  broadcast queries (one `(n, Q)` matmul), keeps a tie-safe partial
+  top-k per query (knn.local_topk), and a tiny merge ranks them — the same
+  plan shape as geo kNN.
+- IVF (`ann_topk_ivf`, scale path): rows are bucketed to their nearest of
+  K centroids (deterministic seeded k-means-lite on a sample); a query
+  scans only its nprobe buckets.  `build_ivf_index` makes the bucket the
+  storage layout, so `ann_topk_ivf_indexed` prunes the read itself.
+- Embedding near-dup (`embedding_near_dup`): hyperplane-LSH buckets, the
+  shared candidate-pair exchange, and a verify over vectors that cross the
+  pair joins as one fixed_size_binary column (pack_vectors /
+  unpack_vectors: the flat buffer, no per-row Python).
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
 
 from .exchange import actor_map as _actor_map, topk_merge_partials
+from .knn import local_topk
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -34,42 +46,142 @@ def batch_embeddings(batch: pa.Table, col: str = "embedding") -> np.ndarray:
     return flat.reshape(-1, d)
 
 
-class BruteCosineTopK:
-    """Actor stage: per-batch cosine top-k against broadcast queries."""
+def pack_vectors(mat: np.ndarray) -> pa.FixedSizeBinaryArray:
+    """(n, d) matrix -> fixed_size_binary[d * itemsize], one value per row.
+    Zero-copy: the rows of a C-contiguous matrix already are the values.
+    Arrow joins reject list payloads but carry fixed-width binary."""
+    mat = np.ascontiguousarray(mat)
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(mat.shape[1] * mat.itemsize), len(mat),
+        [None, pa.py_buffer(mat)],
+    )
+
+
+def unpack_vectors(col, dtype) -> np.ndarray:
+    """pack_vectors' inverse for an Array (sliced or not) or a
+    ChunkedArray -> (n, d) read-only matrix of `dtype`."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    width = col.type.byte_width
+    d = width // np.dtype(dtype).itemsize
+    return np.frombuffer(col.buffers()[1], dtype, len(col) * d,
+                         col.offset * width).reshape(-1, d)
+
+
+def quantize_q15(vecs: np.ndarray) -> np.ndarray:
+    """Fixed-point Q15 quantization: rint(clip(v * 32767)) as int64.
+    float32 -> float64 is exact and v*32767.0 is exact (24+15 bit mantissa
+    fits float64), np.rint is half-to-even == DuckDB round_even — so the
+    SQL twin reproduces the quantized values bit-for-bit, and the integer
+    dot products that follow are ORDER-FREE exact sums (the trick that
+    makes an ANN variant oracle-checkable; float dots are not)."""
+    q = np.rint(np.asarray(vecs, dtype=np.float64) * 32767.0)
+    return np.clip(q, -32768.0, 32767.0).astype(np.int64)
+
+
+def q15_planes(num_planes: int = 16, dim: int = 64, seed: int = 7) -> np.ndarray:
+    """Deterministic INTEGER hyperplanes for the exact LSH variant:
+    rint(normal * 1000) as int64 — the same constants are embedded as
+    literals in the SQL twin, and every (q15 vector . plane) product stays
+    far below 2^63 (32767 * ~4000 * 64)."""
+    rng = np.random.default_rng(seed)
+    return np.rint(rng.normal(size=(num_planes, dim)) * 1000.0).astype(np.int64)
+
+
+class Arith(NamedTuple):
+    """The steps that differ between the two arithmetics."""
+
+    scan: Callable  # vectors -> top-k scan matrix (queries and rows alike)
+    bucket: Callable  # vectors -> LSH matrix, signed against `planes`
+    planes: Callable  # (num_planes, dim, seed) -> hyperplanes
+    pack: Callable  # vectors -> `wire` matrix crossing the pair joins
+    wire: type  # dtype of the packed matrix
+    verify: Callable  # (wire a, wire b) -> per-pair score
+    col: str  # score column of every output
+    dtype: type  # its dtype
+
+
+# float cosine: rows-only driver checks (float dots have no bit-exact SQL
+# twin).  Vectors are normalized as float32 for the scan, in their read
+# dtype for the LSH signs and as float64 for the near-dup verify; each
+# precision is part of the output bits.
+COSINE = Arith(
+    scan=lambda v: _normalize(np.asarray(v, dtype=np.float32)),
+    bucket=_normalize,
+    planes=lambda n, d, seed: np.random.default_rng(seed).normal(size=(n, d)),
+    pack=lambda v: np.asarray(v, dtype=np.float64),
+    wire=np.float64,
+    verify=lambda a, b: (_normalize(a) * _normalize(b)).sum(axis=1),
+    col="cosine",
+    dtype=np.float64,
+)
+
+# Q15 fixed point: every step is integer arithmetic, so ann_topk and
+# embedding_near_dup have hash-exact DuckDB twins (oracle/sql.q_ann_q15,
+# q_emb_near_dup_q15)
+Q15 = Arith(
+    scan=quantize_q15,
+    bucket=quantize_q15,
+    planes=q15_planes,
+    pack=lambda v: quantize_q15(v).astype(np.int16),
+    wire=np.int16,
+    verify=lambda a, b: (a.astype(np.int64) * b.astype(np.int64)).sum(axis=1),
+    col="dot_q15",
+    dtype=np.int64,
+)
+
+
+class TopKScan:
+    """Stage: per-batch top-k of every broadcast query by `arith`'s score,
+    ties broken by vec_id ascending (the oracle's row_number order).
+
+    `ivf` = (normalized centroids, (Q, nprobe) probed bucket ids) is set
+    only by the IVF entry points: each query then scores only the rows
+    whose argmax centroid it probes (a masked matvec per query)."""
 
     def __init__(self, queries: np.ndarray, query_ids: np.ndarray, k: int,
-                 id_col: str = "vec_id"):
-        import ray
-
-        if isinstance(queries, ray.ObjectRef):
-            queries = ray.get(queries)
-        self.q = _normalize(np.asarray(queries, dtype=np.float32))
+                 arith: Arith = COSINE, ivf=None):
+        self.arith = arith
+        self.q = arith.scan(queries)
         self.qid = np.asarray(query_ids, dtype=np.int64)
         self.k = int(k)
-        self.id_col = id_col
+        self.ivf = ivf
+
+    def _scores(self, mat: np.ndarray, ids: np.ndarray):
+        """(query index, scores, their ids) per query that scans any row."""
+        if self.ivf is None:
+            sims = mat @ self.q.T  # (n, Q)
+            for qi in range(len(self.q)):
+                yield qi, sims[:, qi], ids
+            return
+        cent, probe = self.ivf
+        bucket = (mat @ cent.T).argmax(axis=1)
+        for qi in range(len(self.q)):
+            m = np.isin(bucket, probe[qi])
+            if m.any():
+                yield qi, mat[m] @ self.q[qi], ids[m]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _normalize(batch_embeddings(batch).astype(np.float32))
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        sims = mat @ self.q.T  # (n, Q)
-        out_q, out_v, out_s = [], [], []
-        k = min(self.k, sims.shape[0])
-        for qi in range(sims.shape[1]):
-            s = sims[:, qi]
-            order = _topk_with_ties(s, ids, k)
+        mat = self.arith.scan(batch_embeddings(batch))
+        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
+        out_q = [np.array([], np.int64)]
+        out_v = [np.array([], np.int64)]
+        out_s = [np.array([], self.arith.dtype)]
+        for qi, s, sel_ids in self._scores(mat, ids):
+            order = local_topk(-s, sel_ids, self.k)
             out_q.append(np.full(len(order), self.qid[qi], dtype=np.int64))
-            out_v.append(ids[order])
-            out_s.append(s[order].astype(np.float64))
+            out_v.append(sel_ids[order])
+            out_s.append(s[order].astype(self.arith.dtype))
         return pa.table(
             {"query_id": np.concatenate(out_q), "vec_id": np.concatenate(out_v),
-             "cosine": np.concatenate(out_s)}
+             self.arith.col: np.concatenate(out_s)}
         )
 
 
 def merge_topk(batch: pa.Table, k: int, val_col: str = "cosine") -> pa.Table:
     """Final top-k merge ranked by (val desc, vec_id asc) within each
-    query — the ONE merge kernel for both the float-cosine and integer
-    Q15 pipelines (the tie-break order IS the oracle contract)."""
+    query — the ONE merge kernel for both arithmetics (the tie-break order
+    IS the oracle contract)."""
     qid = batch["query_id"].to_numpy(zero_copy_only=False)
     vid = batch["vec_id"].to_numpy(zero_copy_only=False)
     s = batch[val_col].to_numpy(zero_copy_only=False)
@@ -84,92 +196,25 @@ def merge_topk(batch: pa.Table, k: int, val_col: str = "cosine") -> pa.Table:
     )
 
 
-def _topk_with_ties(d: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best rows under the FULL (d desc, id asc) order.
-    argpartition alone picks an arbitrary subset among rows tied at the
-    k-th value — which breaks the hash-exact tie-break contract — so the
-    cutoff-tied rows are gathered and lexsorted exactly."""
-    if len(d) <= k:
-        return np.lexsort((ids, -d))
-    part = np.argpartition(-d, k - 1)
-    kth = d[part[k - 1]]
-    cand = np.nonzero(d >= kth)[0]
-    return cand[np.lexsort((ids[cand], -d[cand]))][:k]
+def _scan_topk(ds, queries, query_ids, k, merge, arith, ivf=None):
+    partials = _actor_map(
+        ds,
+        TopKScan,
+        fn_constructor_kwargs={"queries": queries, "query_ids": query_ids,
+                               "k": k, "arith": arith, "ivf": ivf},
+        batch_size=65536,
+    )
+    return topk_merge_partials(
+        partials, lambda b: merge_topk(b, k, arith.col), merge
+    )
 
 
 def ann_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int = 10,
-             concurrency=None, merge: str = "single"):
-    """Brute-force cosine top-k pipeline (baseline)."""
-    partials = _actor_map(
-        ds,
-        BruteCosineTopK,
-        fn_constructor_kwargs={"queries": queries, "query_ids": query_ids, "k": k},
-        batch_size=65536,
-        concurrency=concurrency,
-    )
-    return topk_merge_partials(partials, lambda b: merge_topk(b, k), merge)
-
-
-def quantize_q15(vecs: np.ndarray) -> np.ndarray:
-    """Fixed-point Q15 quantization: rint(clip(v * 32767)) as int64.
-    float32 -> float64 is exact and v*32767.0 is exact (24+15 bit mantissa
-    fits float64), np.rint is half-to-even == DuckDB round_even — so the
-    SQL twin reproduces the quantized values bit-for-bit, and the integer
-    dot products that follow are ORDER-FREE exact sums (the trick that
-    makes an ANN variant oracle-checkable; float dots are not)."""
-    q = np.rint(np.asarray(vecs, dtype=np.float64) * 32767.0)
-    return np.clip(q, -32768.0, 32767.0).astype(np.int64)
-
-
-class Q15TopK:
-    """Actor stage: integer fixed-point cosine top-k — the quantized-ANN
-    variant (what int8/int16 FAISS indexes do at scale), with an exact
-    integer SQL twin (oracle/sql.q_ann_q15).  Queries broadcast once per
-    actor; per batch one int64 matmul + per-query partial top-k."""
-
-    def __init__(self, queries: np.ndarray, query_ids: np.ndarray, k: int,
-                 id_col: str = "vec_id"):
-        import ray
-
-        if isinstance(queries, ray.ObjectRef):
-            queries = ray.get(queries)
-        self.q = quantize_q15(np.asarray(queries))
-        self.qid = np.asarray(query_ids, dtype=np.int64)
-        self.k = int(k)
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = quantize_q15(batch_embeddings(batch))
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        dots = mat @ self.q.T  # (n, Q) int64
-        out_q, out_v, out_d = [], [], []
-        k = min(self.k, dots.shape[0])
-        for qi in range(dots.shape[1]):
-            d = dots[:, qi]
-            order = _topk_with_ties(d, ids, k)
-            out_q.append(np.full(len(order), self.qid[qi], dtype=np.int64))
-            out_v.append(ids[order])
-            out_d.append(d[order])
-        return pa.table(
-            {"query_id": np.concatenate(out_q), "vec_id": np.concatenate(out_v),
-             "dot_q15": np.concatenate(out_d)}
-        )
-
-
-def ann_topk_q15(ds, queries: np.ndarray, query_ids: np.ndarray, k: int = 10,
-                 concurrency=None, merge: str = "single"):
-    """Quantized fixed-point ANN top-k — hash-exact oracle-checkable
-    (integer dots are order-free; ties broken by vec_id ascending)."""
-    partials = _actor_map(
-        ds,
-        Q15TopK,
-        fn_constructor_kwargs={"queries": queries, "query_ids": query_ids, "k": k},
-        batch_size=65536,
-        concurrency=concurrency,
-    )
-    return topk_merge_partials(
-        partials, lambda b: merge_topk(b, k, val_col="dot_q15"), merge
-    )
+             merge: str = "single", arith: Arith = COSINE):
+    """Brute-force top-k of every query over (vec_id, embedding) rows:
+    (query_id, vec_id, cosine | dot_q15, rank).  With arith=Q15 the
+    result is hash-exact (integer dots are order-free sums)."""
+    return _scan_topk(ds, queries, query_ids, k, merge, arith)
 
 
 def train_centroids(sample: np.ndarray, n_centroids: int, iters: int = 8,
@@ -196,87 +241,41 @@ class IVFAssign:
     pruning key for the scale path."""
 
     def __init__(self, centroids: np.ndarray):
-        import ray
-
-        if isinstance(centroids, ray.ObjectRef):
-            centroids = ray.get(centroids)
-        self.cent = _normalize(np.asarray(centroids, dtype=np.float32))
+        self.cent = COSINE.scan(centroids)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _normalize(batch_embeddings(batch).astype(np.float32))
+        mat = COSINE.scan(batch_embeddings(batch))
         bucket = (mat @ self.cent.T).argmax(axis=1).astype(np.int64)
         return batch.append_column("ivf_bucket", pa.array(bucket))
 
 
+def _ivf_probe(queries: np.ndarray, centroids, nprobe: int):
+    """(normalized centroids, (Q, nprobe) probed bucket ids).
+
+    Normalize EXACTLY ONCE from the caller's raw arrays: _normalize is not
+    bit-idempotent (~1/3 of unit rows move one ulp on a second pass), so
+    the probe set, the scan's per-row argmax and IVFAssign's buckets agree
+    only if each starts from the same caller array.  Hand every IVF entry
+    point (build_ivf_index, ann_topk_ivf, ann_topk_ivf_indexed) the SAME
+    centroid array, or an ulp-tied row can vanish from the indexed path."""
+    cent = COSINE.scan(centroids)
+    probe = np.argsort(-(COSINE.scan(queries) @ cent.T), axis=1)[:, :nprobe]
+    return cent, probe
+
+
 def ann_topk_ivf(ds, queries: np.ndarray, query_ids: np.ndarray, centroids,
-                 k: int = 10, nprobe: int = 4, concurrency=None,
-                 merge: str = "single"):
+                 k: int = 10, nprobe: int = 4, merge: str = "single"):
     """IVF-pruned cosine top-k: scan only batches' rows whose bucket is in
     each query's nprobe nearest buckets.  Approximate (standard IVF recall
     tradeoff).  This form prunes COMPUTE only — at scale, build the
     bucket-partitioned index once (build_ivf_index) and query it with
     ann_topk_ivf_indexed, which prunes the READ to the probed bucket
     directories (identical output)."""
-    import ray
-
-    # normalize EXACTLY ONCE from the caller's array; the same cent goes
-    # to both the probe selection and the actors' per-row argmax.  Callers
-    # must hand every IVF entry point (build_ivf_index, ann_topk_ivf,
-    # ann_topk_ivf_indexed) the SAME centroid array for bucket parity.
-    cent = _normalize(np.asarray(centroids, dtype=np.float32))
-    q = _normalize(np.asarray(queries, dtype=np.float32))
-    probe = np.argsort(-(q @ cent.T), axis=1)[:, :nprobe]  # (Q, nprobe)
-
-    class IVFTopK(BruteCosineTopK):
-        def __init__(self, queries, query_ids, k, centroids, probe):
-            super().__init__(queries, query_ids, k)
-            # already normalized by ann_topk_ivf: _normalize is NOT
-            # bit-idempotent (~1/3 of unit rows move one ulp on a second
-            # pass), and a re-normalize here would desync the per-row
-            # argmax from the probe set and from the buckets the index
-            # writer (IVFAssign, one normalize of the same caller array)
-            # assigned — an ulp-tied row could then silently vanish from
-            # the indexed read path
-            self.cent = np.asarray(centroids, dtype=np.float32)
-            self.probe = probe
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _normalize(batch_embeddings(batch).astype(np.float32))
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-            bucket = (mat @ self.cent.T).argmax(axis=1)
-            out_q, out_v, out_s = [], [], []
-            for qi in range(len(self.q)):
-                m = np.isin(bucket, self.probe[qi])
-                if not m.any():
-                    continue
-                s = mat[m] @ self.q[qi]
-                sel_ids = ids[m]
-                kk = min(self.k, len(s))
-                order = _topk_with_ties(s, sel_ids, kk)
-                out_q.append(np.full(len(order), self.qid[qi], dtype=np.int64))
-                out_v.append(sel_ids[order])
-                out_s.append(s[order].astype(np.float64))
-            if not out_q:
-                return pa.table({"query_id": pa.array([], pa.int64()),
-                                 "vec_id": pa.array([], pa.int64()),
-                                 "cosine": pa.array([], pa.float64())})
-            return pa.table(
-                {"query_id": np.concatenate(out_q), "vec_id": np.concatenate(out_v),
-                 "cosine": np.concatenate(out_s)}
-            )
-
-    partials = _actor_map(
-        ds,
-        IVFTopK,
-        fn_constructor_kwargs={"queries": queries, "query_ids": query_ids, "k": k,
-                               "centroids": cent, "probe": probe},
-        batch_size=65536,
-        concurrency=concurrency,
-    )
-    return topk_merge_partials(partials, lambda b: merge_topk(b, k), merge)
+    return _scan_topk(ds, queries, query_ids, k, merge, COSINE,
+                      _ivf_probe(queries, centroids, nprobe))
 
 
-def build_ivf_index(ds, centroids, out_dir: str, concurrency=None):
+def build_ivf_index(ds, centroids, out_dir: str):
     """Materialize the embeddings table PARTITIONED BY IVF BUCKET (hive
     layout out_dir/ivf_bucket=<b>/...) — the bucket becomes the STORAGE
     layout, so an indexed query prunes at the READ: only the probed
@@ -286,7 +285,7 @@ def build_ivf_index(ds, centroids, out_dir: str, concurrency=None):
     bucket.  Returns out_dir."""
     tagged = _actor_map(
         ds, IVFAssign, fn_constructor_kwargs={"centroids": centroids},
-        batch_size=65536, concurrency=concurrency,
+        batch_size=65536,
     )
     tagged.write_parquet(out_dir, partition_cols=["ivf_bucket"])
     return out_dir
@@ -294,8 +293,7 @@ def build_ivf_index(ds, centroids, out_dir: str, concurrency=None):
 
 def ann_topk_ivf_indexed(index_dir: str, queries: np.ndarray,
                          query_ids: np.ndarray, centroids, k: int = 10,
-                         nprobe: int = 4, concurrency=None,
-                         merge: str = "single"):
+                         nprobe: int = 4, merge: str = "single"):
     """IVF top-k over a build_ivf_index directory: I/O pruning, not just
     compute pruning.  The union of every query's nprobe nearest buckets
     selects which partition DIRECTORIES are read at all; the per-query
@@ -312,15 +310,9 @@ def ann_topk_ivf_indexed(index_dir: str, queries: np.ndarray,
             "with build_ivf_index first (a missing index must not read as "
             "'zero neighbors everywhere')"
         )
-    # one normalize for directory probing — bit-identical to the one the
-    # inner ann_topk_ivf call performs, because BOTH start from the
-    # caller's raw array (centroids is passed through un-normalized below;
-    # _normalize is not bit-idempotent)
-    cent = _normalize(np.asarray(centroids, dtype=np.float32))
-    q = _normalize(np.asarray(queries, dtype=np.float32))
-    probe = np.argsort(-(q @ cent.T), axis=1)[:, :nprobe]
+    ivf = _ivf_probe(queries, centroids, nprobe)
     paths = []  # empty buckets were never written
-    for b in np.unique(probe):
+    for b in np.unique(ivf[1]):
         d = os.path.join(index_dir, f"ivf_bucket={int(b)}")
         if os.path.isdir(d):
             paths.extend(sorted(
@@ -335,161 +327,61 @@ def ann_topk_ivf_indexed(index_dir: str, queries: np.ndarray,
              "rank": pa.array([], pa.int64())}
         ))
     ds = ray.data.read_parquet(paths, columns=["vec_id", "embedding"])
-    return ann_topk_ivf(ds, queries, query_ids, centroids, k=k,
-                        nprobe=nprobe, concurrency=concurrency, merge=merge)
+    return _scan_topk(ds, queries, query_ids, k, merge, COSINE, ivf)
 
 
-def embedding_near_dup(ds, threshold: float = 0.9, num_planes: int = 16,
-                       num_parts: int | None = None, dim: int = 64, seed: int = 7):
-    """Embedding-cosine near-duplicate pairs: (vec_id_a, vec_id_b, cosine).
+def embedding_near_dup(ds, threshold: float, num_planes: int = 16,
+                       num_parts: int | None = None, seed: int = 7,
+                       arith: Arith = COSINE):
+    """Embedding near-duplicate pairs: (vec_id_a, vec_id_b, score) with
+    score >= threshold — cosine (arith=COSINE) or the integer dot of
+    Q15-quantized vectors (arith=Q15, threshold in Q15^2 units).
 
-    Hyperplane LSH: sign pattern of `num_planes` seeded random hyperplanes
-    buckets the (normalized) embeddings; only bucket-sharing pairs are
-    verified with the exact cosine.  Fully distributed (bucket hash
-    exchange -> per-bucket pairs -> pair dedup -> signature joins), same
+    Hyperplane LSH: the sign pattern against `num_planes` seeded
+    hyperplanes (dimension read from the vectors) buckets every row; only
+    bucket-sharing pairs are verified.  Fully distributed (bucket hash
+    exchange -> per-bucket pairs -> pair dedup -> payload joins), same
     shape as the MinHash path.  Recall is probabilistic (a near-dup pair
-    lands in the same bucket with prob (1 - theta/pi)^num_planes); the
-    pytest oracle checks no-false-positives + high-similarity recall.
-    Rows-only driver check — cosine is a float reduction with no bit-exact
-    SQL twin.
-    """
+    lands in the same bucket with prob (1 - theta/pi)^num_planes).  COSINE
+    output is rows-only checked (float reduction, no bit-exact SQL twin);
+    Q15 is exact end to end (oracle/sql.q_emb_near_dup_q15)."""
     from . import exchange
 
     if num_parts is None:
         num_parts = exchange.default_num_parts()
-    rng = np.random.default_rng(seed)
-    planes = rng.normal(size=(num_planes, dim)).astype(np.float64)
 
     def bucket_stage(batch: pa.Table) -> pa.Table:
-        emb = _normalize(batch_embeddings(batch))
-        signs = (emb @ planes.T) > 0.0  # (n, planes)
-        keys = np.zeros(len(emb), dtype=np.uint64)
+        v = arith.bucket(batch_embeddings(batch))
+        signs = (v @ arith.planes(num_planes, v.shape[1], seed).T) > 0
+        keys = np.zeros(len(v), dtype=np.uint64)
         for i in range(num_planes):
             keys |= signs[:, i].astype(np.uint64) << np.uint64(i)
         return pa.table(
             {"vec_id": batch["vec_id"], "bucket": keys.view(np.int64)}
         )
 
-    buckets = ds.map_batches(bucket_stage, batch_format="pyarrow")
     cand = exchange.lsh_candidate_pairs(
-        buckets, "vec_id", "bucket", num_parts, "vec_id_a", "vec_id_b"
-    )
-
-    # pyarrow joins reject list<double> payload columns — carry embeddings
-    # as fixed-width binary through the joins, unpack in the verify
-    def pack(batch: pa.Table) -> pa.Table:
-        # cast BEFORE packing: the parquet column is float32, and _unpack
-        # reads float64 — packing the raw float32 bytes would reinterpret
-        # every pair of values as one garbage double
-        emb = batch_embeddings(batch).astype(np.float64)
-        return pa.table(
-            {"vec_id": batch["vec_id"],
-             "embbin": pa.array([e.tobytes() for e in emb], type=pa.binary())}
-        )
-
-    packed = ds.map_batches(pack, batch_format="pyarrow")
-    j2 = exchange.attach_pair_payloads(
-        cand, packed, "vec_id", "embbin", "vec_id_a", "vec_id_b", num_parts
-    )
-
-    def _unpack(col) -> np.ndarray:
-        return np.stack(
-            [np.frombuffer(b, dtype=np.float64) for b in col.to_pylist()]
-        )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"vec_id_a": pa.array([], pa.int64()),
-                 "vec_id_b": pa.array([], pa.int64()),
-                 "cosine": pa.array([], pa.float64())}
-            )
-        ea = _normalize(_unpack(batch["embbin_a"]))
-        eb = _normalize(_unpack(batch["embbin_b"]))
-        cos = (ea * eb).sum(axis=1)
-        keep = cos >= threshold
-        return pa.table(
-            {"vec_id_a": batch["vec_id_a"].to_numpy(zero_copy_only=False)[keep],
-             "vec_id_b": batch["vec_id_b"].to_numpy(zero_copy_only=False)[keep],
-             "cosine": cos[keep]}
-        )
-
-    return j2.map_batches(verify, batch_format="pyarrow")
-
-
-def q15_planes(num_planes: int = 16, dim: int = 64, seed: int = 7) -> np.ndarray:
-    """Deterministic INTEGER hyperplanes for the exact LSH variant:
-    rint(normal * 1000) as int64 — the same constants are embedded as
-    literals in the SQL twin, and every (q15 vector . plane) product stays
-    far below 2^63 (32767 * ~4000 * 64)."""
-    rng = np.random.default_rng(seed)
-    return np.rint(rng.normal(size=(num_planes, dim)) * 1000.0).astype(np.int64)
-
-
-def embedding_near_dup_q15(ds, threshold_q15: int, num_planes: int = 16,
-                           num_parts: int | None = None, dim: int = 64,
-                           seed: int = 7, hot_bucket_cap: int = 1024):
-    """Exact-arithmetic embedding near-dup: (vec_id_a, vec_id_b, dot_q15).
-
-    Same distributed shape as embedding_near_dup, but EVERY arithmetic
-    step is integer: Q15-quantized vectors, integer hyperplane sign
-    buckets (strict > 0), and an integer-dot verify >= threshold_q15 —
-    so the whole pipeline has a hash-exact DuckDB twin
-    (oracle/sql.q_emb_near_dup_q15), unlike the float-cosine variant."""
-    from . import exchange
-
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
-    planes = q15_planes(num_planes, dim, seed)
-
-    def bucket_stage(batch: pa.Table) -> pa.Table:
-        q = quantize_q15(batch_embeddings(batch))
-        signs = (q @ planes.T) > 0  # (n, planes) exact integer signs
-        keys = np.zeros(len(q), dtype=np.uint64)
-        for i in range(num_planes):
-            keys |= signs[:, i].astype(np.uint64) << np.uint64(i)
-        return pa.table(
-            {"vec_id": batch["vec_id"], "bucket": keys.view(np.int64)}
-        )
-
-    buckets = ds.map_batches(bucket_stage, batch_format="pyarrow")
-    cand = exchange.lsh_candidate_pairs(
-        buckets, "vec_id", "bucket", num_parts, "vec_id_a", "vec_id_b",
-        hot_bucket_cap=hot_bucket_cap,
+        ds.map_batches(bucket_stage, batch_format="pyarrow"),
+        "vec_id", "bucket", num_parts, "vec_id_a", "vec_id_b",
     )
 
     def pack(batch: pa.Table) -> pa.Table:
-        q = quantize_q15(batch_embeddings(batch)).astype(np.int16)
-        return pa.table(
-            {"vec_id": batch["vec_id"],
-             "q15bin": pa.array([v.tobytes() for v in q], type=pa.binary())}
-        )
+        return pa.table({"vec_id": batch["vec_id"],
+                         "vec": pack_vectors(arith.pack(batch_embeddings(batch)))})
 
-    packed = ds.map_batches(pack, batch_format="pyarrow")
-    j2 = exchange.attach_pair_payloads(
-        cand, packed, "vec_id", "q15bin", "vec_id_a", "vec_id_b", num_parts
+    pairs = exchange.attach_pair_payloads(
+        cand, ds.map_batches(pack, batch_format="pyarrow"),
+        "vec_id", "vec", "vec_id_a", "vec_id_b", num_parts,
     )
 
-    def _unpack(col) -> np.ndarray:
-        return np.stack(
-            [np.frombuffer(b, dtype=np.int16) for b in col.to_pylist()]
-        ).astype(np.int64)
-
     def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"vec_id_a": pa.array([], pa.int64()),
-                 "vec_id_b": pa.array([], pa.int64()),
-                 "dot_q15": pa.array([], pa.int64())}
-            )
-        qa = _unpack(batch["q15bin_a"])
-        qb = _unpack(batch["q15bin_b"])
-        dot = (qa * qb).sum(axis=1)
-        keep = dot >= threshold_q15
+        score = arith.verify(unpack_vectors(batch["vec_a"], arith.wire),
+                             unpack_vectors(batch["vec_b"], arith.wire))
+        keep = score >= threshold
         return pa.table(
             {"vec_id_a": batch["vec_id_a"].to_numpy(zero_copy_only=False)[keep],
              "vec_id_b": batch["vec_id_b"].to_numpy(zero_copy_only=False)[keep],
-             "dot_q15": dot[keep]}
+             arith.col: score[keep].astype(arith.dtype)}
         )
 
-    return j2.map_batches(verify, batch_format="pyarrow")
+    return pairs.map_batches(verify, batch_format="pyarrow")

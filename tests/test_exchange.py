@@ -5,7 +5,7 @@ import pyarrow as pa
 import pytest
 
 from s2_geometry_rust_ray.pipelines import textops, tiling
-from s2_geometry_rust_ray.stages import agg, exchange
+from s2_geometry_rust_ray.stages import agg, exchange, simsearch
 
 
 def test_hash_part_partitions_all_rows():
@@ -428,6 +428,44 @@ def test_grouped_ops_on_empty_input(ray_session, op, final, inp):
             _AGG_OPS[op](ds, final)
     else:
         assert _AGG_OPS[op](ds, final).count() == 0
+
+
+_LSH_PIPELINES = {
+    "near_dup_pairs": lambda src: textops.near_dup_pairs(src),
+    "simhash_near_dup": lambda src: textops.simhash_near_dup(src),
+    "embedding_near_dup": lambda src: simsearch.embedding_near_dup(
+        src, threshold=0.9),
+    "embedding_near_dup_q15": lambda src: simsearch.embedding_near_dup(
+        src, threshold=1, arith=simsearch.Q15),
+}
+
+
+@pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
+@pytest.mark.parametrize("op", ["lsh_candidate_pairs"] + sorted(_LSH_PIPELINES))
+def test_lsh_ops_on_empty_input(ray_session, op, inp):
+    """The LSH candidate exchange on a zero-block or all-rows-filtered
+    input returns 0 rows typed (doc_a: int64, doc_b: int64), and every
+    pipeline built on it returns 0 rows instead of raising."""
+    import ray
+    import ray.data
+
+    src = ray.data.from_arrow(pa.table({
+        "doc_id": np.arange(6, dtype=np.int64),
+        "vec_id": np.arange(6, dtype=np.int64),
+        "bucket": np.zeros(6, dtype=np.int64),
+        "text": pa.array(["a b c d e f g"] * 6),
+        "embedding": list(np.ones((6, 8))),
+    })).repartition(2)
+    ds = _EMPTY_INPUTS[inp](src)
+    if op in _LSH_PIPELINES:
+        assert _LSH_PIPELINES[op](ds).count() == 0
+        return
+    blocks = ray.get(exchange.lsh_candidate_pairs(
+        ds, "doc_id", "bucket", 4, "doc_a", "doc_b").to_arrow_refs())
+    assert blocks and sum(b.num_rows for b in blocks) == 0
+    schema = pa.schema([("doc_a", _I64), ("doc_b", _I64)])
+    for b in blocks:
+        assert b.schema.equals(schema), (b.schema, schema)
 
 
 def test_shuffle_pip_salted_matches_unsalted(ray_session):

@@ -85,7 +85,7 @@ def test_ann_topk_matches_brute(ray_session):
     got = simsearch.ann_topk(ds, q, np.arange(10), k=10).to_pandas()
     # brute force: single batch through the same kernel
     tbl = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
-    stage = simsearch.BruteCosineTopK(q, np.arange(10), 10)
+    stage = simsearch.TopKScan(q, np.arange(10), 10)
     brute = simsearch.merge_topk(stage(tbl), 10).to_pandas()
     a = got.sort_values(["query_id", "rank"]).reset_index(drop=True)
     b = brute.sort_values(["query_id", "rank"]).reset_index(drop=True)
@@ -106,7 +106,7 @@ def test_ann_ivf_recall(ray_session):
     ds = ray.data.read_parquet(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
     ivf = simsearch.ann_topk_ivf(ds, q, np.arange(5), cent, k=10, nprobe=6).to_pandas()
     brute = simsearch.merge_topk(
-        simsearch.BruteCosineTopK(q, np.arange(5), 10)(tbl), 10
+        simsearch.TopKScan(q, np.arange(5), 10)(tbl), 10
     ).to_pandas()
     # recall@10 of IVF with nprobe=6/16 should be decent
     rec = []
@@ -377,21 +377,21 @@ def test_quality_sql_twin_adversarial():
 def test_topk_with_ties_exact_order():
     """Rows tied at the k-th value must be selected by (value desc, id asc)
     — not argpartition's arbitrary subset (the oracle's row_number order)."""
-    from s2_geometry_rust_ray.stages.simsearch import _topk_with_ties
+    from s2_geometry_rust_ray.stages.knn import local_topk
 
     d = np.array([5, 9, 5, 5, 9, 1, 5], dtype=np.int64)
     ids = np.array([40, 10, 30, 20, 50, 60, 10_000], dtype=np.int64)
     # k=4: the two 9s, then 5-ties broken by id -> ids 20, 30
-    sel = _topk_with_ties(d, ids, 4)
+    sel = local_topk(-d, ids, 4)
     assert ids[sel].tolist() == [10, 50, 20, 30]
     assert d[sel].tolist() == [9, 9, 5, 5]
     # k >= n: full lexsort
-    sel_all = _topk_with_ties(d, ids, 10)
+    sel_all = local_topk(-d, ids, 10)
     assert ids[sel_all].tolist() == [10, 50, 20, 30, 40, 10_000, 60]
 
 
 def test_q15_topk_tie_break_matches_sql_semantics(ray_session):
-    """Q15TopK over a corpus of duplicated vectors (maximal integer-dot
+    """Q15 ann_topk over a corpus of duplicated vectors (maximal integer-dot
     ties) must produce exactly the SQL row_number order."""
     import duckdb
     import pandas as pd
@@ -408,7 +408,8 @@ def test_q15_topk_tie_break_matches_sql_semantics(ray_session):
     ids = np.arange(30, dtype=np.int64)
     df = pd.DataFrame({"vec_id": ids, "embedding": [list(map(float, v)) for v in emb]})
     ds = ray.data.from_pandas(df).repartition(3)
-    got = simsearch.ann_topk_q15(ds, emb[:2], ids[:2], k=8).to_pandas()
+    got = simsearch.ann_topk(ds, emb[:2], ids[:2], k=8,
+                             arith=simsearch.Q15).to_pandas()
     con = duckdb.connect()
     con.register("embeddings", df)
     want = con.execute(osql.q_ann_q15(n_queries=2, k=8)).df()
@@ -699,3 +700,32 @@ def test_sliding_window_counts_empty_block(ray_session):
     got = textops.sliding_window_counts(ds).to_pandas()
     # each event lands in 4 hopping windows
     assert got["n"].sum() == 8
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int16])
+def test_vector_wire_round_trip(dtype):
+    """pack_vectors -> unpack_vectors is bit-exact for a contiguous column,
+    a slice (offset != 0), a two-chunk ChunkedArray and zero rows."""
+    import pyarrow as pa
+
+    from s2_geometry_rust_ray.stages.simsearch import pack_vectors, unpack_vectors
+
+    rng = np.random.default_rng(5)
+    mat = (rng.normal(size=(7, 5)) * 1000).astype(dtype)
+    if dtype == np.float64:
+        mat[0, 0], mat[1, 1] = -0.0, np.nan
+    else:
+        mat[0, 0], mat[1, 1] = -32768, 32767
+
+    def same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    col = pack_vectors(mat)
+    assert col.type == pa.binary(5 * mat.itemsize)
+    same(unpack_vectors(col, dtype), mat)
+    same(unpack_vectors(pack_vectors(np.asfortranarray(mat)), dtype), mat)
+    same(unpack_vectors(col.slice(2, 3), dtype), mat[2:5])
+    same(unpack_vectors(pa.chunked_array([col.slice(0, 3), col.slice(3)]), dtype), mat)
+    same(unpack_vectors(pack_vectors(mat[:0]), dtype), mat[:0])
+    same(unpack_vectors(col.slice(7), dtype), mat[:0])
