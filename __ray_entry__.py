@@ -300,7 +300,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # table with an exact copy under offset ids so every vector has one
         # deterministic duplicate — identical vectors always share every
         # LSH bucket, making recall exact and the row count stable
-        # (= n_vectors) for the driver's check.  Both near-dup queries read
+        # (= n_vectors) for the row-count check.  Both near-dup queries read
         # it; oracle/sql.q_emb_near_dup_q15 rebuilds it with the same offset.
         import pyarrow.compute as pc
 

@@ -101,7 +101,7 @@ class Arith(NamedTuple):
     dtype: type  # its dtype
 
 
-# float cosine: rows-only driver checks (float dots have no bit-exact SQL
+# float cosine: checked by row count only (float dots have no bit-exact SQL
 # twin).  Vectors are normalized as float32 for the scan, in their read
 # dtype for the LSH signs and as float64 for the near-dup verify; each
 # precision is part of the output bits.
