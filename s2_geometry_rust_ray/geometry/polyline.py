@@ -27,6 +27,11 @@ class Polyline:
 
         return cls(latlng_deg_to_unit_xyz(np.asarray(lat_deg), np.asarray(lng_deg)))
 
+    def contains_points(self, pts: np.ndarray) -> np.ndarray:
+        """A 1-D region contains no point (S2Polyline::Contains is always
+        false); the region-join refine calls this like Polygon's."""
+        return np.zeros(len(pts), dtype=bool)
+
     def get_length(self) -> float:
         """Total arc length in radians (src/polyline.rs get_length)."""
         return float(self.cum[-1])

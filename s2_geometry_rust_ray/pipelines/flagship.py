@@ -4,7 +4,7 @@
   the wide `bytes` payload never enters the object store for them)
     -> leaf S2 cell encode + tile parents        (stateless map_batches)
     -> (a) tile assignment groupby               (tree-final reduce)
-    -> (b) PIP join vs the polygon layer         (broadcast actor pool)
+    -> (b) PIP join vs the polygon layer         (broadcast task-pool map)
     -> (c) indexed pass-through write            (payload + derived cols,
            partitioned by coarse tile, resumable via state/manifest)
 
@@ -50,8 +50,7 @@ def image_tile_counts(images_dir: str, level: int = 8):
     )
 
 
-def image_pip_join(images_dir: str, layer=None, mode: str = "inner",
-                   concurrency=None):
+def image_pip_join(images_dir: str, layer=None, mode: str = "inner"):
     from ..stages import pip as pip_stages
     from .pip import standard_polygon_layer
 
@@ -64,7 +63,6 @@ def image_pip_join(images_dir: str, layer=None, mode: str = "inner",
         pip_stages.PIPJoin,
         fn_constructor_kwargs={"layer": prepared, "key_col": "image_id", "mode": mode},
         batch_size=65536,
-        concurrency=concurrency,
     )
 
 

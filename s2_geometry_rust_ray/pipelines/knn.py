@@ -27,8 +27,8 @@ def make_queries(n_queries: int = 50):
 
 
 class _GeotagKnn:
-    """Pipeline-layer fusion: geotag + kNN partial top-k in one actor call
-    (same wrapper-count argument as pip._GeotagEncodePIPJoin)."""
+    """Pipeline-layer fusion: geotag + kNN partial top-k in one call (same
+    wrapper-count argument as pip._GeotagEncodeJoin)."""
 
     def __init__(self, stage_cls, key_col: str, **stage_kwargs):
         self.inner = stage_cls(key_col=key_col, **stage_kwargs)

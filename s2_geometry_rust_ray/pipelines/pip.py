@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pyarrow as pa
 
 from ..geometry import fixtures
 from ..geometry.cap import Cap
 from ..geometry.rect import LatLngRect
+from ..stages import distance as dist_stages
 from ..stages import pip as pip_stages
 from ..stages.exchange import actor_map as _actor_map
 from ..stages.encode import derive_geotags
@@ -24,11 +27,10 @@ def standard_polygon_layer():
     return layer
 
 
-def shape_index_pip_join(ds, key_col: str, layer=None, concurrency=None,
-                         batch_size: int = 131072):
+def shape_index_pip_join(ds, key_col: str, layer=None):
     """PIP join computed through the MutableShapeIndex point-location path
     (geometry/shape_index.py) — a THIRD independent implementation of the
-    same join (broadcast PIPJoin actors and the covering-explode shuffle
+    same join (the broadcast PIPJoin and the covering-explode shuffle
     being the other two), sharing the same SQL oracle.  Point location is
     fully batched (MutableShapeIndex.contains_points: leaf ids for the
     whole batch, searchsorted ancestor probes per index level, vectorized
@@ -45,12 +47,8 @@ def shape_index_pip_join(ds, key_col: str, layer=None, concurrency=None,
 
     class ShapeIndexPIP:
         def __init__(self, layer):
-            import ray
-
-            if isinstance(layer, ray.ObjectRef):
-                layer = ray.get(layer)
             self.geotag = lambda b: derive_geotags(b, key_col)
-            # index built ONCE per actor (coverings + postings + seeds)
+            # index built ONCE per worker (coverings + postings + seeds)
             self.index = si.MutableShapeIndex(
                 max_cells_per_shape=32, max_level=12
             )
@@ -88,8 +86,7 @@ def shape_index_pip_join(ds, key_col: str, layer=None, concurrency=None,
         ds,
         ShapeIndexPIP,
         fn_constructor_kwargs={"layer": ray.put(layer) if ray.is_initialized() else layer},
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=131072,
     )
 
 
@@ -112,72 +109,61 @@ def standard_rects() -> dict[str, LatLngRect]:
     }
 
 
-class _GeotagEncodeStage:
-    """Generic pipeline-layer fusion: geotag_and_encode + any broadcast
-    stage actor in one wrapper (same argument as _GeotagEncodePIPJoin)."""
-
-    def __init__(self, stage_cls, key_col: str, **stage_kwargs):
-        from ..stages.encode import geotag_and_encode
-
-        self.inner = stage_cls(key_col=key_col, **stage_kwargs)
-        self.enc = geotag_and_encode(key_col)
-
-    def __call__(self, batch):
-        return self.inner(self.enc(batch))
-
-
-class _GeotagEncodePIPJoin:
-    """Pipeline-layer fusion: geotag + encode + PIP join in ONE actor
-    call — one wrapper layer fewer per batch than a separate geotag stage
-    (~25% faster end-to-end at sf0.1; Ray fuses chained stages into one
+class _GeotagEncodeJoin:
+    """Pipeline-layer fusion: geotag + encode + region join in ONE call —
+    one wrapper layer fewer per batch than a separate geotag stage (~25%
+    faster end-to-end at sf0.1; Ray fuses chained stages into one
     operator either way, but each extra map_batches wrapper re-slices and
     re-wraps every batch).  The encode policy (which derived columns the
     semi/anti pass-through modes must hide) lives HERE, at the pipeline
     layer — the shared PIPJoin stage stays mode-agnostic."""
 
-    def __init__(self, layer, key_col: str, mode: str):
+    def __init__(self, key_col: str, **join_kwargs):
         from ..stages.encode import geotag_and_encode
 
-        self.inner = pip_stages.PIPJoin(layer, key_col=key_col, mode=mode)
+        self.inner = pip_stages.PIPJoin(key_col=key_col, **join_kwargs)
         self.enc = geotag_and_encode(key_col)
-        self.mode = mode
 
     def __call__(self, batch):
         out = self.inner(self.enc(batch))
-        if self.mode in ("semi", "anti"):
+        if self.inner.mode != "inner":
             # filtered pass-through modes must not leak derived columns
             out = out.select(batch.column_names)
         return out
 
 
-def pip_join(ds, key_col: str, layer=None, mode: str = "inner", concurrency=None):
-    """Broadcast PIP join: one fused geotag+encode+join stage, run as a
-    task-pool map (`exchange.actor_map`) whose instance is built once per
-    worker and cached there.
-
-    At scale `concurrency` is sized to the cluster; the prepared layer
-    rides the object store once per worker (PIPJoin.__init__), never per
-    batch.  The exact refine tiles its kernel, so a batch's memory is the
-    batch's columns plus a constant, whatever the candidate and edge
-    counts.
+def _region_join(ds, key_col: str, concurrency=None, **join_kwargs):
+    """The one broadcast region join behind pip_join, within_distance_join
+    and route_buffer_join (`join_kwargs` go to PIPJoin): a fused
+    geotag+encode+PIPJoin stage, run as a task-pool map
+    (`exchange.actor_map`) whose instance is built once per worker and
+    cached there.  The prepared layer rides the object store once per
+    worker, never per batch.  The exact refine tiles its kernel, so a
+    batch's memory is the batch's columns plus a constant, whatever the
+    candidate and edge counts.
 
     batch_size 131072: each batch pays a fixed cost (slicing and wrapping
-    the block, one filter pass per polygon), which 131072 rows amortize.
+    the block, one filter pass per region), which 131072 rows amortize.
     The size was chosen when this stage was an actor pool (32768 -> 131072
     took a 4-slot run from 10.7 s to 5.9 s; 262144 regressed on cache
-    pressure) and is kept for the task-pool map.
-    """
-    if layer is None:
-        layer = standard_polygon_layer()
-    prepared = pip_stages.prepare_layer(layer)  # coverer runs ONCE, driver-side
+    pressure) and is kept for the task-pool map."""
     return _actor_map(
         ds,
-        _GeotagEncodePIPJoin,
-        fn_constructor_kwargs={"layer": prepared, "key_col": key_col,
-                               "mode": mode},
+        _GeotagEncodeJoin,
+        fn_constructor_kwargs={"key_col": key_col, **join_kwargs},
         batch_size=131072,
         concurrency=concurrency,
     )
+
+
+def pip_join(ds, key_col: str, layer=None, mode: str = "inner", concurrency=None):
+    """Broadcast PIP join (`_region_join`): (key_col, polygon_id) rows, or
+    the matching (semi) / non-matching (anti) input rows.  At scale
+    `concurrency` is sized to the cluster."""
+    if layer is None:
+        layer = standard_polygon_layer()
+    prepared = pip_stages.prepare_layer(layer)  # coverer runs ONCE per process
+    return _region_join(ds, key_col, concurrency, layer=prepared, mode=mode)
 
 
 def standard_routes():
@@ -199,29 +185,19 @@ def standard_routes():
     }
 
 
-def route_buffer_join(ds, key_col: str, routes=None, radius_deg: float = 0.75,
-                      concurrency=None):
-    """Points within `radius_deg` of each route polyline — the
-    'images within r of route' join (stages/distance.RouteBufferJoin)."""
-    import math
-
-    from ..geometry.cap import chord2_from_radians
-    from ..stages import distance as dist_stages
-    from ..stages.encode import geotag_and_encode
-
+def route_buffer_join(ds, key_col: str, routes=None, radius_deg: float = 0.75):
+    """(key_col, route_id) for points within `radius_deg` of each route
+    Polyline — the 'images within r of route' join: the routes' coverings
+    (64 cells, level 12) expanded by the radius, refined by min edge
+    chord^2 (stages/distance.buffered)."""
     if routes is None:
         routes = standard_routes()
-    radius_rad = math.radians(radius_deg)
-    chord2 = chord2_from_radians(radius_rad)
-    prepared = dist_stages.prepare_polyline_layer(routes, radius_rad, chord2)
-    return _actor_map(
-        ds,
-        _GeotagEncodeStage,
-        fn_constructor_kwargs={"stage_cls": dist_stages.RouteBufferJoin,
-                               "key_col": key_col, "prepared": prepared},
-        batch_size=131072,
-        concurrency=concurrency,
-    )
+    prepared = pip_stages.prepare_layer(routes, covering_max_cells=64,
+                                        covering_max_level=12)
+    return _region_join(
+        ds, key_col,
+        layer=dist_stages.buffered(prepared, math.radians(radius_deg)),
+        id_col="route_id")
 
 
 def boolean_fixture_polys():
@@ -240,7 +216,7 @@ def boolean_fixture_polys():
     return sq(40.4, -74.3, 40.8, -73.9), sq(40.6, -74.1, 41.1, -73.7)
 
 
-def boolean_pip_join(ds, key_col: str, concurrency=None):
+def boolean_pip_join(ds, key_col: str):
     """PIP join against CLIPPED boolean products of the fixture squares:
     the engine geometrically clips union/intersection/difference
     (geometry/boolean.py) and joins points against the RESULT polygons;
@@ -255,33 +231,21 @@ def boolean_pip_join(ds, key_col: str, concurrency=None):
         "intersection": B.boolean_op(pa, pb, "intersection"),
         "difference": B.boolean_op(pa, pb, "difference"),
     }
-    return pip_join(ds, key_col, layer=layer, concurrency=concurrency)
+    return pip_join(ds, key_col, layer=layer)
 
 
-def within_distance_join(ds, key_col: str, layer=None, radius_deg: float = 1.5,
-                         concurrency=None):
-    """Buffered region join: (key, polygon_id) for points within
-    `radius_deg` of each polygon (inside or near the boundary).  Broadcast
-    actor pool over radius-expanded coverings; see stages/distance.py."""
-    import math
-
-    from ..geometry.cap import chord2_from_radians
-    from ..stages import distance as dist_stages
-    from ..stages.encode import geotag_and_encode
-
+def within_distance_join(ds, key_col: str, layer=None, radius_deg: float = 1.5):
+    """Buffered region join: (key_col, polygon_id) for points within
+    `radius_deg` of each polygon (inside or near the boundary).  The
+    layer is prepared as for pip_join (so its coverings come from the
+    same per-process memo), then expanded by the radius
+    (stages/distance.buffered) and joined by the same broadcast stage."""
     if layer is None:
         layer = standard_polygon_layer()
-    radius_rad = math.radians(radius_deg)
-    chord2 = chord2_from_radians(radius_rad)
-    prepared = dist_stages.prepare_distance_layer(layer, radius_rad, chord2)
-    return _actor_map(
-        ds,
-        _GeotagEncodeStage,
-        fn_constructor_kwargs={"stage_cls": dist_stages.WithinDistanceJoin,
-                               "key_col": key_col, "prepared": prepared},
-        batch_size=131072,
-        concurrency=concurrency,
-    )
+    prepared = pip_stages.prepare_layer(layer)
+    return _region_join(
+        ds, key_col,
+        layer=dist_stages.buffered(prepared, math.radians(radius_deg)))
 
 
 def cap_join(ds, key_col: str, caps=None):

@@ -20,8 +20,6 @@ from ..functions import cellid
 from ..stages import exchange
 from ..stages.encode import geotag_and_encode
 
-U = np.uint64
-
 
 def _key_hash(k: np.ndarray) -> np.ndarray:
     """Deterministic uint64 mix of a point-key array, used to derive a
@@ -89,29 +87,26 @@ def covering_tiles(layer: dict, level: int, max_cells: int = 48,
     Coverer work is delegated to stages.pip.prepare_layer — parallel Ray
     tasks + the process-level content-digest memo, so a broadcast join
     and a shuffle join over the same layer (or repeated shuffle runs)
-    pay the coverer ONCE.  Covering cell ids reconstruct exactly from
-    the stored ranges: id = rmin + (rmax - rmin) // 2."""
+    pay the coverer ONCE."""
     import pickle
 
-    from ..stages.pip import prepare_layer
+    from ..stages.pip import covering_ids, prepare_layer
 
     prepared = prepare_layer(layer, covering_max_cells=max_cells)
     grid = sorted({max(0, level - k * grid_step)
                    for k in range((level // grid_step) + 2)})
     rows_tile, rows_pid, rows_geom = [], [], []
     grid_arr = np.array(grid, dtype=np.int64)
-    for pid, poly in prepared.polys.items():
+    for pid, region in prepared.regions.items():
         if with_geometry:
             # ship (polygon, interior-covering ranges): the refine fast-
             # accepts points whose leaf lies in an interior cell — same
             # prune the broadcast PIPJoin uses — and runs the exact
             # kernel only on the boundary shell
-            irmin, irmax = prepared.interiors[pid]
-            geom = pickle.dumps((poly, irmin, irmax))
+            geom = pickle.dumps((region, prepared.interiors[pid]))
         else:
             geom = None
-        crmin, crmax = prepared.coverings[pid]
-        cov = crmin + (crmax - crmin) // U(2)
+        cov = covering_ids(prepared.coverings[pid])
         lv = cellid.level(cov)
         # largest grid level <= cell level (cells finer than `level`
         # coarsen to `level` itself)
@@ -174,7 +169,7 @@ def shuffle_pip_join(ds, key_col: str, layer, level: int = 8,
 
     import ray.data
 
-    from ..functions.coords import latlng_deg_to_xyz
+    from ..stages.pip import batch_latlng_leaves, refine
 
     tiles_tbl = covering_tiles(layer, level, with_geometry=True)
     # the tile KEY SET is small even when the layer geometry is not —
@@ -324,8 +319,10 @@ def shuffle_pip_join(ds, key_col: str, layer, level: int = 8,
     part_col = "part_key" if auto or usalt > 1 else "tile"
 
     def refine_part(pt: pa.Table, tt: pa.Table) -> pa.Table:
+        # an empty input leaves point partitions without columns
         empty = pa.table(
-            {key_col: pa.array([], pt.schema.field(key_col).type),
+            {key_col: pa.array([], pt.schema.field(key_col).type
+                               if key_col in pt.column_names else pa.null()),
              "polygon_id": pa.array([], pa.string())}
         )
         if pt.num_rows == 0 or tt.num_rows == 0:
@@ -343,35 +340,21 @@ def shuffle_pip_join(ds, key_col: str, layer, level: int = 8,
                     keep_i.append(i)
             tt = tt.take(pa.array(keep_i, pa.int64()))
         # geometry arrives with the tile rows; deserialize once per polygon
-        pids_t = tt["polygon_id"].to_pylist()
-        geoms = tt["geom"].to_pylist()
-        polys = {}
-        for pid, g in zip(pids_t, geoms):
-            if pid not in polys:
-                polys[pid] = pickle.loads(g)  # (poly, irmin, irmax)
+        regions = {}
+        for pid, g in zip(tt["polygon_id"].to_pylist(), tt["geom"].to_pylist()):
+            if pid not in regions:
+                regions[pid] = pickle.loads(g)  # (polygon, interior ranges)
         cand = pt.join(tt.select(["tile", "polygon_id"]), keys="tile",
                        join_type="inner")
         if cand.num_rows == 0:
             return empty
-        lat = cand["lat"].to_numpy(zero_copy_only=False)
-        lng = cand["lng"].to_numpy(zero_copy_only=False)
-        x, y, z = latlng_deg_to_xyz(lat, lng)
-        pts = np.stack([x, y, z], axis=-1)
-        leaves = cellid.from_xyz(x, y, z)
+        lat, lng, leaves = batch_latlng_leaves(cand)
         pids = np.asarray(cand["polygon_id"].to_pylist(), dtype=object)
         keys = cand[key_col].to_numpy(zero_copy_only=False)
         keep = np.zeros(len(keys), dtype=bool)
-        from ..stages.pip import _ranges_contain
-
         for pid in np.unique(pids):
-            m = np.nonzero(pids == pid)[0]
-            poly, irmin, irmax = polys[pid]
-            # interior fast-accept; exact parity only on the shell
-            acc = _ranges_contain(irmin, irmax, leaves[m])
-            keep[m[acc]] = True
-            shell = m[~acc]
-            if shell.size:
-                keep[shell] = poly.contains_points(pts[shell])
+            keep[refine(*regions[pid], lat, lng, leaves,
+                        np.nonzero(pids == pid)[0])] = True
         return pa.table(
             {key_col: keys[keep],
              "polygon_id": pa.array(pids[keep], type=pa.string())}

@@ -1,50 +1,37 @@
-"""Distance-r ("buffered") region join: points within radius r of a
-polygon layer.
+"""Distance-r ("buffered") regions: points within radius r of a polygon
+or a polyline.
 
-The headline spatial op after PIP (VERDICT r1 #4): emits (key, polygon_id)
-for every point whose spherical distance to the polygon REGION is <= r —
-i.e. inside it, or within r of its boundary.  Composition:
+The headline spatial op after PIP (VERDICT r1 #4): (key, region id) for
+every point whose spherical distance to the REGION is <= r — inside the
+polygon, or within r of its edges.  A buffered layer is derived from a
+prepared one (stages/pip.prepare_layer, so the coverer work is shared
+with the plain PIP join through its memo) and joined by the one
+broadcast region join, stages/pip.PIPJoin:
 
-  * prefilter: polygon covering EXPANDED by r
+  * prefilter: the covering EXPANDED by r
     (geometry/cell_union.expand_with_radius — canonical
-    S2CellUnion::Expand(S1Angle); port src/cell_union.rs:427-467), leaf-id
-    range membership exactly like the PIP prefilter;
-  * fast-accept: interior-covering membership (inside => distance 0);
-  * exact refine: crossing-parity containment OR min point-to-edge
-    chord^2 <= chord^2(r), with the edge kernel written in explicit
+    S2CellUnion::Expand(S1Angle); port src/cell_union.rs:427-467);
+  * fast-accept: the unexpanded interior covering (inside => distance 0;
+    a polyline has none);
+  * exact refine (`BufferedRegion.contains_points`): crossing-parity
+    containment, then min point-to-edge chord^2 <= chord^2(r) for the
+    points outside, with the edge kernel written in explicit
     left-associated mul/adds over DRIVER-PRECOMPUTED per-edge constants
     (n, n x a, b x n, |n|^2) so the DuckDB oracle
-    (oracle/pip_sql.q_within_distance_join) reproduces every float bit.
-    This is the compare_edge_distance predicate family
-    (src/predicates.rs:503-562) specialised to a fixed chord^2 threshold,
-    where exact-arithmetic tiers are unnecessary because chord^2 is
-    totally ordered and the threshold comparison is reproduced bit-for-bit
-    by the oracle.
-
-Broadcast stages for `exchange.actor_map` (a task-pool map with a cached
-per-worker instance), sharing stages/pip's covering filter and its
-candidate-only, bounded-memory refine.
+    (oracle/pip_sql.q_within_distance_join, q_route_buffer_join)
+    reproduces every float bit.  This is the compare_edge_distance
+    predicate family (src/predicates.rs:503-562) specialised to a fixed
+    chord^2 threshold, where exact-arithmetic tiers are unnecessary
+    because chord^2 is totally ordered and the threshold comparison is
+    reproduced bit-for-bit by the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 from ..geometry.loop import Polygon, row_tiles
-from .pip import batch_latlng_leaves, covering_filter, rows_xyz
-
-
-class PreparedDistanceLayer:
-    """Driver-side broadcast state: per polygon the edge-constant arrays
-    and the radius-expanded covering ranges."""
-
-    def __init__(self, edge_consts, coverings, interiors, chord2):
-        self.edge_consts = edge_consts
-        self.coverings = coverings
-        self.interiors = interiors
-        self.chord2 = chord2
-        self.polys = None  # filled by prepare (needed for the parity path)
+from .pip import PreparedLayer, cell_ranges, covering_ids
 
 
 def _edge_consts_from_ab(a: np.ndarray, b: np.ndarray):
@@ -135,138 +122,38 @@ def points_min_edge_chord2(px, py, pz, consts) -> np.ndarray:
     return out
 
 
-def prepare_distance_layer(layer: dict, radius_rad: float, chord2: float,
-                           covering_max_cells: int = 48,
-                           covering_max_level: int = 14) -> PreparedDistanceLayer:
-    from ..functions import cellid as _cellid
+class BufferedRegion:
+    """A polygon or polyline grown by a chord^2 radius: a point is inside
+    if the shape contains it (never, for a polyline) or its min edge
+    chord^2 is <= `chord2`."""
+
+    def __init__(self, shape, chord2: float):
+        self.shape = shape
+        self.edge_consts = (edge_constants(shape) if isinstance(shape, Polygon)
+                            else polyline_edge_constants(shape))
+        self.chord2 = chord2
+
+    def contains_points(self, pts: np.ndarray) -> np.ndarray:
+        inside = self.shape.contains_points(pts)
+        check = ~inside
+        if check.any():
+            c = pts[check]
+            d2 = points_min_edge_chord2(c[:, 0], c[:, 1], c[:, 2], self.edge_consts)
+            inside[check] = d2 <= self.chord2
+        return inside
+
+
+def buffered(prepared: PreparedLayer, radius_rad: float) -> PreparedLayer:
+    """The layer of points within `radius_rad` of each region of
+    `prepared`: coverings expanded by the radius, interiors kept."""
     from ..geometry import cell_union
-    from ..geometry.coverer import PolygonRegion, RegionCoverer
+    from ..geometry.cap import chord2_from_radians
 
-    rc = RegionCoverer(max_cells=covering_max_cells, max_level=covering_max_level)
-    polys, edge_consts, coverings, interiors = {}, {}, {}, {}
-    for pid, loops in layer.items():
-        poly = loops if isinstance(loops, Polygon) else Polygon.from_loops_latlng_deg(loops)
-        polys[pid] = poly
-        edge_consts[pid] = edge_constants(poly)
-        region = PolygonRegion(poly)
-        cov = cell_union.normalize(rc.get_covering(region))
-        cov = cell_union.expand_with_radius(cov, radius_rad)
-        icov = cell_union.normalize(rc.get_interior_covering(region))
-        coverings[pid] = (_cellid.range_min(cov), _cellid.range_max(cov))
-        interiors[pid] = (_cellid.range_min(icov), _cellid.range_max(icov))
-    out = PreparedDistanceLayer(edge_consts, coverings, interiors, chord2)
-    out.polys = polys
-    return out
-
-
-def prepare_polyline_layer(routes: dict, radius_rad: float, chord2: float,
-                           covering_max_cells: int = 64,
-                           covering_max_level: int = 12):
-    """Broadcast state for the route-buffer join: per polyline the edge
-    constants and radius-expanded covering ranges (dim-1 region: no
-    interior covering, no parity component)."""
-    from ..functions import cellid as _cellid
-    from ..geometry import cell_union
-    from ..geometry.coverer import PolylineRegion, RegionCoverer
-    from ..geometry.polyline import Polyline
-
-    rc = RegionCoverer(max_cells=covering_max_cells, max_level=covering_max_level)
-    consts, coverings = {}, {}
-    for rid, line in routes.items():
-        if not isinstance(line, Polyline):
-            line = Polyline.from_latlng_deg(np.asarray(line[0]), np.asarray(line[1]))
-        consts[rid] = polyline_edge_constants(line)
-        cov = cell_union.normalize(rc.get_covering(PolylineRegion(line)))
-        cov = cell_union.expand_with_radius(cov, radius_rad)
-        coverings[rid] = (_cellid.range_min(cov), _cellid.range_max(cov))
-    out = PreparedDistanceLayer(consts, coverings, None, chord2)
-    return out
-
-
-class RouteBufferJoin:
-    """Broadcast stage for `exchange.actor_map`: (key, route_id) for points
-    within r of a polyline — the 'images within r of route' join (min edge
-    chord^2 only; a 1-D region has no interior)."""
-
-    def __init__(self, prepared, key_col: str = "k"):
-        import ray
-
-        if isinstance(prepared, ray.ObjectRef):
-            prepared = ray.get(prepared)
-        self.p = prepared
-        self.key_col = key_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lat, lng, leaves = batch_latlng_leaves(batch)
-        keys = batch[self.key_col].to_numpy(zero_copy_only=False)
-
-        out_keys, out_rids = [], []
-        for rid, _, idx in covering_filter(leaves, self.p.coverings):
-            pts = rows_xyz(lat, lng, idx)
-            d2 = points_min_edge_chord2(pts[:, 0], pts[:, 1], pts[:, 2],
-                                        self.p.edge_consts[rid])
-            hit = idx[d2 <= self.p.chord2]
-            if hit.size:
-                out_keys.append(keys[np.sort(hit)])
-                out_rids.append(np.full(hit.size, rid, dtype=object))
-
-        if out_keys:
-            k = np.concatenate(out_keys)
-            r = np.concatenate(out_rids)
-            order = np.argsort(k, kind="stable")
-            return pa.table(
-                {self.key_col: k[order],
-                 "route_id": pa.array(r[order], type=pa.string())}
-            )
-        return pa.table(
-            {self.key_col: pa.array([], type=batch[self.key_col].type),
-             "route_id": pa.array([], type=pa.string())}
-        )
-
-
-class WithinDistanceJoin:
-    """Broadcast stage for `exchange.actor_map`: (key, polygon_id) for
-    points with distance(point, polygon region) <= r."""
-
-    def __init__(self, prepared, key_col: str = "k"):
-        import ray
-
-        if isinstance(prepared, ray.ObjectRef):
-            prepared = ray.get(prepared)
-        self.p = prepared
-        self.key_col = key_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lat, lng, leaves = batch_latlng_leaves(batch)
-        keys = batch[self.key_col].to_numpy(zero_copy_only=False)
-
-        out_keys, out_pids = [], []
-        for pid, accepted, exact_idx in covering_filter(
-                leaves, self.p.coverings, self.p.interiors):
-            pts = rows_xyz(lat, lng, exact_idx)
-            inside = self.p.polys[pid].contains_points(pts)
-            near = np.zeros(exact_idx.size, dtype=bool)
-            check = ~inside
-            if check.any():
-                c = pts[check]
-                d2 = points_min_edge_chord2(c[:, 0], c[:, 1], c[:, 2],
-                                            self.p.edge_consts[pid])
-                near[check] = d2 <= self.p.chord2
-            hit = np.concatenate([accepted, exact_idx[inside | near]])
-            if hit.size:
-                hit = np.sort(hit)
-                out_keys.append(keys[hit])
-                out_pids.append(np.full(hit.size, pid, dtype=object))
-
-        if out_keys:
-            k = np.concatenate(out_keys)
-            p = np.concatenate(out_pids)
-            order = np.argsort(k, kind="stable")
-            return pa.table(
-                {self.key_col: k[order],
-                 "polygon_id": pa.array(p[order], type=pa.string())}
-            )
-        return pa.table(
-            {self.key_col: pa.array([], type=batch[self.key_col].type),
-             "polygon_id": pa.array([], type=pa.string())}
-        )
+    chord2 = chord2_from_radians(radius_rad)
+    coverings = {
+        rid: cell_ranges(cell_union.expand_with_radius(covering_ids(r), radius_rad))
+        for rid, r in prepared.coverings.items()
+    }
+    return PreparedLayer(
+        {rid: BufferedRegion(r, chord2) for rid, r in prepared.regions.items()},
+        coverings, prepared.interiors)

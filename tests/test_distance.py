@@ -1,4 +1,5 @@
-"""Distance-r join kernel + expand_with_radius vs brute force."""
+"""Distance-r join kernel + expand_with_radius vs brute force, and the
+broadcast region joins (PIP modes, within-distance, route buffer)."""
 
 import math
 
@@ -111,6 +112,49 @@ def test_within_distance_join_end_to_end(ray_session):
     # superset of the PIP join (inside => within distance)
     assert pip_pairs <= got_pairs
     assert len(got_pairs) > len(pip_pairs)
+
+
+def test_within_distance_layer_reuses_prepare_memo(ray_session, monkeypatch):
+    """With the standard layer already prepared, building the
+    within-distance layer runs no coverer: its coverings are the memoized
+    ones expanded by the radius."""
+    import ray.data
+
+    from s2_geometry_rust_ray.pipelines import pip as ppip
+    from s2_geometry_rust_ray.stages import pip as pip_stages
+
+    pip_stages.prepare_layer(ppip.standard_polygon_layer())
+
+    def no_coverer(self, region):
+        raise AssertionError("the coverer ran again")
+
+    monkeypatch.setattr(RegionCoverer, "get_covering", no_coverer)
+    monkeypatch.setattr(RegionCoverer, "get_interior_covering", no_coverer)
+    ds = ray.data.from_items([{"doc_id": 1}])
+    ppip.within_distance_join(ds, "doc_id", radius_deg=1.5)  # lazy: prepares only
+
+
+def test_pip_join_semi_anti_modes(ray_session):
+    """semi keeps exactly the points with an inner match, anti the rest,
+    and both pass the input's columns through unchanged."""
+    import pandas as pd
+    import ray.data
+
+    from s2_geometry_rust_ray.pipelines import pip as ppip
+    from tests.test_textops import SF
+
+    ds = ray.data.read_parquet(f"{SF}/documents.parquet")
+    cols = ds.schema().names
+    src = ds.to_pandas()
+    inner = ppip.pip_join(ds, "doc_id").to_pandas()
+    semi = ppip.pip_join(ds, "doc_id", mode="semi").to_pandas()
+    anti = ppip.pip_join(ds, "doc_id", mode="anti").to_pandas()
+    assert len(inner) > 0 and len(semi) > 0 and len(anti) > 0
+    assert list(semi.columns) == cols and list(anti.columns) == cols
+    assert sorted(semi["doc_id"]) == sorted(set(inner["doc_id"]))
+    assert not set(semi["doc_id"]) & set(anti["doc_id"])
+    both = pd.concat([semi, anti]).sort_values("doc_id").reset_index(drop=True)
+    assert both.equals(src.sort_values("doc_id").reset_index(drop=True))
 
 
 def test_compare_distance_predicates():

@@ -665,6 +665,25 @@ def test_shuffle_pip_join_empty_layer_salted(ray_session):
     assert out.count() == 0
 
 
+@pytest.mark.parametrize("salt", [1, 8, "auto"])
+@pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
+def test_shuffle_pip_join_on_empty_input(ray_session, inp, salt):
+    """A zero-block or all-filtered point input leaves the point
+    partitions without columns; the refine must return 0 rows instead of
+    looking up the key column's type in them."""
+    import ray.data
+
+    from s2_geometry_rust_ray.pipelines import pip as ppip
+    from s2_geometry_rust_ray.pipelines import pip_shuffle
+
+    src = ray.data.from_arrow(pa.table({
+        "doc_id": np.arange(1000, dtype=np.int64)})).repartition(3)
+    out = pip_shuffle.shuffle_pip_join(
+        _EMPTY_INPUTS[inp](src), "doc_id", ppip.standard_polygon_layer(),
+        num_parts=2, salt=salt)
+    assert out.count() == 0
+
+
 def test_hash_part_composite_key_spreads_low_card_leading_key():
     """Hash partitioning on a composite key must spread by the JOINT
     cardinality: a 2-value leading key over 1000 windows must fill (far)
