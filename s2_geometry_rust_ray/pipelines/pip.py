@@ -109,27 +109,24 @@ def standard_rects() -> dict[str, LatLngRect]:
     }
 
 
-class _GeotagEncodeJoin:
+class _GeotagEncodeJoin(pip_stages.PIPJoin):
     """Pipeline-layer fusion: geotag + encode + region join in ONE call —
     one wrapper layer fewer per batch than a separate geotag stage (~25%
     faster end-to-end at sf0.1; Ray fuses chained stages into one
     operator either way, but each extra map_batches wrapper re-slices and
-    re-wraps every batch).  The encode policy (which derived columns the
-    semi/anti pass-through modes must hide) lives HERE, at the pipeline
-    layer — the shared PIPJoin stage stays mode-agnostic."""
+    re-wraps every batch).  The geotag and encode run inside PIPJoin's
+    tile loop, one tile at a time, so their temporaries are bounded by
+    the tile; the semi/anti pass-through modes filter the input batch,
+    which never carries the derived columns."""
 
-    def __init__(self, key_col: str, **join_kwargs):
+    def __init__(self, layer, key_col: str, **join_kwargs):
         from ..stages.encode import geotag_and_encode
 
-        self.inner = pip_stages.PIPJoin(key_col=key_col, **join_kwargs)
+        super().__init__(layer, key_col=key_col, **join_kwargs)
         self.enc = geotag_and_encode(key_col)
 
-    def __call__(self, batch):
-        out = self.inner(self.enc(batch))
-        if self.inner.mode != "inner":
-            # filtered pass-through modes must not leak derived columns
-            out = out.select(batch.column_names)
-        return out
+    def points(self, tile):
+        return pip_stages.batch_latlng_leaves(self.enc(tile))
 
 
 def _region_join(ds, key_col: str, concurrency=None, **join_kwargs):
@@ -138,12 +135,13 @@ def _region_join(ds, key_col: str, concurrency=None, **join_kwargs):
     geotag+encode+PIPJoin stage, run as a task-pool map
     (`exchange.actor_map`) whose instance is built once per worker and
     cached there.  The prepared layer rides the object store once per
-    worker, never per batch.  The exact refine tiles its kernel, so a
-    batch's memory is the batch's columns plus a constant, whatever the
-    candidate and edge counts.
+    worker, never per batch.  The join runs each batch in row tiles
+    (stages/pip.TILE_ROWS), so a batch's memory is its columns and
+    matches plus a per-tile constant, whatever the candidate and edge
+    counts.
 
     batch_size 131072: each batch pays a fixed cost (slicing and wrapping
-    the block, one filter pass per region), which 131072 rows amortize.
+    the block, the per-tile passes), which 131072 rows amortize.
     The size was chosen when this stage was an actor pool (32768 -> 131072
     took a 4-slot run from 10.7 s to 5.9 s; 262144 regressed on cache
     pressure) and is kept for the task-pool map."""

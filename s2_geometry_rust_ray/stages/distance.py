@@ -28,10 +28,13 @@ broadcast region join, stages/pip.PIPJoin:
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
+
 import numpy as np
 
 from ..geometry.loop import Polygon, row_tiles
-from .pip import PreparedLayer, cell_ranges, covering_ids
+from .pip import PreparedLayer, cell_ranges, covering_ids, memoized
 
 
 def _edge_consts_from_ab(a: np.ndarray, b: np.ndarray):
@@ -143,17 +146,30 @@ class BufferedRegion:
         return inside
 
 
+_BUFFER_CACHE: "OrderedDict[str, PreparedLayer]" = OrderedDict()
+
+
 def buffered(prepared: PreparedLayer, radius_rad: float) -> PreparedLayer:
     """The layer of points within `radius_rad` of each region of
-    `prepared`: coverings expanded by the radius, interiors kept."""
+    `prepared`: coverings expanded by the radius, interiors kept.
+    Memoized by the prepared layer's content digest and the radius when
+    the layer has one (it came from prepare_layer or buffered), like
+    prepare_layer's memo: the expansion costs ~2.5 s for the standard
+    layer at 1.5 degrees on one core."""
     from ..geometry import cell_union
     from ..geometry.cap import chord2_from_radians
 
-    chord2 = chord2_from_radians(radius_rad)
-    coverings = {
-        rid: cell_ranges(cell_union.expand_with_radius(covering_ids(r), radius_rad))
-        for rid, r in prepared.coverings.items()
-    }
-    return PreparedLayer(
-        {rid: BufferedRegion(r, chord2) for rid, r in prepared.regions.items()},
-        coverings, prepared.interiors)
+    def build():
+        chord2 = chord2_from_radians(radius_rad)
+        coverings = {
+            rid: cell_ranges(cell_union.expand_with_radius(covering_ids(r), radius_rad))
+            for rid, r in prepared.coverings.items()
+        }
+        return PreparedLayer(
+            {rid: BufferedRegion(r, chord2) for rid, r in prepared.regions.items()},
+            coverings, prepared.interiors)
+
+    if prepared.digest is None:
+        return build()
+    key = hashlib.md5(repr((prepared.digest, float(radius_rad))).encode()).hexdigest()
+    return memoized(_BUFFER_CACHE, key, build)

@@ -134,6 +134,34 @@ def test_within_distance_layer_reuses_prepare_memo(ray_session, monkeypatch):
     ppip.within_distance_join(ds, "doc_id", radius_deg=1.5)  # lazy: prepares only
 
 
+def test_buffered_layer_is_memoized(ray_session, monkeypatch):
+    """A second within-distance join over the same layer and radius
+    reuses the buffered layer: no expand_with_radius runs, and the join
+    gives the same rows.  Another radius is another layer."""
+    import ray.data
+
+    from s2_geometry_rust_ray.pipelines import pip as ppip
+
+    a, b = ppip.boolean_fixture_polys()
+    layer = {"sq_a": a, "sq_b": b}
+    ds = ray.data.range(20000).map_batches(
+        lambda t: t.rename_columns(["doc_id"]), batch_format="pyarrow")
+    def run(radius_deg):
+        out = ppip.within_distance_join(ds, "doc_id", layer=layer, radius_deg=radius_deg)
+        return out.to_pandas().sort_values(["doc_id", "polygon_id"], ignore_index=True)
+
+    first = run(0.5)
+
+    def no_expand(ids, radius):
+        raise AssertionError("expand_with_radius ran again")
+
+    monkeypatch.setattr(cell_union, "expand_with_radius", no_expand)
+    again = run(0.5)
+    assert len(first) > 0 and again.equals(first)
+    with pytest.raises(AssertionError, match="ran again"):
+        ppip.within_distance_join(ds, "doc_id", layer=layer, radius_deg=0.25)
+
+
 def test_pip_join_semi_anti_modes(ray_session):
     """semi keeps exactly the points with an inner match, anti the rest,
     and both pass the input's columns through unchanged."""
