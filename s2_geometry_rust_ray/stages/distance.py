@@ -28,7 +28,6 @@ broadcast region join, stages/pip.PIPJoin:
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 
 import numpy as np
@@ -146,7 +145,7 @@ class BufferedRegion:
         return inside
 
 
-_BUFFER_CACHE: "OrderedDict[str, PreparedLayer]" = OrderedDict()
+_BUFFER_CACHE: "OrderedDict[tuple, PreparedLayer]" = OrderedDict()
 
 
 def buffered(prepared: PreparedLayer, radius_rad: float) -> PreparedLayer:
@@ -171,5 +170,4 @@ def buffered(prepared: PreparedLayer, radius_rad: float) -> PreparedLayer:
 
     if prepared.digest is None:
         return build()
-    key = hashlib.md5(repr((prepared.digest, float(radius_rad))).encode()).hexdigest()
-    return memoized(_BUFFER_CACHE, key, build)
+    return memoized(_BUFFER_CACHE, (prepared.digest, float(radius_rad)), build)

@@ -7,25 +7,20 @@ and shipped to every worker with the stage; `exchange.actor_map` (a
 task-pool map) constructs `PIPJoin` once per worker process and caches
 the instance.  No shuffle at all.  (SURVEY.md §2.10 "Joins/lookups".)
 
-The filter is one interval index over the whole layer, built with it
-(`PreparedLayer`): the sorted, disjoint elementary leaf-id intervals of
-all coverings, each with a CSR list of (region position, interior flag)
-— a region's covering plus its interior covering, as Raster Intervals
-(SIGMOD 2023) stores a polygon's full and partial Hilbert intervals.
-`PIPJoin` runs a batch in tiles of TILE_ROWS rows.  Per tile, one
-searchsorted gives every candidate (row, region) pair; the interior
-pairs are accepted, and only the boundary pairs reach the region's exact
-test (`exact_refine`), grouped by region, with point geometry built for
-those rows only.  So a batch's memory is its columns and matches plus a
-per-tile constant, whatever the region, candidate and edge counts.
+`PIPJoin` runs a batch in tiles of TILE_ROWS rows.  Per tile and
+region, the region's covering picks the candidates, then `refine`: the
+interior covering fast-accepts, and the region's exact test runs on the
+remaining candidates only, building point geometry for those rows and
+tiling its kernel.  So a batch's memory is its columns and matches plus
+a per-tile constant, whatever the region, candidate and edge counts.
 
 A region is anything with `contains_points(pts) -> bool`: a Polygon, or
 a buffered polygon / polyline (stages/distance.buffered, the distance-r
 and route-buffer joins), so one stage serves every broadcast region join.
 
 Shuffle path (pipelines/pip_shuffle.py): explode polygon coverings at
-level K -> equi-join on the covering tile -> `refine`, the same interior
-fast-accept and `exact_refine` — for layers too large to broadcast.
+level K -> equi-join on the covering tile -> the same `refine` — for
+layers too large to broadcast.
 
 Modes: inner (emit (key, region id) match rows), semi (keep matching
 points), anti (keep non-matching points).
@@ -44,29 +39,12 @@ from ..functions.coords import latlng_deg_to_xyz
 from ..geometry.loop import Polygon
 from ..geometry.polyline import Polyline
 
-# Rows per filter and refine tile of a PIPJoin batch.  It bounds the
-# per-tile temporaries (encode, candidate pairs, exact-refine points) to
-# ~1 MB.  At 16384 a 131072-row batch of the standard layer peaks at
-# 3.7 MB of numpy memory (11.4 MB untiled) at the same stage time; 4096
-# costs ~1.7x the stage time in per-tile overhead.
+# Rows per tile of a PIPJoin batch.  It bounds the per-tile temporaries
+# (encode, covering masks, exact-refine points) to ~1 MB.  At 16384 a
+# 131072-row batch of the standard layer peaks at 3.3 MB of numpy memory
+# (11.4 MB untiled, 5.2 MB at 32768) at about the untiled stage time;
+# 4096 and 8192 ran up to 1.5x slower (more per-tile, per-region passes).
 TILE_ROWS = 16384
-
-
-def _expand(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The concatenated ranges [start[i], start[i] + count[i]) — the CSR
-    expansion of (first entry, entry count) groups."""
-    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-
-
-def _flat_ranges(ranges_by_id: dict, ids: list):
-    """(start, end, region position) of every [rmin, rmax] leaf range of
-    the layer, as half-open [start, end)."""
-    parts = [ranges_by_id[rid] for rid in ids]
-    empty = np.empty(0, dtype=np.uint64)
-    start = np.concatenate([r[0] for r in parts] + [empty])
-    end = np.concatenate([r[1] for r in parts] + [empty]) + np.uint64(1)
-    pos = np.repeat(np.arange(len(ids)), [r[0].size for r in parts])
-    return start, end, pos
 
 
 class PreparedLayer:
@@ -74,52 +52,18 @@ class PreparedLayer:
     region id: the region (anything with `contains_points`), its covering
     and its interior-covering cell ranges (the S2ShapeIndex equivalent,
     SURVEY §2.7).  Candidate pruning = covering membership; fast-accept =
-    interior-covering membership (skip the exact kernel entirely).
+    interior-covering membership (skip the exact kernel entirely)."""
 
-    Built with the layer: one interval index over every region (module
-    docstring).  A region's position is its place in `coverings`."""
-
-    digest = None  # content digest of a memoized layer (prepare_layer, distance.buffered)
+    digest = None  # memo key of a memoized layer (prepare_layer, distance.buffered)
 
     def __init__(self, regions, coverings, interiors):
         self.regions = regions
         self.coverings = coverings
         self.interiors = interiors
-        self.ids = list(coverings)
-        cov_start, cov_end, cov_pos = _flat_ranges(coverings, self.ids)
-        int_start, int_end, int_pos = _flat_ranges(interiors, self.ids)
-        bounds = np.unique(np.concatenate([cov_start, cov_end, int_start, int_end]))
-        npos = max(len(self.ids), 1)
-
-        def pairs(start, end, pos):
-            # (elementary interval, region position) of every elementary
-            # interval a range spans, coded elem * npos + pos
-            first = np.searchsorted(bounds, start)
-            count = np.searchsorted(bounds, end) - first
-            return _expand(first, count) * npos + np.repeat(pos, count)
-
-        code = np.unique(pairs(cov_start, cov_end, cov_pos))
-        elem, counts = np.unique(code // npos, return_counts=True)
-        self._lo = bounds[elem]
-        self._hi = bounds[elem + 1] - np.uint64(1)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)])
-        self._pos = code % npos
-        self._interior = np.isin(code, pairs(int_start, int_end, int_pos))
-
-    def candidates(self, leaves: np.ndarray):
-        """(row, region position, interior flag) of every pair of a leaf
-        and a region whose covering holds it, ordered by (row, position):
-        one searchsorted over the elementary intervals."""
-        idx = np.searchsorted(self._hi, leaves)
-        rows = np.flatnonzero(idx < self._hi.size)
-        rows = rows[self._lo[idx[rows]] <= leaves[rows]]
-        first = self._indptr[idx[rows]]
-        count = self._indptr[idx[rows] + 1] - first
-        entries = _expand(first, count)
-        return np.repeat(rows, count), self._pos[entries], self._interior[entries]
 
 
-# content-digest -> PreparedLayer memos (prepare_layer, distance.buffered).
+# memo key -> PreparedLayer memos (prepare_layer: the layer's content
+# digest; distance.buffered: the prepared layer's key and the radius).
 # Bounded LRUs (a long-lived driver preparing many distinct layers must not
 # retain every Polygon + covering forever); 32 entries comfortably covers
 # repeated-pipeline reuse.
@@ -127,9 +71,9 @@ _PREPARE_CACHE: "OrderedDict[str, PreparedLayer]" = OrderedDict()
 _CACHE_MAX = 32
 
 
-def memoized(cache: OrderedDict, key: str, build) -> PreparedLayer:
-    """`cache[key]`, else `build()` stored there as the digest `key`,
-    evicting the least recently used entry beyond _CACHE_MAX."""
+def memoized(cache: OrderedDict, key, build) -> PreparedLayer:
+    """`cache[key]`, else `build()` stored there with `digest` set to
+    `key`, evicting the least recently used entry beyond _CACHE_MAX."""
     out = cache.get(key)
     if out is not None:
         cache.move_to_end(key)
@@ -248,33 +192,28 @@ def batch_latlng_leaves(batch: pa.Table):
     return lat, lng, leaves
 
 
-def exact_refine(region, lat, lng, rows: np.ndarray) -> np.ndarray:
-    """Which of the batch rows `rows` `region.contains_points` accepts.
-    Point geometry is built for these rows only, NOT normalized: signs
-    are scale-invariant and the raw values are the oracle's bit-exact
-    twins (latlng_deg_to_xyz is elementwise, so a subset gives the same
-    bits as the whole batch)."""
-    return region.contains_points(
-        np.stack(latlng_deg_to_xyz(lat[rows], lng[rows]), axis=-1))
-
-
 def refine(region, interior, lat, lng, leaves, rows: np.ndarray) -> np.ndarray:
     """The rows of `rows` (candidate batch rows) that lie inside `region`:
     those whose leaf is in the `interior` ranges, then those of the rest
-    that `exact_refine` accepts."""
+    that `region.contains_points` accepts.  Point geometry is built for
+    the exact-refine rows only, NOT normalized: signs are scale-invariant
+    and the raw values are the oracle's bit-exact twins
+    (latlng_deg_to_xyz is elementwise, so a subset gives the same bits as
+    the whole batch)."""
     accepted = _ranges_contain(*interior, leaves[rows])
     exact = rows[~accepted]
-    return np.concatenate([rows[accepted], exact[exact_refine(region, lat, lng, exact)]])
+    pts = np.stack(latlng_deg_to_xyz(lat[exact], lng[exact]), axis=-1)
+    return np.concatenate([rows[accepted], exact[region.contains_points(pts)]])
 
 
 class PIPJoin:
     """Broadcast region-join stage: callable class for `exchange.actor_map`
     (a task-pool map that constructs it once per worker and caches the
-    instance).  `layer` is a PreparedLayer; per tile of a batch, its
-    interval index picks the candidate pairs and the boundary ones are
-    refined exactly.  Inner mode emits (key_col, id_col) rows ordered by
-    (key, region position, row); the ids are taken from one string array
-    per layer."""
+    instance).  `layer` is a PreparedLayer; per tile of a batch, each
+    region's covering picks candidates and `refine` keeps those inside.
+    Inner mode emits (key_col, id_col) rows sorted by key, then by the
+    region's place in the layer, then by row; it needs string region ids
+    (the id column is a string column)."""
 
     def __init__(self, layer: PreparedLayer, key_col: str = "k", mode: str = "inner",
                  id_col: str = "polygon_id"):
@@ -282,8 +221,14 @@ class PIPJoin:
         self.key_col = key_col
         self.mode = mode
         self.id_col = id_col
-        self.regions = [layer.regions[rid] for rid in layer.ids]
-        self.id_array = pa.array(layer.ids, type=pa.string()) if mode == "inner" else None
+        self.ids = list(layer.coverings)
+        if mode == "inner":
+            bad = [rid for rid in self.ids if not isinstance(rid, str)]
+            if bad:
+                raise ValueError(
+                    f"inner PIPJoin emits a string {id_col} column, but region id "
+                    f"{bad[0]!r} is a {type(bad[0]).__name__}; use str ids")
+            self.id_array = pa.array(self.ids, type=pa.string())
 
     def points(self, tile: pa.Table):
         """(lat, lng, leaf ids) of a tile of a batch."""
@@ -291,26 +236,28 @@ class PIPJoin:
 
     def matches(self, batch: pa.Table):
         """(row, region position) of every point inside a region, ordered
-        by (row, position), one tile of TILE_ROWS rows at a time."""
-        out_rows, out_pos = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        by (position, row); a region's position is its place in
+        `layer.coverings`.  One tile of TILE_ROWS rows at a time."""
+        layer = self.layer
+        hits = [[np.empty(0, dtype=np.int64)] for _ in self.ids]
         for start in range(0, batch.num_rows, TILE_ROWS):
             lat, lng, leaves = self.points(batch.slice(start, TILE_ROWS))
-            rows, pos, keep = self.layer.candidates(leaves)
-            boundary = np.flatnonzero(~keep)
-            boundary = boundary[np.argsort(pos[boundary], kind="stable")]
-            for grp in np.split(boundary, np.flatnonzero(np.diff(pos[boundary])) + 1):
-                if grp.size:
-                    keep[grp] = exact_refine(self.regions[pos[grp[0]]], lat, lng, rows[grp])
-            out_rows.append(rows[keep] + start)
-            out_pos.append(pos[keep])
-        return np.concatenate(out_rows), np.concatenate(out_pos)
+            for rid, region_hits in zip(self.ids, hits):
+                cand = _ranges_contain(*layer.coverings[rid], leaves)
+                if cand.any():
+                    hit = refine(layer.regions[rid], layer.interiors[rid], lat, lng,
+                                 leaves, np.flatnonzero(cand))
+                    region_hits.append(np.sort(hit) + start)
+        rows = [np.concatenate(h) for h in hits]
+        pos = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+        return np.concatenate([np.empty(0, dtype=np.int64)] + rows), pos
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows, pos = self.matches(batch)
         if self.mode == "inner":
             if rows.size:
                 k = batch[self.key_col].take(rows).to_numpy(zero_copy_only=False)
-                order = np.lexsort((pos, k))
+                order = np.argsort(k, kind="stable")
                 return pa.table(
                     {self.key_col: k[order], self.id_col: self.id_array.take(pos[order])}
                 )

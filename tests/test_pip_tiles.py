@@ -1,5 +1,5 @@
-"""The broadcast region join's interval-index filter and tiled PIPJoin,
-checked against the per-region covering loop they replace."""
+"""The tiled broadcast region join, checked against the whole-batch
+per-region covering loop it replaces."""
 
 import math
 import tracemalloc
@@ -43,22 +43,9 @@ def _keys(n: int) -> pa.Table:
     return pa.table({"k": rng.integers(0, 1 << 32, n, dtype=np.int64)})
 
 
-def _reference_candidates(layer, leaves):
-    """(row, region position, interior) by one covering pass per region."""
-    rows, pos, inner = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, bool)]
-    for j, rid in enumerate(layer.ids):
-        cand = np.flatnonzero(S._ranges_contain(*layer.coverings[rid], leaves))
-        rows.append(cand)
-        pos.append(np.full(cand.size, j, dtype=np.int64))
-        inner.append(S._ranges_contain(*layer.interiors[rid], leaves[cand]))
-    rows, pos, inner = (np.concatenate(x) for x in (rows, pos, inner))
-    order = np.lexsort((pos, rows))
-    return rows[order], pos[order], inner[order]
-
-
 def _reference_join(layer, batch, key_col, mode, id_col):
-    """The per-region covering loop: one filter pass per region, its
-    interior fast-accept and exact refine, hits stable-sorted by key."""
+    """The whole-batch covering loop: one filter pass per region, then
+    `refine`, hits stable-sorted by key."""
     lat, lng, leaves = S.batch_latlng_leaves(batch)
     keys = batch[key_col].to_numpy(zero_copy_only=False)
     out_keys, out_ids = [], []
@@ -86,20 +73,6 @@ def _reference_join(layer, batch, key_col, mode, id_col):
 
 
 @pytest.mark.parametrize("name", sorted(LAYERS))
-def test_index_filter_matches_per_region_filter(name):
-    layer = LAYERS[name]()
-    for n in SIZES:
-        _, _, leaves = S.batch_latlng_leaves(geotag_and_encode("k")(_keys(n)))
-        got = layer.candidates(leaves)
-        want = _reference_candidates(layer, leaves)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w), (name, n)
-    if name == "overlapping":
-        rows = got[0]
-        assert np.unique(rows).size < rows.size, "no point fell in two coverings"
-
-
-@pytest.mark.parametrize("name", sorted(LAYERS))
 @pytest.mark.parametrize("mode", ["inner", "semi", "anti"])
 def test_pipjoin_output_matches_per_region_loop(name, mode):
     """Byte-identical output, through the stage (input already encoded)
@@ -119,6 +92,9 @@ def test_pipjoin_output_matches_per_region_loop(name, mode):
         assert fused(batch).equals(want, check_metadata=True), (name, mode, n)
         matched += want.num_rows
     assert matched > 0
+    if name == "overlapping" and mode == "inner":
+        keys = want["k"].to_numpy()
+        assert np.unique(keys).size < keys.size, "no point fell in two regions"
 
 
 def test_fused_join_memory_is_bounded_by_the_tile():
@@ -147,3 +123,17 @@ def test_prepare_memo_tells_int_and_str_ids_apart():
     out = S.PIPJoin(layer, key_col="k")(geotag_and_encode("k")(_keys(131079)))
     assert out["polygon_id"].type == pa.string() and out.num_rows > 0
     assert set(out["polygon_id"].to_pylist()) == {"1"}
+
+
+def test_inner_join_rejects_non_string_ids():
+    """The inner id column is a string column: an int-keyed layer fails
+    when the stage is built, batch or no batch, and says why.  The semi
+    and anti modes emit no ids and take it."""
+    a, _ = ppip.boolean_fixture_polys()
+    layer = S.prepare_layer({1: a})
+    with pytest.raises(ValueError, match="region id 1 is a int"):
+        S.PIPJoin(layer, key_col="k")
+    batch = geotag_and_encode("k")(_keys(20000))
+    semi = S.PIPJoin(layer, key_col="k", mode="semi")(batch)
+    anti = S.PIPJoin(layer, key_col="k", mode="anti")(batch)
+    assert semi.num_rows > 0 and semi.num_rows + anti.num_rows == batch.num_rows
