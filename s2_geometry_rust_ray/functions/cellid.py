@@ -349,11 +349,6 @@ def next_cell(cell_id):
     return cid + (lsb(cid) << U(1))
 
 
-def prev_cell(cell_id):
-    cid = np.asarray(cell_id, dtype=U)
-    return cid - (lsb(cid) << U(1))
-
-
 def _s_range_min(v):
     return v - ((v & -v) - 1)
 

@@ -257,13 +257,6 @@ def h3_to_xyz(cell) -> np.ndarray:
     return out
 
 
-def h3_to_latlng(cell):
-    from .coords import xyz_to_latlng_deg
-
-    p = h3_to_xyz(cell)
-    return xyz_to_latlng_deg(p[:, 0], p[:, 1], p[:, 2])
-
-
 def h3_parent(cell, parent_res: int) -> np.ndarray:
     """Center-child hierarchy, one aperture-7 step at a time: the single-step
     parent is encode(center, res-1) (the 7 child centers round to their

@@ -38,10 +38,6 @@ def length_value(deriv: float, level) -> np.ndarray:
     return deriv / np.power(2.0, np.asarray(level, dtype=np.float64))
 
 
-def area_value(deriv: float, level) -> np.ndarray:
-    return deriv / np.power(4.0, np.asarray(level, dtype=np.float64))
-
-
 def level_for_max_value(deriv: float, value: float) -> int:
     """Smallest (coarsest-allowed) level where the metric <= value
     (C++ GetLevelForMaxValue: frexp-based, exact for powers of two)."""

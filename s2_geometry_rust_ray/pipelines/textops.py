@@ -1,11 +1,15 @@
 """Training-data pipeline operators over the documents / events tables:
 token stats, quality/lang scoring, exact dedup, MinHash-LSH near-dup,
-fingerprinting, tumbling-window event aggregation.
+fingerprinting, window aggregation, and the per-user event ops
+(sessionize, as-of join, range join).
 
 Each op is a map_batches kernel + (where a shuffle is needed) a grouped
 reduce from stages/agg.py (tree or hash final) or a hash exchange.  The
-SQL-oracle'd ops restrict themselves to cross-engine-identical operations
-(ASCII regex, md5, integer sums) — see each docstring.
+three per-user event ops share ONE exchange, `_by_user`: a projection in
+the split task, one lexsort per partition and a small numpy finish, with
+no per-partition pandas.  The SQL-oracle'd ops restrict themselves to
+cross-engine-identical operations (ASCII regex, md5, integer sums) — see
+each docstring.
 """
 
 from __future__ import annotations
@@ -338,126 +342,118 @@ def term_counts(ds, top_n: int = 100):
     return agg.reduce_by_key(partials, "term", {"n": "sum"}, finish=truncate)
 
 
+def _ts_us(batch: pa.Table) -> np.ndarray:
+    """The events `ts` column as int64 epoch microseconds."""
+    ts = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
+    return ts.astype(np.int64)
+
+
+def _by_user(ds, num_parts: int | None, project, schema: pa.Schema, finish):
+    """The one per-user exchange behind sessionize, the as-of join and the
+    range join.  `project` (block -> table led by `user_id`) runs in the
+    split task of ONE `exchange.hash_exchange_apply` by user_id; each
+    partition is sorted by one `np.lexsort` over the projected columns, in
+    their order, and `finish(*sorted numpy columns)` returns the output
+    columns in `schema` order.  A zero-row block or partition never
+    reaches `project` or `finish` (a filter can leave column-less blocks,
+    and a zero-block input has no schema to project): it yields
+    `schema.empty_table()`."""
+    from ..stages import exchange
+
+    if num_parts is None:
+        num_parts = exchange.default_num_parts()
+
+    def split(block: pa.Table) -> pa.Table:
+        return project(block) if block.num_rows else pa.table({})
+
+    def per_partition(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            return schema.empty_table()
+        cols = [c.to_numpy() for c in tbl.columns]
+        order = np.lexsort(cols[::-1])
+        return pa.table(finish(*(c[order] for c in cols)), schema=schema)
+
+    return exchange.hash_exchange_apply(
+        ds, "user_id", num_parts, per_partition, map_fn=split
+    )
+
+
 def sessionize(ds, gap_minutes: int = 30, num_parts: int | None = None):
     """Session windows over the events log: per user, events sorted by ts
     split into sessions at gaps > gap_minutes.  Output (user_id,
     n_sessions, n_events) — integer-only, so the SQL oracle (lag() +
     cumulative CASE sum) matches bit-exactly.
 
-    Physical plan: FUSED hash-exchange by user_id (sessions need ALL of a
-    user's rows co-located): the (user_id, ts_us) projection runs inside
-    the split task and the per-partition vectorized sessionization (sort
-    by (user, ts), gap diff, segment count) runs in the task that
-    concatenates each partition's shards — one plasma round-trip for the
-    exchanged payload (exchange.hash_exchange_apply).
-    """
-    import pyarrow as pa
-
-    from ..stages import exchange
-
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
+    Physical plan: the one per-user exchange (`_by_user`).  The (user_id,
+    ts_us) projection runs in the split task, so 16 B per row cross the
+    exchange; each partition, sorted by (user, ts), is cut into sessions
+    at a new user or a gap, in numpy."""
+    gap_us = gap_minutes * 60_000_000
+    schema = pa.schema([("user_id", pa.int64()), ("n_sessions", pa.int64()),
+                        ("n_events", pa.int64())])
 
     def project(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
         return pa.table(
-            {
-                "user_id": batch["user_id"].to_numpy(zero_copy_only=False),
-                "ts_us": ts.astype(np.int64),
-            }
+            {"user_id": batch["user_id"].to_numpy(zero_copy_only=False),
+             "ts_us": _ts_us(batch)}
         )
 
-    def per_partition(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"user_id": batch["user_id"],
-                 "n_sessions": pa.array([], pa.int64()),
-                 "n_events": pa.array([], pa.int64())}
-            )
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        t = batch["ts_us"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, u))
-        u, t = u[order], t[order]
-        new_user = np.empty(len(u), dtype=bool)
-        new_user[0] = True
-        new_user[1:] = u[1:] != u[:-1]
-        gap = np.empty(len(u), dtype=bool)
-        gap[0] = True
-        gap[1:] = (t[1:] - t[:-1]) > gap_minutes * 60_000_000
-        new_session = new_user | gap
-        uu, starts = np.unique(u, return_index=True)
-        seg = np.concatenate([starts, [len(u)]])
-        n_sessions = np.add.reduceat(new_session.astype(np.int64), starts)
-        n_events = np.diff(seg)
+    def finish(u: np.ndarray, t: np.ndarray):
+        new_user = np.r_[True, u[1:] != u[:-1]]
+        new_session = new_user | np.r_[True, np.diff(t) > gap_us]
+        starts = np.flatnonzero(new_user)
+        return (u[starts],
+                np.add.reduceat(new_session.astype(np.int64), starts),
+                np.diff(np.r_[starts, len(u)]))
+
+    return _by_user(ds, num_parts, project, schema, finish)
+
+
+def _left_right(left_type: str, right_type: str):
+    """Projection shared by the as-of and range joins: the rows of the two
+    event types as (user_id, ts_us, kind int8, event_id), kind 0 for
+    `left_type` and 1 for `right_type`.  Sorted in that column order, a
+    user's lefts precede the rights at an equal timestamp, and rights at
+    one timestamp ascend by event_id."""
+
+    def project(batch: pa.Table) -> pa.Table:
+        et = batch["event_type"].to_numpy(zero_copy_only=False)
+        keep = (et == left_type) | (et == right_type)
         return pa.table(
-            {"user_id": uu, "n_sessions": n_sessions, "n_events": n_events}
+            {"user_id": batch["user_id"].to_numpy(zero_copy_only=False)[keep],
+             "ts_us": _ts_us(batch)[keep],
+             "kind": (et[keep] != left_type).astype(np.int8),
+             "event_id": batch["event_id"].to_numpy(zero_copy_only=False)[keep]}
         )
 
-    return exchange.hash_exchange_apply(
-        ds, "user_id", num_parts, per_partition, map_fn=project
-    )
+    return project
 
 
 def asof_join_events(ds, left_type: str = "purchase", right_type: str = "view",
                      num_parts: int | None = None):
     """As-of join over the events log: each `left_type` event matched to the
-    most recent STRICTLY-earlier `right_type` event of the same user.
-    Output (purchase_id, view_id) inner rows — integer-only, bit-exact vs
-    DuckDB's ASOF JOIN.
+    most recent STRICTLY-earlier `right_type` event of the same user; among
+    right events at that timestamp the largest event_id wins.  Output
+    (purchase_id, view_id) inner rows — integer-only, bit-exact vs
+    DuckDB's ASOF JOIN over the max-event_id-per-(user, ts) right side.
 
-    Physical plan: FUSED hash-exchange by user_id (projection in the
-    split task, per-partition pandas merge_asof over ts-sorted frames in
-    the shard-concat task — one plasma round-trip, see
-    exchange.hash_exchange_apply).  Right side pre-deduped to max event_id
-    per (user, ts) so equal-timestamp ties are deterministic in both
-    engines."""
-    import pyarrow as pa
+    Physical plan: the one per-user exchange (`_by_user`) of the shared
+    (user_id, ts_us, kind, event_id) projection.  In each sorted
+    partition a running maximum gives every row the index of the last
+    right row at or before it; a left row keeps it when it is the same
+    user's.  Lefts sort before rights at an equal timestamp, so the match
+    is strictly earlier, and the last right of a tie has the largest
+    event_id."""
+    schema = pa.schema([("purchase_id", pa.int64()), ("view_id", pa.int64())])
 
-    from ..stages import exchange
+    def finish(u, t, kind, eid):
+        last = np.maximum.accumulate(np.where(kind == 1, np.arange(len(u)), -1))
+        j = np.maximum(last, 0)
+        hit = (kind == 0) & (last >= 0) & (u[j] == u)
+        return eid[hit], eid[j[hit]]
 
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
-
-    def project(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        keep = (et == left_type) | (et == right_type)
-        ts = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
-        return pa.table(
-            {
-                "event_id": batch["event_id"].to_numpy(zero_copy_only=False)[keep],
-                "user_id": batch["user_id"].to_numpy(zero_copy_only=False)[keep],
-                "ts_us": ts.astype(np.int64)[keep],
-                "is_left": (et[keep] == left_type),
-            }
-        )
-
-    def per_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({"purchase_id": pa.array([], pa.int64()),
-                             "view_id": pa.array([], pa.int64())})
-        df = tbl.to_pandas()
-        left = df[df["is_left"]].sort_values(["ts_us", "event_id"])
-        right = (
-            df[~df["is_left"]]
-            .groupby(["user_id", "ts_us"], as_index=False)["event_id"].max()
-            .sort_values(["ts_us", "event_id"])
-        )
-        if left.empty or right.empty:
-            return pa.table({"purchase_id": pa.array([], pa.int64()),
-                             "view_id": pa.array([], pa.int64())})
-        m = pd.merge_asof(
-            left, right, on="ts_us", by="user_id",
-            allow_exact_matches=False, suffixes=("", "_r"),
-        )
-        m = m.dropna(subset=["event_id_r"])
-        return pa.table(
-            {"purchase_id": m["event_id"].to_numpy(dtype=np.int64),
-             "view_id": m["event_id_r"].to_numpy(dtype=np.int64)}
-        )
-
-    return exchange.hash_exchange_apply(
-        ds, "user_id", num_parts, per_partition, map_fn=project
-    )
+    return _by_user(ds, num_parts, _left_right(left_type, right_type),
+                    schema, finish)
 
 
 def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
@@ -560,72 +556,29 @@ def range_join_counts(ds, left_type: str = "purchase",
     count of integer-microsecond comparisons => bit-exact vs the DuckDB
     interval-join twin.
 
-    Physical plan: FUSED hash-exchange by user_id, then ONE vectorized
-    cumulative-count merge per partition — no per-user loop, no pair
-    blow-up: count(lo <= t < hi) = C(hi) - C(lo) where C(x) = number of
-    right-events strictly before (user, x) in the lexicographic order;
-    the per-user baselines cancel because both probes live in the same
-    user's contiguous run.  Right events sort AFTER an equal-timestamp
-    probe (kind asc) so C is strictly-less-than, matching the twin's
+    Physical plan: the one per-user exchange (`_by_user`) of the as-of
+    join's projection, then cumulative counts per partition — no per-user
+    loop, no pair blow-up: count(lo <= t < hi) = C(hi) - C(lo) where C(x)
+    = number of right events strictly before (user, x) in the
+    lexicographic order; the per-user baselines cancel because both
+    probes live in the same user's run.  C(hi) is the running count of
+    rights in the shared sort order (lefts sort before equal-timestamp
+    rights); C(lo) comes from one more lexsort, with each left moved to
+    ts - window, again before equal-timestamp rights — the twin's
     half-open window."""
-    import pyarrow as pa
-
-    from ..stages import exchange
-
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
     win_us = np.int64(window_minutes) * 60_000_000
+    schema = pa.schema([("purchase_id", pa.int64()), ("n_views", pa.int64())])
 
-    def project(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        keep = (et == left_type) | (et == right_type)
-        ts = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
-        return pa.table(
-            {
-                "event_id": batch["event_id"].to_numpy(zero_copy_only=False)[keep],
-                "user_id": batch["user_id"].to_numpy(zero_copy_only=False)[keep],
-                "ts_us": ts.astype(np.int64)[keep],
-                "is_left": (et[keep] == left_type),
-            }
-        )
+    def finish(u, t, kind, eid):
+        left = kind == 0
+        c_hi = np.cumsum(kind, dtype=np.int64)
+        order = np.lexsort((kind, np.where(left, t - win_us, t), u))
+        c_lo = np.empty_like(c_hi)
+        c_lo[order] = np.cumsum(kind[order], dtype=np.int64)
+        return eid[left], (c_hi - c_lo)[left]
 
-    def per_partition(tbl: pa.Table) -> pa.Table:
-        empty = pa.table({"purchase_id": pa.array([], pa.int64()),
-                          "n_views": pa.array([], pa.int64())})
-        if tbl.num_rows == 0:
-            return empty
-        u = tbl["user_id"].to_numpy(zero_copy_only=False)
-        t = tbl["ts_us"].to_numpy(zero_copy_only=False)
-        eid = tbl["event_id"].to_numpy(zero_copy_only=False)
-        left = tbl["is_left"].to_numpy(zero_copy_only=False).astype(bool)
-        lu, lt_, lid = u[left], t[left], eid[left]
-        ru, rt = u[~left], t[~left]
-        if len(lid) == 0:
-            return empty
-        m = len(lid)
-        # probe stream: 2 probes per left event (hi = ts, lo = ts - win);
-        # kind 0 = probe, 1 = right event — at equal (user, ts) the probe
-        # sorts FIRST, so the running count excludes ties (strict <)
-        all_u = np.concatenate([ru, lu, lu])
-        all_t = np.concatenate([rt, lt_, lt_ - win_us])
-        kind = np.concatenate([
-            np.ones(len(ru), dtype=np.int8),
-            np.zeros(2 * m, dtype=np.int8),
-        ])
-        order = np.lexsort((kind, all_t, all_u))
-        cum = np.cumsum(kind[order])  # right-events at or before position
-        # count of rights strictly before each probe = cum at the probe's
-        # position minus the probe's own contribution (0)
-        pos = np.empty(len(order), dtype=np.int64)
-        pos[order] = np.arange(len(order))
-        c_hi = cum[pos[len(ru):len(ru) + m]]
-        c_lo = cum[pos[len(ru) + m:]]
-        n = (c_hi - c_lo).astype(np.int64)
-        return pa.table({"purchase_id": lid, "n_views": n})
-
-    return exchange.hash_exchange_apply(
-        ds, "user_id", num_parts, per_partition, map_fn=project
-    )
+    return _by_user(ds, num_parts, _left_right(left_type, right_type),
+                    schema, finish)
 
 
 def quantiles_by_key(ds, key_col: str = "event_type", val_col: str = "value",
@@ -769,10 +722,10 @@ def hll_estimate(hist, b: int = 12) -> dict:
     m = 1 << b
     alpha = 0.7213 / (1.0 + 1.079 / m)
     out = {}
-    key_col = hist.columns[0]
-    for key, grp in hist.groupby(key_col):
-        rho = grp["rho"].to_numpy()
-        n = grp["n_buckets"].to_numpy()
+    keys = hist[hist.columns[0]].to_numpy()
+    rhos, ns = hist["rho"].to_numpy(), hist["n_buckets"].to_numpy()
+    for key in np.unique(keys):
+        rho, n = rhos[keys == key], ns[keys == key]
         n_empty = m - int(n.sum())
         s = float((n * np.exp2(-rho.astype(np.float64))).sum()) + n_empty
         est = alpha * m * m / s

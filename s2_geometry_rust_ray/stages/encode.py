@@ -69,18 +69,3 @@ def geotag_and_encode(
         )
 
     return fn
-
-
-def decode_cells(batch: pa.Table, cell_col: str = "cell_id") -> pa.Table:
-    """Append center (face, si, ti) + (clat, clng) decoded from cell ids
-    (canonical LOOKUP_IJ Hilbert inverse — see cellid.to_face_ij_orientation)."""
-    cid = batch[cell_col].to_numpy(zero_copy_only=False)
-    face, si, ti = cellid.get_center_si_ti(cid)
-    clat, clng = cellid.to_latlng_deg(cid)
-    return (
-        batch.append_column("face", pa.array(face))
-        .append_column("si", pa.array(si))
-        .append_column("ti", pa.array(ti))
-        .append_column("clat", pa.array(clat))
-        .append_column("clng", pa.array(clng))
-    )

@@ -2,9 +2,11 @@
 
 WHY raw Ray here (the one deliberate drop below the Dataset API, per the
 mandate's escape hatch): Ray Data's groupby/aggregate combine runs ~20x
-slower than a NumPy reduce (see stages/agg.py), and Dataset has no
-key-partitioned exchange primitive — `repartition` ignores keys and
-`sort` gives ranges, which joins can't use without boundary surgery.
+slower than a NumPy reduce (see stages/agg.py), and Dataset's own
+key-partitioned exchanges (`repartition(keys=)`, `Dataset.join`) hash
+each row with builtin `hash()` in a Python loop, which is slow, and Ray
+pins no PYTHONHASHSEED, so string keys need not route alike in two
+workers.
 
 Every operator that is not row-local (hash joins, hash-final aggregates,
 sessionize, the shuffle PIP join, LSH rounds, label propagation) runs on

@@ -88,9 +88,10 @@ def memoized(cache: OrderedDict, key, build) -> PreparedLayer:
 def _layer_digest(layer: dict, extra: tuple) -> str:
     """Content digest of a region layer (vertex bytes, not object ids) so
     repeated pipelines reuse the driver-side coverer work.  Each id is
-    hashed with its type: ids 1 and "1" are different layers."""
+    hashed with its type: ids 1 and "1" are different layers.  Ids are
+    visited in (type name, repr) order, defined for mixed id types too."""
     h = hashlib.md5(repr(extra).encode())
-    for pid in sorted(layer):
+    for pid in sorted(layer, key=lambda pid: (type(pid).__qualname__, repr(pid))):
         h.update(repr((type(pid).__qualname__, pid)).encode())
         shape = layer[pid]
         if isinstance(shape, Polyline):

@@ -134,6 +134,17 @@ def test_cell_union_algebra():
         assert cell_union.contains_ids(a, d).all()
 
 
+def test_leaf_cells_covered():
+    faces = cellid.from_face(np.arange(6))
+    assert cell_union.leaf_cells_covered(faces) == 6 << 60
+    leaf = cellid.from_face_ij(np.array([3]), np.array([1 << 26]), np.array([1 << 26]))
+    assert cell_union.leaf_cells_covered(leaf) == 1
+    far = cellid.from_face_ij(np.array([1]), np.array([5]), np.array([5]))
+    union = np.concatenate([cellid.parent(leaf, 29), cellid.parent(far, 20)])
+    assert cell_union.leaf_cells_covered(union) == 4 + 4 ** 10
+    assert cell_union.leaf_cells_covered(np.array([], dtype=np.uint64)) == 0
+
+
 def test_normalize_merges_siblings():
     face = cellid.from_face(np.array([1]))
     kids = cellid.children(face)[0]

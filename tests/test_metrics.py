@@ -30,3 +30,16 @@ def test_level_for_max_value():
         assert metrics.level_for_max_value(metrics.AVG_EDGE, v * 0.99) == lvl + 1
     assert metrics.level_for_max_value(metrics.AVG_EDGE, 10.0) == 0
     assert metrics.level_for_max_value(metrics.AVG_EDGE, 0.0) == 30
+
+
+def test_closest_level():
+    # C++ GetClosestLevel: the level whose metric is nearest in log scale,
+    # i.e. the switch to the coarser level sits at sqrt(2) x a level's value
+    for lvl in [1, 7, 15]:
+        v = metrics.AVG_EDGE / (1 << lvl)
+        assert metrics.closest_level(metrics.AVG_EDGE, v) == lvl
+        assert metrics.closest_level(metrics.AVG_EDGE, v * 1.41) == lvl
+        assert metrics.closest_level(metrics.AVG_EDGE, v * 1.42) == lvl - 1
+        assert metrics.closest_level(metrics.AVG_EDGE, v / 1.41) == lvl
+        assert metrics.closest_level(metrics.AVG_EDGE, v / 1.42) == lvl + 1
+    assert metrics.closest_level(metrics.AVG_EDGE, 10.0) == 0

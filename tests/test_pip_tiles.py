@@ -115,7 +115,8 @@ def test_fused_join_memory_is_bounded_by_the_tile():
 
 def test_prepare_memo_tells_int_and_str_ids_apart():
     """Region ids 1 and "1" print alike but are different layers: the
-    second must not get the first's (int) ids back."""
+    second must not get the first's (int) ids back.  A layer mixing int
+    and str ids is prepared too, and memoized whatever its key order."""
     a, _ = ppip.boolean_fixture_polys()
     assert list(S.prepare_layer({1: a}).regions) == [1]
     layer = S.prepare_layer({"1": a})
@@ -123,6 +124,9 @@ def test_prepare_memo_tells_int_and_str_ids_apart():
     out = S.PIPJoin(layer, key_col="k")(geotag_and_encode("k")(_keys(131079)))
     assert out["polygon_id"].type == pa.string() and out.num_rows > 0
     assert set(out["polygon_id"].to_pylist()) == {"1"}
+    mixed = S.prepare_layer({1: a, "x": a})  # ids that do not sort together
+    assert list(mixed.regions) == [1, "x"]
+    assert S.prepare_layer({"x": a, 1: a}) is mixed
 
 
 def test_inner_join_rejects_non_string_ids():

@@ -729,3 +729,128 @@ def test_vector_wire_round_trip(dtype):
     same(unpack_vectors(pa.chunked_array([col.slice(0, 3), col.slice(3)]), dtype), mat)
     same(unpack_vectors(pack_vectors(mat[:0]), dtype), mat[:0])
     same(unpack_vectors(col.slice(7), dtype), mat[:0])
+
+
+_MIN = 60_000_000  # microseconds
+_W = 60 * _MIN  # range_join_counts' default window
+_GAP = 30 * _MIN  # sessionize's default gap
+
+
+def _event_blocks():
+    """Events in three input blocks, (event_id, user, ts_us, type) rows:
+      user 1: a purchase at the timestamp of its only view (no as-of match);
+      user 2: two views at one timestamp, then a purchase (view 27 wins);
+      user 3: gaps of exactly 30 min (one session) and 30 min + 1 us;
+      user 4: events spread over all three blocks, a purchase tied with a
+              view, and a click that only sessionize counts;
+      user 5: views at the range window's edges, ts - 60 min (in),
+              ts - 60 min - 1 us (out), ts - 1 us (in) and ts (out);
+      users 0 and 6: purchases with no view, sorted next to other users'
+              views."""
+    import pyarrow as pa
+
+    t5 = 600 * _MIN
+    rows = [
+        [(10, 1, 100, "view"), (11, 1, 100, "purchase"), (27, 2, 200, "view"),
+         (22, 2, 300, "purchase"), (40, 4, 1000, "view"), (70, 0, 999_999, "purchase")],
+        [(21, 2, 200, "view"), (30, 3, 0, "view"), (31, 3, _GAP, "view"),
+         (32, 3, 2 * _GAP + 1, "view"), (41, 4, 2000, "purchase"),
+         (51, 5, t5 - _W, "view"), (52, 5, t5 - _W - 1, "view")],
+        [(42, 4, 1500, "view"), (43, 4, 1500, "purchase"), (44, 4, 1700, "click"),
+         (50, 5, t5, "purchase"), (53, 5, t5 - 1, "view"), (54, 5, t5, "view"),
+         (60, 6, 5, "purchase")],
+    ]
+    return [
+        pa.table({
+            "event_id": pa.array([r[0] for r in block], pa.int64()),
+            "ts": pa.array([r[2] for r in block], pa.timestamp("us")),
+            "user_id": pa.array([r[1] for r in block], pa.int64()),
+            "event_type": pa.array([r[3] for r in block], pa.string()),
+        })
+        for block in rows
+    ]
+
+
+@pytest.mark.parametrize("num_parts", [1, 4])
+def test_user_event_ops_ties_vs_bruteforce(ray_session, num_parts):
+    import pyarrow as pa
+    import ray.data
+
+    from s2_geometry_rust_ray.pipelines import textops
+
+    blocks = _event_blocks()
+    ev = [
+        (e, u, t, k)
+        for b in blocks
+        for e, u, t, k in zip(b["event_id"].to_pylist(), b["user_id"].to_pylist(),
+                              b["ts"].cast(pa.int64()).to_pylist(),
+                              b["event_type"].to_pylist())
+    ]
+    views = [(e, u, t) for e, u, t, k in ev if k == "view"]
+    buys = [(e, u, t) for e, u, t, k in ev if k == "purchase"]
+    ds = ray.data.from_arrow(blocks)
+
+    want_asof = {}
+    for e, u, t in buys:
+        before = [(tv, ev_) for ev_, uv, tv in views if uv == u and tv < t]
+        if before:
+            want_asof[e] = max(before)[1]
+    got = textops.asof_join_events(ds, num_parts=num_parts).to_pandas()
+    got_asof = dict(zip(got["purchase_id"], got["view_id"]))
+    assert got_asof == want_asof
+    assert 11 not in got_asof and got_asof[22] == 27 and got_asof[43] == 40
+    assert got_asof[50] == 53 and 60 not in got_asof and 70 not in got_asof
+
+    want_range = {
+        e: sum(uv == u and t - _W <= tv < t for _, uv, tv in views)
+        for e, u, t in buys
+    }
+    got = textops.range_join_counts(ds, num_parts=num_parts).to_pandas()
+    assert dict(zip(got["purchase_id"], got["n_views"])) == want_range
+    assert want_range[50] == 2 and want_range[11] == 0
+
+    want_sessions = {}
+    for u in {u for _, u, _, _ in ev}:
+        ts = np.sort([t for _, uu, t, _ in ev if uu == u])
+        want_sessions[u] = (1 + int((np.diff(ts) > _GAP).sum()), len(ts))
+    got = textops.sessionize(ds, num_parts=num_parts).to_pandas()
+    got_sessions = {
+        u: (s, n) for u, s, n in zip(got["user_id"], got["n_sessions"], got["n_events"])
+    }
+    assert got_sessions == want_sessions
+    assert got_sessions[3] == (2, 3) and got_sessions[4] == (1, 5)
+
+
+_USER_EVENT_SCHEMAS = {
+    "sessionize": [("user_id", "int64"), ("n_sessions", "int64"),
+                   ("n_events", "int64")],
+    "asof_join_events": [("purchase_id", "int64"), ("view_id", "int64")],
+    "range_join_counts": [("purchase_id", "int64"), ("n_views", "int64")],
+}
+_EMPTY_SOURCES = {
+    "limit0": lambda ds: ds.limit(0),
+    "filter_all": lambda ds: ds.filter(lambda r: False),
+    "map_over_limit0": lambda ds: ds.limit(0).map_batches(
+        lambda b: b, batch_format="pyarrow"),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_EMPTY_SOURCES))
+@pytest.mark.parametrize("op", sorted(_USER_EVENT_SCHEMAS))
+def test_user_event_ops_on_empty_input(ray_session, op, source):
+    """Zero rows in, zero rows out with the declared schema: a zero-block
+    input, blocks a filter left column-less, and a zero-block input whose
+    schema Ray cannot report.  The source is in memory (a `limit(0)` over
+    a parquet read cancels in-flight read tasks)."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from s2_geometry_rust_ray.pipelines import textops
+
+    ds = _EMPTY_SOURCES[source](ray.data.from_arrow(_event_blocks()))
+    out = getattr(textops, op)(ds, num_parts=2)
+    tables = ray.get(out.to_arrow_refs())
+    schema = pa.schema(_USER_EVENT_SCHEMAS[op])
+    assert sum(t.num_rows for t in tables) == 0
+    assert tables and all(t.schema.equals(schema) for t in tables)
