@@ -50,15 +50,13 @@ def loop_measures(layer: dict, num_parts: int | None = None):
     the layer.  Oracle: oracle/sql.q_loop_measures over the same vertex
     float literals.  num_parts=None scales with the cluster, capped at the
     loop count (one loop per partition is maximal parallelism here)."""
-    import ray.data
-
     from ..stages import exchange
 
     tbl = loop_vertex_table(layer)
     if num_parts is None:
         n_loops = len(set(tbl["loop_key"].to_pylist()))
         num_parts = max(1, min(exchange.default_num_parts(), n_loops))
-    verts = ray.data.from_arrow(tbl)
+    verts = exchange.as_dataset(tbl)
 
     def fold_partition(tbl: pa.Table) -> pa.Table:
         empty = pa.table(

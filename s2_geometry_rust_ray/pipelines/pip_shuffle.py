@@ -167,8 +167,6 @@ def shuffle_pip_join(ds, key_col: str, layer, level: int = 8,
     deterministic key->geotag derivation)."""
     import pickle
 
-    import ray.data
-
     from ..stages.pip import batch_latlng_leaves, refine
 
     tiles_tbl = covering_tiles(layer, level, with_geometry=True)
@@ -315,7 +313,7 @@ def shuffle_pip_join(ds, key_col: str, layer, level: int = 8,
         tiles_tbl = _replicate_tiles(
             np.full(tiles_tbl.num_rows, usalt, dtype=np.int64)
         )
-    right = ray.data.from_arrow(tiles_tbl)
+    right = exchange.as_dataset(tiles_tbl)
     part_col = "part_key" if auto or usalt > 1 else "tile"
 
     def refine_part(pt: pa.Table, tt: pa.Table) -> pa.Table:

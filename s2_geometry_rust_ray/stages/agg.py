@@ -23,6 +23,12 @@ DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call:
        distributed with one row per key — the plan for high-cardinality
        keys (h3_tile_r6: 1.83-1.90 s vs 2.10-2.37 s for a range-sort final).
 
+   Both finals cross the Ray Data boundary the way `stages/exchange.py`
+   describes: the partials' plan (input + combine, fused) runs ONCE
+   (`exchange.block_refs`), and the result is a computed dataset
+   (`exchange.as_dataset`) whose consumption starts no executor, so a
+   grouped query over a lazy input is one Ray Data execution in all.
+
 Zero-row rule: `combine` never sees a zero-row table; `finish` does.  A
 zero-block input, an all-filtered input or an empty hash partition reaches
 `finish` as a zero-row table that may lack columns or carry null-typed key
@@ -92,7 +98,6 @@ def _group(ds, keys: list[str], combine, final: str, finish=None):
     gets every final table, zero-row ones included, and returns its typed
     empty table for those."""
     import ray
-    import ray.data
 
     from . import exchange
 
@@ -119,7 +124,7 @@ def _group(ds, keys: list[str], combine, final: str, finish=None):
         t = pa.concat_tables(live, promote_options="default")
         return last(t) if is_last else step(t)
 
-    refs = partials.to_arrow_refs() or [
+    refs = exchange.block_refs(partials) or [
         ray.put(exchange._empty_exchange_table(partials, keys))
     ]
     while len(refs) > BRANCHING:
@@ -127,7 +132,7 @@ def _group(ds, keys: list[str], combine, final: str, finish=None):
             merge.remote(False, *refs[i : i + BRANCHING])
             for i in range(0, len(refs), BRANCHING)
         ]
-    return ray.data.from_arrow_refs([merge.remote(True, *refs)])
+    return exchange.as_dataset([merge.remote(True, *refs)])
 
 
 def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
@@ -137,10 +142,17 @@ def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
     ops are re-reducible, so combine -> final merge is exact; both finals
     return exactly one row per key.  `finish` (table -> table) maps the
     reduced table inside the final instead of in a trailing map_batches;
-    it follows `_group`'s zero-row rule."""
+    it follows `_group`'s zero-row rule.  Without one, an empty input
+    gives the zero-row (keys, spec columns) table, int64 where the input
+    carried no type."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     if isinstance(spec, list):
         spec = {c: "sum" for c in spec}
+    if finish is None:
+        def finish(t: pa.Table) -> pa.Table:
+            if t.num_rows:
+                return t
+            return pa.table({c: column(t, c) for c in [*keys, *spec]})
     return _group(ds, keys, _reduce_block(keys, spec), final, finish)
 
 
@@ -214,8 +226,16 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
     # resolve the value type ONCE driver-side: a block whose values are all
     # null carries arrow type `null` (no filler constructible, and emitted
     # partials would disagree on schema); cast such blocks to the dataset
-    # type.  fetch_if_missing executes at most the first block's task chain.
-    sch = ds.schema(fetch_if_missing=True)
+    # type.  Read it without running anything where Ray infers it (a
+    # parquet read, an in-memory or computed input), so the input's read
+    # and the combine stay one fused run in `_group`.  Otherwise run the
+    # input once here and read it from the snapshot (no fetch: a snapshot
+    # without one holds no typed block either); `_group` then combines the
+    # computed blocks instead of re-running a partial plan for the schema.
+    sch = ds.schema(fetch_if_missing=False)
+    if sch is None:
+        ds = ds.materialize()
+        sch = ds.schema(fetch_if_missing=False)
     arrow_sch = getattr(sch, "base_schema", sch)
     if arrow_sch is None:  # zero-block input: no value ever needs a type
         vtype = pa.null()

@@ -13,8 +13,24 @@ sessionize, the shuffle PIP join, LSH rounds, label propagation) runs on
 ONE primitive, `co_partition`, the classic M x P shuffle: M split tasks
 per side cut each block by hash(key) % P (num_returns=P, projection
 fused in); P partition tasks concat their shards from every side and run
-one fn, so a payload crosses the object store once.  Outputs are
-re-wrapped via from_arrow_refs so downstream stays in the Dataset API.
+one fn, so a payload crosses the object store once.
+
+The Ray Data boundary (`block_refs` in, `as_dataset` out): the engine runs
+each input plan ONCE where it drops to raw Ray, and returns raw-Ray
+results as COMPUTED datasets, so downstream stays in the Dataset API at
+no execution cost.  Two Ray 2.49 mechanisms make this the cheap contract:
+  * `to_arrow_refs()` on a lazy plan streams it through one executor, then
+    calls `schema(fetch_if_missing=True)`, which starts a second executor
+    and re-runs the plan under a `limit(1)` up to its first non-empty
+    block (`ExecutionPlan.schema`).  `materialize()` runs it once and
+    keeps the schema in the snapshot, so the refs and schema cost one run.
+  * A bare `from_arrow_refs` plan has no computed output, so a consumer's
+    `to_arrow_refs()` starts a streaming executor over it, and each
+    executor's shutdown starts Ray Data's detached `AutoscalingRequester`
+    actor, a worker process of its own.  `materialize()` on it takes
+    `ExecutionPlan.execute()`'s source-operator shortcut: no executor now
+    or when the result is consumed, and a query that is raw Ray from end
+    to end never starts that actor.
 
 Driver discipline (the 100 TB rules):
   * ALL split tasks are submitted before any result is awaited — the map
@@ -25,7 +41,7 @@ Driver discipline (the 100 TB rules):
     int refs are fetched, to drop empty partitions.
   * Every shard — including empty ones — carries the full input schema,
     and a zero-block side contributes one schema-ful empty table, so
-    partition fns and from_arrow_refs never see inconsistent schemas.
+    partition fns and `as_dataset` never see inconsistent schemas.
 
 Key hashing is deterministic ACROSS PROCESSES: integer keys use a
 multiplicative hash; string/bytes/other keys use pandas' keyed siphash
@@ -145,9 +161,29 @@ def _hash_part(table: pa.Table, key_col: str | list[str],
     ]
 
 
+def block_refs(ds) -> list:
+    """Arrow block refs of `ds`, running its plan at most once: no
+    executor for a computed dataset, one for a lazy plan (see the module
+    docstring for why not a bare `to_arrow_refs()`)."""
+    return ds.materialize().to_arrow_refs()
+
+
+def as_dataset(refs_or_table):
+    """A computed Dataset over raw-Ray output: a list of Arrow block refs,
+    or one local table.  Consuming it starts no executor."""
+    import ray
+    import ray.data
+
+    if isinstance(refs_or_table, pa.Table):
+        refs_or_table = [ray.put(refs_or_table)]
+    return ray.data.from_arrow_refs(refs_or_table).materialize()
+
+
 def _empty_exchange_table(ds, key_col: str | list[str], map_fn=None) -> pa.Table:
-    """Schema-ful empty table for a zero-block dataset's exchange."""
-    schema = ds.schema()
+    """Schema-ful empty table for a zero-block dataset's exchange.  The
+    schema is the one Ray infers without running the plan: a zero-block
+    run has no block to read one from either."""
+    schema = ds.schema(fetch_if_missing=False)
     arrow_schema = getattr(schema, "base_schema", None) if schema else None
     if arrow_schema is None:
         cols = [key_col] if isinstance(key_col, str) else list(key_col)
@@ -171,10 +207,10 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
     and reused every round) is given.  A zero-block side contributes one
     schema-ful empty table (after map_fn) to every partition.
 
-    Returns a Dataset of the non-empty outputs in partition order (empties
-    dropped by their count refs; one empty output is kept if all are)."""
+    Each side's plan runs once (`block_refs`).  Returns a computed
+    Dataset of the non-empty outputs in partition order (empties dropped
+    by their count refs; one empty output is kept if all are)."""
     import ray
-    import ray.data
 
     specs = [(key_col, map_fn) for _, key_col, map_fn in sides]
 
@@ -200,12 +236,12 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
     split_n = split.options(num_returns=num_parts) if num_parts > 1 else split
     per_side = []  # per side: per-partition shard lists
     for side, (ds, key_col, map_fn) in enumerate(sides):
-        block_refs = ds.to_arrow_refs()
-        if not block_refs:
+        blocks = block_refs(ds)
+        if not blocks:
             empty = ray.put(_empty_exchange_table(ds, key_col, map_fn))
             per_side.append([[empty]] * num_parts)
             continue
-        shard_lists = [split_n.remote(side, b) for b in block_refs]
+        shard_lists = [split_n.remote(side, b) for b in blocks]
         if num_parts == 1:
             shard_lists = [[r] for r in shard_lists]
         per_side.append([[sl[p] for sl in shard_lists] for p in range(num_parts)])
@@ -218,7 +254,7 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
                                 *shards, *extra))
     counts = ray.get([n for _, n in pairs])
     refs = [t for (t, _), n in zip(pairs, counts) if n > 0] or [pairs[0][0]]
-    return ray.data.from_arrow_refs(refs)
+    return as_dataset(refs)
 
 
 def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int,

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pyarrow as pa
 
-from .exchange import actor_map as _actor_map, topk_merge_partials
+from .exchange import actor_map as _actor_map, as_dataset, topk_merge_partials
 from .knn import local_topk
 
 
@@ -320,7 +320,7 @@ def ann_topk_ivf_indexed(index_dir: str, queries: np.ndarray,
                 if f.endswith(".parquet")
             ))
     if not paths:
-        return ray.data.from_arrow(pa.table(
+        return as_dataset(pa.table(
             {"query_id": pa.array([], pa.int64()),
              "vec_id": pa.array([], pa.int64()),
              "cosine": pa.array([], pa.float64()),

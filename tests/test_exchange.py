@@ -139,14 +139,18 @@ def test_salted_cell_key_roundtrip():
             assert len(np.unique(salted)) == 1
 
 
-def test_co_partition_zero_blocks(ray_session):
+def test_co_partition_zero_blocks(ray_session, executors):
     """A zero-block side must reach every partition as a schema-ful empty
     table (after its map_fn), not raise ArrowInvalid from
-    concat_tables(()); all-empty output keeps one schema-ful block."""
+    concat_tables(()); all-empty output keeps one schema-ful block, in a
+    computed dataset."""
     import pyarrow as pa
     import ray.data
 
-    # an empty block that lost its columns
+    # an empty block that lost its columns; the identity fn returns it
+    # column-less, a block Ray reads no schema from, so `count` and not a
+    # fetch checks it (Ray's `to_arrow_refs` runs a `limit(1)` plan to
+    # look for a schema)
     gone = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
     gone = gone.filter(lambda r: False)
     assert exchange.co_partition([(gone, "k", None)], 4, lambda t: t).count() == 0
@@ -155,8 +159,9 @@ def test_co_partition_zero_blocks(ray_session):
                                               batch_format="pyarrow")
     assert src.to_arrow_refs() == []
     out = exchange.co_partition([(src, "k", None)], 4, lambda t: t)
-    assert out.count() == 0
-    assert out.schema().names == ["k"]
+    blocks = executors.fetch(out)
+    assert len(blocks) == 1 and blocks[0].num_rows == 0
+    assert blocks[0].column_names == ["k"]
 
     full = ray.data.from_arrow(pa.table({"k": np.arange(10, dtype=np.int64)}))
     tag = lambda t: t.append_column("m", pa.array(np.ones(t.num_rows)))  # noqa: E731
@@ -168,6 +173,89 @@ def test_co_partition_zero_blocks(ray_session):
     assert len(seen) == 4  # one fn call per partition
     assert set(seen["cols"]) == {"k,m"}
     assert seen["na"].sum() == 0 and seen["nb"].sum() == 10
+
+
+def _events_table(n: int = 300) -> pa.Table:
+    rng = np.random.default_rng(3)
+    kinds = np.array(["view", "purchase", "click"])
+    return pa.table({
+        "event_id": np.arange(n, dtype=np.int64),
+        "user_id": rng.integers(0, 20, n),
+        "ts": pa.array(rng.integers(0, 10**10, n), pa.timestamp("us")),
+        "event_type": pa.array(kinds[rng.integers(0, 3, n)]),
+    })
+
+
+def _in_blocks(t: pa.Table, n: int = 3):
+    import ray.data
+
+    step = -(-t.num_rows // n)
+    return ray.data.from_arrow(
+        [t.slice(i, step) for i in range(0, t.num_rows, step)]).materialize()
+
+
+# query over materialized (events, keys, right) inputs -> executors it
+# starts, built and fetched: a query that is raw Ray from its input to its
+# output starts none; a lazy input's plan runs exactly once
+_EXECUTOR_COUNTS = {
+    "sessionize": (lambda ev, keys, right: textops.sessionize(
+        ev, num_parts=2), 0),
+    "asof_join_events": (lambda ev, keys, right: textops.asof_join_events(
+        ev, num_parts=2), 0),
+    "range_join_counts": (lambda ev, keys, right: textops.range_join_counts(
+        ev, num_parts=2), 0),
+    "hash_join": (lambda ev, keys, right: exchange.hash_join(
+        keys, right, "k", num_parts=4), 0),
+    "tile_counts_tree": (lambda ev, keys, right: tiling.tile_counts(
+        keys, "k", 8, final="tree"), 1),
+    "tile_counts_hash": (lambda ev, keys, right: tiling.tile_counts(
+        keys, "k", 8, final="hash"), 1),
+    "co_partition_lazy_side": (lambda ev, keys, right: exchange.co_partition(
+        [(keys.map_batches(lambda b: b, batch_format="pyarrow"), "k", None)],
+        4, lambda t: t), 1),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_EXECUTOR_COUNTS))
+def test_plan_runs_once_and_result_is_computed(ray_session, executors, op):
+    """Each input plan runs once where the engine drops to raw Ray (not
+    once more for its schema), and the result comes back computed: its
+    fetch starts no executor."""
+    query, want = _EXECUTOR_COUNTS[op]
+    events = _in_blocks(_events_table())
+    keys = _in_blocks(pa.table({"k": np.arange(400, dtype=np.int64)}))
+    right = _in_blocks(pa.table({"k": np.arange(0, 400, 3, dtype=np.int64),
+                                 "y": np.arange(134, dtype=np.int64)}), 2)
+    before = executors.started
+    tables = executors.fetch(query(events, keys, right))
+    assert executors.started - before == want
+    assert sum(t.num_rows for t in tables) > 0
+
+
+@pytest.mark.parametrize("final", ["tree", "hash"])
+@pytest.mark.parametrize("inp,want", [("read_parquet", 1), ("map_batches", 2)])
+def test_distinct_count_by_key_runs_input_once(ray_session, executors,
+                                               tmp_path, inp, want, final):
+    """distinct_count_by_key reads the value type without a partial run
+    of the input.  A lazy parquet read carries its schema, so the read
+    and the pair dedup are one fused run; a map's schema is unknown until
+    it runs, so the map runs once and the dedup runs over its blocks."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    t = pa.table({"k": np.arange(400, dtype=np.int64) % 5,
+                  "v": np.arange(400, dtype=np.int64) % 11})
+    for i in range(3):
+        pq.write_table(t.slice(i * 134, 134), tmp_path / f"part-{i}.parquet")
+    ds = ray.data.read_parquet(str(tmp_path))
+    if inp == "map_batches":
+        ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    before = executors.started
+    out = pa.concat_tables(executors.fetch(
+        agg.distinct_count_by_key(ds, "k", "v", final=final)))
+    assert executors.started - before == want
+    got = dict(zip(out["k"].to_pylist(), out["n_distinct"].to_pylist()))
+    assert got == {k: 11 for k in range(5)}
 
 
 def test_co_partition_pinned_refs_follow_partitions(ray_session):
@@ -368,15 +456,27 @@ _AGG_OPS = {
     "distinct_count_by_key": lambda ds, final: agg.distinct_count_by_key(
         ds, "k", "x", final=final),
 }
+# in-memory sources only: a `limit(0)` over a parquet read cancels
+# in-flight read tasks
 _EMPTY_INPUTS = {
     "limit0": lambda ds: ds.limit(0),
     "filter_all": lambda ds: ds.filter(lambda r: False),
+    "map_over_limit0": lambda ds: ds.limit(0).map_batches(
+        lambda b: b, batch_format="pyarrow"),
 }
 
 
 # pipelines whose grouped reduce ends in a finish: (op, schema) for an
 # empty input
 _STR, _I64 = pa.string(), pa.int64()
+# the output schema of each grouped op on an empty input
+_AGG_SCHEMAS = {
+    "reduce_by_key": pa.schema([("k", _I64), ("x", _I64)]),
+    "distinct_keys": pa.schema([("k", _I64)]),
+    "grouped_topk": pa.schema([("k", _I64), ("x", _I64), ("i", _I64),
+                               ("rank", _I64)]),
+    "distinct_count_by_key": pa.schema([("k", _I64), ("n_distinct", _I64)]),
+}
 _PIPELINES = {
     "tile_counts": (
         lambda ds, final: tiling.tile_counts(ds, "k", 8, final=final),
@@ -400,11 +500,12 @@ _PIPELINES = {
     (op, final) for op in ("tile_counts", "h3_tile_counts")
     for final in ("tree", "hash")
 ] + [("snap_dedup", None), ("term_counts", None)])
-def test_grouped_ops_on_empty_input(ray_session, op, final, inp):
-    """Every grouped op on a zero-block (limit 0) or all-rows-filtered
-    input gives 0 rows under either final and raises on an unknown one;
-    a pipeline whose reduce ends in a finish keeps its documented schema."""
-    import ray
+def test_grouped_ops_on_empty_input(ray_session, executors, op, final, inp):
+    """Every grouped op on a zero-block (limit 0, also under a map whose
+    schema Ray cannot report) or all-rows-filtered input gives 0 rows
+    under either final, as a computed dataset, and raises on an unknown
+    one; an op or pipeline whose reduce ends in a finish keeps its
+    documented schema."""
     import ray.data
 
     src = ray.data.from_arrow(pa.table({
@@ -416,7 +517,7 @@ def test_grouped_ops_on_empty_input(ray_session, op, final, inp):
     ds = _EMPTY_INPUTS[inp](src)
     if op in _PIPELINES:
         run, schema = _PIPELINES[op]
-        blocks = ray.get(run(ds, final).to_arrow_refs())
+        blocks = executors.fetch(run(ds, final))
         assert blocks and sum(b.num_rows for b in blocks) == 0
         for b in blocks:
             assert b.schema.equals(schema), (b.schema, schema)
@@ -427,7 +528,10 @@ def test_grouped_ops_on_empty_input(ray_session, op, final, inp):
         with pytest.raises(ValueError, match="bogus"):
             _AGG_OPS[op](ds, final)
     else:
-        assert _AGG_OPS[op](ds, final).count() == 0
+        blocks = executors.fetch(_AGG_OPS[op](ds, final))
+        assert blocks and sum(b.num_rows for b in blocks) == 0
+        for b in blocks:
+            assert b.schema.equals(_AGG_SCHEMAS[op]), b.schema
 
 
 _LSH_PIPELINES = {
@@ -442,11 +546,11 @@ _LSH_PIPELINES = {
 
 @pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
 @pytest.mark.parametrize("op", ["lsh_candidate_pairs"] + sorted(_LSH_PIPELINES))
-def test_lsh_ops_on_empty_input(ray_session, op, inp):
+def test_lsh_ops_on_empty_input(ray_session, executors, op, inp):
     """The LSH candidate exchange on a zero-block or all-rows-filtered
-    input returns 0 rows typed (doc_a: int64, doc_b: int64), and every
-    pipeline built on it returns 0 rows instead of raising."""
-    import ray
+    input returns 0 rows typed (doc_a: int64, doc_b: int64) as a computed
+    dataset, and every pipeline built on it returns 0 rows instead of
+    raising."""
     import ray.data
 
     src = ray.data.from_arrow(pa.table({
@@ -460,8 +564,8 @@ def test_lsh_ops_on_empty_input(ray_session, op, inp):
     if op in _LSH_PIPELINES:
         assert _LSH_PIPELINES[op](ds).count() == 0
         return
-    blocks = ray.get(exchange.lsh_candidate_pairs(
-        ds, "doc_id", "bucket", 4, "doc_a", "doc_b").to_arrow_refs())
+    blocks = executors.fetch(exchange.lsh_candidate_pairs(
+        ds, "doc_id", "bucket", 4, "doc_a", "doc_b"))
     assert blocks and sum(b.num_rows for b in blocks) == 0
     schema = pa.schema([("doc_a", _I64), ("doc_b", _I64)])
     for b in blocks:
@@ -625,9 +729,10 @@ def test_broadcast_join_empty_right_and_duplicate_keys(ray_session):
         ).count()
 
 
-def test_hash_join_zero_block_sides(ray_session):
+def test_hash_join_zero_block_sides(ray_session, executors):
     """Zero-block side: no driver payload pull, left-outer keeps all left
-    rows, inner returns none; both-empty doesn't crash on null key types."""
+    rows, inner returns none; both-empty doesn't crash on null key types.
+    Every result is a computed dataset with the joined columns."""
     import numpy as np
     import pyarrow as pa
     import ray.data
@@ -640,12 +745,16 @@ def test_hash_join_zero_block_sides(ray_session):
     }))
     zero = ray.data.from_items([]) \
         .map_batches(lambda b: b, batch_format="pyarrow")
-    inner = exchange.hash_join(left, zero, "k", num_parts=4)
-    assert inner.count() == 0
-    louter = exchange.hash_join(left, zero, "k", num_parts=4, how="left")
-    assert louter.count() == 20
-    both = exchange.hash_join(zero, zero, "k", num_parts=4, how="left")
-    assert both.count() == 0
+    def rows(ds) -> int:
+        blocks = executors.fetch(ds)
+        assert blocks and all(b.column_names[0] == "k" for b in blocks)
+        return sum(b.num_rows for b in blocks)
+
+    assert rows(exchange.hash_join(left, zero, "k", num_parts=4)) == 0
+    assert rows(exchange.hash_join(left, zero, "k", num_parts=4,
+                                   how="left")) == 20
+    assert rows(exchange.hash_join(zero, zero, "k", num_parts=4,
+                                   how="left")) == 0
 
 
 def test_shuffle_pip_join_empty_layer_salted(ray_session):
@@ -667,10 +776,11 @@ def test_shuffle_pip_join_empty_layer_salted(ray_session):
 
 @pytest.mark.parametrize("salt", [1, 8, "auto"])
 @pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
-def test_shuffle_pip_join_on_empty_input(ray_session, inp, salt):
+def test_shuffle_pip_join_on_empty_input(ray_session, executors, inp, salt):
     """A zero-block or all-filtered point input leaves the point
-    partitions without columns; the refine must return 0 rows instead of
-    looking up the key column's type in them."""
+    partitions without columns; the refine must return 0 rows (key,
+    polygon_id), in a computed dataset, instead of looking up the key
+    column's type in them."""
     import ray.data
 
     from s2_geometry_rust_ray.pipelines import pip as ppip
@@ -681,7 +791,9 @@ def test_shuffle_pip_join_on_empty_input(ray_session, inp, salt):
     out = pip_shuffle.shuffle_pip_join(
         _EMPTY_INPUTS[inp](src), "doc_id", ppip.standard_polygon_layer(),
         num_parts=2, salt=salt)
-    assert out.count() == 0
+    blocks = executors.fetch(out)
+    assert blocks and sum(b.num_rows for b in blocks) == 0
+    assert all(b.column_names == ["doc_id", "polygon_id"] for b in blocks)
 
 
 def test_hash_part_composite_key_spreads_low_card_leading_key():

@@ -837,20 +837,20 @@ _EMPTY_SOURCES = {
 
 @pytest.mark.parametrize("source", sorted(_EMPTY_SOURCES))
 @pytest.mark.parametrize("op", sorted(_USER_EVENT_SCHEMAS))
-def test_user_event_ops_on_empty_input(ray_session, op, source):
-    """Zero rows in, zero rows out with the declared schema: a zero-block
-    input, blocks a filter left column-less, and a zero-block input whose
-    schema Ray cannot report.  The source is in memory (a `limit(0)` over
-    a parquet read cancels in-flight read tasks)."""
+def test_user_event_ops_on_empty_input(ray_session, executors, op, source):
+    """Zero rows in, zero rows out with the declared schema, as a computed
+    dataset: a zero-block input, blocks a filter left column-less, and a
+    zero-block input whose schema Ray cannot report.  The source is in
+    memory (a `limit(0)` over a parquet read cancels in-flight read
+    tasks)."""
     import pyarrow as pa
-    import ray
     import ray.data
 
     from s2_geometry_rust_ray.pipelines import textops
 
     ds = _EMPTY_SOURCES[source](ray.data.from_arrow(_event_blocks()))
     out = getattr(textops, op)(ds, num_parts=2)
-    tables = ray.get(out.to_arrow_refs())
+    tables = executors.fetch(out)
     schema = pa.schema(_USER_EVENT_SCHEMAS[op])
     assert sum(t.num_rows for t in tables) == 0
     assert tables and all(t.schema.equals(schema) for t in tables)
