@@ -136,7 +136,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         ds = _read(sf_dir, "documents", columns=["doc_id"])
         return pip_shuffle.shuffle_pip_join(
-            ds, "doc_id", ppip.standard_polygon_layer(), level=7
+            ds, "doc_id", ppip.standard_polygon_layer()
         )
 
     def q_pip_shape_index(sf_dir: str):
@@ -374,8 +374,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # reads ONLY the probed bucket directories, and removes the index
         # after consuming the (tiny) result — a unique mkdtemp per call,
         # so concurrent runs never race and /tmp never accumulates.
-        # Output identical to ann_ivf_topk (pytest asserts equality);
-        # rows-only for the same float-dot reason.
+        # The same vec id as ann_ivf_topk at every rank, and cosines
+        # equal up to float32 matmul rounding (BLAS summation order depends
+        # on the batch's row count; pytest asserts both); rows-only for
+        # the same float-dot reason.
         import shutil
         import tempfile
 

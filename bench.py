@@ -134,9 +134,8 @@ def expanded_docs(sf_dir: str, expand: int, n_boiler: int = 400):
 def expanded_skewed_points(sf_dir: str, expand: int, hot_frac: float = 0.2):
     """expanded_points with EXPLICIT lat/lng: `hot_frac` of the points
     packed into one ~10 km square inside urban cluster 0 (40.75, -74) —
-    a single level-8 covering tile — the rest spread worldwide.  The
-    shuffle-PIP skew fixture: at salt=1 every hot-tile candidate funnels
-    into ONE refine task."""
+    inside one level-8 cell — the rest spread worldwide.  The shuffle-PIP
+    skew fixture."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -361,28 +360,23 @@ def run_benchmarks() -> dict:
         ).count()
         queries["near_dup_40k_skew_uncapped"] = time.perf_counter() - t0
 
-        # shuffle-PIP skew evidence: ~20% of points in ONE level-8 tile.
-        # salt=1 funnels every hot-tile candidate into one refine task;
-        # salt=8 spreads them (output-invariant — tested).  16x smaller
-        # expand than the headline: the salt=1 funnel is deliberately
-        # serial and would dominate the bench wall-time otherwise (90 s
-        # at EXPAND//4 in a throttled window; the salted/unsalted RATIO
-        # is the evidence, not the absolute time).
+        # shuffle-PIP skew evidence: ~20% of points in one ~10 km square.
+        # The join range-partitions candidates on leaf-id quantiles, so
+        # the hot square spreads over narrow ranges instead of one task.
+        # 16x smaller expand than the headline, kept from when this entry
+        # was a deliberately serial one-task baseline.
         from s2_geometry_rust_ray.pipelines import pip_shuffle
 
         skew_expand = max(1, EXPAND // 16)
-        for salt, qname in [(1, "pip_shuffle_hot"),
-                            (8, "pip_shuffle_hot_salted"),
-                            ("auto", "pip_shuffle_hot_auto")]:
-            t0 = time.perf_counter()
-            sk = expanded_skewed_points(SF_DIR, skew_expand)
-            pip_shuffle.shuffle_pip_join(
-                sk, "k", __import__(
-                    "s2_geometry_rust_ray.pipelines.pip", fromlist=["x"]
-                ).standard_polygon_layer(),
-                level=8, salt=salt, pretagged=True,
-            ).count()
-            queries[qname] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        sk = expanded_skewed_points(SF_DIR, skew_expand)
+        pip_shuffle.shuffle_pip_join(
+            sk, "k", __import__(
+                "s2_geometry_rust_ray.pipelines.pip", fromlist=["x"]
+            ).standard_polygon_layer(),
+            pretagged=True,
+        ).count()
+        queries["pip_shuffle_hot"] = time.perf_counter() - t0
 
         # IVF read-pruning evidence (r4 verdict #3): build the
         # bucket-partitioned index once (its own timed entry — a real

@@ -30,7 +30,7 @@ def standard_polygon_layer():
 def shape_index_pip_join(ds, key_col: str, layer=None):
     """PIP join computed through the MutableShapeIndex point-location path
     (geometry/shape_index.py) — a THIRD independent implementation of the
-    same join (the broadcast PIPJoin and the covering-explode shuffle
+    same join (the broadcast PIPJoin and the range-partitioned shuffle
     being the other two), sharing the same SQL oracle.  Point location is
     fully batched (MutableShapeIndex.contains_points: leaf ids for the
     whole batch, searchsorted ancestor probes per index level, vectorized

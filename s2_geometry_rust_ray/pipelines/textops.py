@@ -144,9 +144,8 @@ def near_dup_pairs(ds, num_hashes: int = 32, band_size: int = 4,
         hot_bucket_cap=hot_bucket_cap,
     )
     # fetch candidate texts via hash-partitioned joins (never broadcast)
-    docs = ds.select_columns(["doc_id", "text"])
     j2 = exchange.attach_pair_payloads(
-        cand, docs, "doc_id", "text", "doc_a", "doc_b", num_parts
+        cand, ds, "doc_id", "text", "doc_a", "doc_b", num_parts
     )
 
     def verify(batch: pa.Table) -> pa.Table:

@@ -11,9 +11,12 @@ workers.
 Every operator that is not row-local (hash joins, hash-final aggregates,
 sessionize, the shuffle PIP join, LSH rounds, label propagation) runs on
 ONE primitive, `co_partition`, the classic M x P shuffle: M split tasks
-per side cut each block by hash(key) % P (num_returns=P, projection
+per side cut each block by its partitioner (num_returns=P, projection
 fused in); P partition tasks concat their shards from every side and run
-one fn, so a payload crosses the object store once.
+one fn, so a payload crosses the object store once.  A side's
+partitioner is hash(key columns) % P, or a `Ranges` (a column and P - 1
+sorted bounds: one searchsorted per block), and one split function
+serves both.
 
 The Ray Data boundary (`block_refs` in, `as_dataset` out): the engine runs
 each input plan ONCE where it drops to raw Ray, and returns raw-Ray
@@ -51,14 +54,16 @@ partitions in different Ray workers.
 
 Skew handling (north_rule "salting for hot cells"): `salted_cell_key`
 spreads a hot-key set over SALT sub-keys on the map side; mergeable
-aggregations un-salt in a second tiny pass.  For joins, hot LEFT keys are
-salted and the matching RIGHT rows replicated to every salt (standard
-skew-join).
+aggregations un-salt in a second tiny pass.  A join whose key is ordered
+(a leaf cell id) takes range bounds from quantiles of its data instead:
+a hot spot gets narrow ranges, and each row still meets exactly one
+partition (pipelines/pip_shuffle.py).
 """
 
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -117,7 +122,16 @@ def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_format="pyarrow",
 
 
 def _hash_keys(k: np.ndarray) -> np.ndarray:
-    """uint64 hash of a key array, deterministic across processes."""
+    """uint64 hash of a key array, deterministic across processes.
+
+    The integer hash keeps bits 40-63 of k * C (C odd), so an integer key
+    with t >= 40 trailing zero bits hashes to an odd multiple of
+    2^(t - 40): such keys reach at most max(1, P / 2^(t - 39)) of a
+    power-of-two P partitions.  A level-L S2 cell id has 2 * (30 - L)
+    trailing zero bits, so cell ids at level <= 8 all land in ONE
+    partition for every power-of-two P <= 32 (level 9 reaches P / 8,
+    level 10 P / 2; 100k random points).  Coarse cell ids must not be
+    hash keys: range-partition them (`Ranges`)."""
     if k.dtype.kind in "iu":
         return (k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
     # strings / bytes / mixed: pandas keyed siphash (fixed key, no
@@ -127,9 +141,26 @@ def _hash_keys(k: np.ndarray) -> np.ndarray:
     return pd.util.hash_array(np.asarray(k, dtype=object), categorize=False)
 
 
-def _hash_part(table: pa.Table, key_col: str | list[str],
-               num_parts: int) -> list[pa.Table]:
-    """key_col may be a single column name or a list/tuple of names; a
+class Ranges(NamedTuple):
+    """Range partitioner of a `co_partition` side: a row goes to partition
+    ``searchsorted(bounds, row[col], side="right")``, so partition p holds
+    bounds[p - 1] <= value < bounds[p].  `bounds` are sorted, at most
+    num_parts - 1 of them, in the column's dtype."""
+
+    col: str
+    bounds: np.ndarray
+
+
+def _key_cols(key) -> list[str]:
+    """The column names a partitioner reads."""
+    if isinstance(key, Ranges):
+        return [key.col]
+    return [key] if isinstance(key, str) else list(key)
+
+
+def _hash_part(table: pa.Table, key, num_parts: int) -> list[pa.Table]:
+    """Split `table` into num_parts tables by a partitioner: a `Ranges`,
+    or a key column name or list of names hashed % num_parts.  A
     composite key hashes the FULL tuple (FNV-style fold of per-column
     hashes) so partitioning spreads by the joint cardinality — hashing
     only the first component would collapse a low-cardinality leading key
@@ -139,12 +170,15 @@ def _hash_part(table: pa.Table, key_col: str | list[str],
         # empty blocks may even lack columns (e.g. a filter that dropped
         # everything); emit schema-preserving empty slices
         return [table.slice(0, 0)] * num_parts
-    cols = [key_col] if isinstance(key_col, str) else list(key_col)
-    h = np.zeros(table.num_rows, dtype=np.uint64)
-    for c in cols:
-        k = table[c].to_numpy(zero_copy_only=False)
-        h = h * np.uint64(0x100000001B3) + _hash_keys(k)
-    part = (h % np.uint64(num_parts)).astype(np.int64)
+    if isinstance(key, Ranges):
+        col = table[key.col].to_numpy(zero_copy_only=False)
+        part = np.searchsorted(key.bounds, col, side="right")
+    else:
+        h = np.zeros(table.num_rows, dtype=np.uint64)
+        for c in _key_cols(key):
+            k = table[c].to_numpy(zero_copy_only=False)
+            h = h * np.uint64(0x100000001B3) + _hash_keys(k)
+        part = (h % np.uint64(num_parts)).astype(np.int64)
     order = np.argsort(part, kind="stable")
     bounds = np.searchsorted(part[order], np.arange(num_parts + 1))
     # one take PER PARTITION, not one take + zero-copy slices: pickling a
@@ -179,15 +213,14 @@ def as_dataset(refs_or_table):
     return ray.data.from_arrow_refs(refs_or_table).materialize()
 
 
-def _empty_exchange_table(ds, key_col: str | list[str], map_fn=None) -> pa.Table:
+def _empty_exchange_table(ds, key, map_fn=None) -> pa.Table:
     """Schema-ful empty table for a zero-block dataset's exchange.  The
     schema is the one Ray infers without running the plan: a zero-block
     run has no block to read one from either."""
     schema = ds.schema(fetch_if_missing=False)
     arrow_schema = getattr(schema, "base_schema", None) if schema else None
     if arrow_schema is None:
-        cols = [key_col] if isinstance(key_col, str) else list(key_col)
-        arrow_schema = pa.schema([(c, pa.null()) for c in cols])
+        arrow_schema = pa.schema([(c, pa.null()) for c in _key_cols(key)])
     tbl = arrow_schema.empty_table()
     if map_fn is not None:
         tbl = map_fn(tbl)
@@ -195,13 +228,14 @@ def _empty_exchange_table(ds, key_col: str | list[str], map_fn=None) -> pa.Table
 
 
 def co_partition(sides, num_parts: int, fn, pinned=None):
-    """Co-partitioned exchange: split every side by hash(key) % num_parts,
-    then run ONE task per partition: ``fn(*tables) -> pa.Table``.
+    """Co-partitioned exchange: split every side by its partitioner into
+    num_parts, then run ONE task per partition: ``fn(*tables) -> pa.Table``.
 
-    `sides`: list of ``(Dataset, key_col, map_fn or None)``; key_col is a
-    column name or a list of names (composite key), and map_fn (a
-    projection) runs in the split task.  Sides co-locate equal keys only
-    if their key columns hash alike (same dtypes and arity).  `tables` are
+    `sides`: list of ``(Dataset, key, map_fn or None)``; key is a column
+    name or a list of names (composite key, hash-partitioned) or a
+    `Ranges`, and map_fn (a projection) runs in the split task.  Hashed
+    sides co-locate equal keys only if their key columns hash alike (same
+    dtypes and arity).  `tables` are
     each side's partition, in `sides` order, then ``pinned[p]`` if
     `pinned` (num_parts ObjectRefs, e.g. a static table partitioned once
     and reused every round) is given.  A zero-block side contributes one
@@ -212,14 +246,14 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
     by their count refs; one empty output is kept if all are)."""
     import ray
 
-    specs = [(key_col, map_fn) for _, key_col, map_fn in sides]
+    specs = [(key, map_fn) for _, key, map_fn in sides]
 
     @ray.remote
     def split(side: int, block: pa.Table):
-        key_col, map_fn = specs[side]
+        key, map_fn = specs[side]
         if map_fn is not None:
             block = map_fn(block)
-        parts = _hash_part(block, key_col, num_parts)
+        parts = _hash_part(block, key, num_parts)
         return parts[0] if num_parts == 1 else tuple(parts)
 
     @ray.remote(num_returns=2)
@@ -235,10 +269,10 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
     # all split tasks in flight before the first partition task is scheduled
     split_n = split.options(num_returns=num_parts) if num_parts > 1 else split
     per_side = []  # per side: per-partition shard lists
-    for side, (ds, key_col, map_fn) in enumerate(sides):
+    for side, (ds, key, map_fn) in enumerate(sides):
         blocks = block_refs(ds)
         if not blocks:
-            empty = ray.put(_empty_exchange_table(ds, key_col, map_fn))
+            empty = ray.put(_empty_exchange_table(ds, key, map_fn))
             per_side.append([[empty]] * num_parts)
             continue
         shard_lists = [split_n.remote(side, b) for b in blocks]
@@ -354,6 +388,14 @@ def _type_empty_key(tbl: pa.Table, key: str, other: pa.Table,
     return tbl.append_column(key, col)
 
 
+def _join(lt: pa.Table, rt: pa.Table, key_col: str, rk: str,
+          join_type: str) -> pa.Table:
+    """pyarrow equi-join of one partition's two sides, empty sides typed."""
+    lt = _type_empty_key(lt, key_col, rt, rk)
+    rt = _type_empty_key(rt, rk, lt, key_col)
+    return lt.join(rt, keys=key_col, right_keys=rk, join_type=join_type)
+
+
 def hash_join(left_ds, right_ds, key_col: str, num_parts: int = 32,
               how: str = "inner", right_on: str | None = None):
     """Hash-partitioned equi-join of two Datasets -> Dataset.
@@ -368,13 +410,9 @@ def hash_join(left_ds, right_ds, key_col: str, num_parts: int = 32,
     rk = right_on or key_col
     join_type = {"inner": "inner", "left": "left outer"}.get(how, how)
 
-    def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        lt = _type_empty_key(lt, key_col, rt, rk)
-        rt = _type_empty_key(rt, rk, lt, key_col)
-        return lt.join(rt, keys=key_col, right_keys=rk, join_type=join_type)
-
     return co_partition(
-        [(left_ds, key_col, None), (right_ds, rk, None)], num_parts, join
+        [(left_ds, key_col, None), (right_ds, rk, None)], num_parts,
+        lambda lt, rt: _join(lt, rt, key_col, rk, join_type),
     )
 
 
@@ -555,16 +593,23 @@ def attach_pair_payloads(cand, src_ds, id_col: str, payload_col: str,
                          a_col: str, b_col: str, num_parts: int):
     """Join a candidate-pair Dataset back to a source table TWICE to pull
     the payload column for both pair members (columns {payload}_a /
-    {payload}_b).  Hash-partitioned joins — never a broadcast."""
-    def rename(suffix: str):
-        return lambda t: t.rename_columns(
-            [f"{payload_col}_{suffix}" if c == payload_col else c
-             for c in t.column_names])
+    {payload}_b).  Hash-partitioned joins — never a broadcast.  The source
+    is projected to (id, payload) and its plan runs once for both joins;
+    each join renames the payload inside its partition task."""
+    src = src_ds.select_columns([id_col, payload_col]).materialize()
 
-    j1 = hash_join(cand, src_ds, a_col, num_parts=num_parts, right_on=id_col)
-    j1 = j1.map_batches(rename("a"), batch_format="pyarrow")
-    j2 = hash_join(j1, src_ds, b_col, num_parts=num_parts, right_on=id_col)
-    return j2.map_batches(rename("b"), batch_format="pyarrow")
+    def join_on(pair_col: str, suffix: str):
+        def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+            rt = rt.rename_columns([f"{payload_col}_{suffix}" if c == payload_col
+                                    else c for c in rt.column_names])
+            return _join(lt, rt, pair_col, id_col, "inner")
+
+        return join
+
+    j1 = co_partition([(cand, a_col, None), (src, id_col, None)], num_parts,
+                      join_on(a_col, "a"))
+    return co_partition([(j1, b_col, None), (src, id_col, None)], num_parts,
+                        join_on(b_col, "b"))
 
 
 def topk_merge_partials(partials, merge_fn, merge: str = "single",
@@ -585,52 +630,26 @@ def topk_merge_partials(partials, merge_fn, merge: str = "single",
     )
 
 
-def hot_key_histogram(ds, key_col: str, top_n: int = 64,
-                      with_total: bool = False,
-                      total_sentinel: int = -(1 << 63)):
+def hot_key_histogram(ds, key_col: str, top_n: int = 64):
     """Cheap first-pass histogram for salting decisions: per-block top-N
     partial counts -> distributed tree merge (stages/agg.reduce_by_key)
     -> top-N truncation inside the last merge task.  The driver only ever
-    pulls <= top_n rows — no linear-in-num_blocks driver merge.
-
-    `with_total=True` returns `(hist, total_rows)` from the SAME single
-    pass: each block's partial appends one sentinel-key row carrying the
-    block's row count, the tree reduce sums it like any other key, and the
-    final extraction pops it.  The sentinel must be a value key_col can
-    never hold — the int64-min default is safe for cellid sort keys (it
-    maps back to uint64 id 0, which is not a valid cell id) and for any
-    non-negative key domain."""
+    pulls <= top_n rows — no linear-in-num_blocks driver merge."""
     from . import agg
-
-    keep_n = top_n + 1 if with_total else top_n
 
     def partial(batch: pa.Table) -> pa.Table:
         k = batch[key_col].to_numpy(zero_copy_only=False)
-        if with_total and k.dtype.kind != "i":
-            # the sentinel trick needs a SIGNED integer key domain: with
-            # uint64 keys np.concatenate([keys, [int64-min]]) promotes to
-            # float64, mangling keys >= 2^53 and aliasing 2^63-range keys
-            # onto the sentinel itself (their counts would be returned as
-            # the "total").  Fail loudly instead.
-            raise TypeError(
-                f"hot_key_histogram(with_total=True) requires a signed "
-                f"integer key column; {key_col!r} has dtype {k.dtype} "
-                "(use an int64 sort-key view for cell ids)"
-            )
         uk, counts = np.unique(k, return_counts=True)
         if len(uk) > top_n:
             idx = np.argpartition(-counts, top_n)[:top_n]
             uk, counts = uk[idx], counts[idx]
-        if with_total:
-            uk = np.concatenate([uk, [total_sentinel]]).astype(np.int64)
-            counts = np.concatenate([counts, [batch.num_rows]])
         return pa.table({key_col: uk, "n": counts.astype(np.int64)})
 
     def truncate(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= keep_n:
+        if batch.num_rows <= top_n:
             return batch
         n = batch["n"].to_numpy(zero_copy_only=False)
-        idx = np.argpartition(-n, keep_n)[:keep_n]
+        idx = np.argpartition(-n, top_n)[:top_n]
         return batch.take(pa.array(np.sort(idx)))
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
@@ -638,9 +657,7 @@ def hot_key_histogram(ds, key_col: str, top_n: int = 64,
         partials, key_col, {"n": "sum"}, finish=truncate
     ).take_all()
     out = {row[key_col]: row["n"] for row in rows}
-    total = out.pop(total_sentinel, 0) if with_total else None
-    hist = dict(sorted(out.items(), key=lambda kv: -kv[1])[:top_n])
-    return (hist, total) if with_total else hist
+    return dict(sorted(out.items(), key=lambda kv: -kv[1])[:top_n])
 
 
 def salted_cell_key(tile_sort_keys: np.ndarray, row_hash: np.ndarray,

@@ -18,9 +18,10 @@ A region is anything with `contains_points(pts) -> bool`: a Polygon, or
 a buffered polygon / polyline (stages/distance.buffered, the distance-r
 and route-buffer joins), so one stage serves every broadcast region join.
 
-Shuffle path (pipelines/pip_shuffle.py): explode polygon coverings at
-level K -> equi-join on the covering tile -> the same `refine` — for
-layers too large to broadcast.
+Shuffle path (pipelines/pip_shuffle.py), for layers too large to
+broadcast: the candidate points are range-partitioned on their leaf ids
+(bounds from leaf-id quantiles), and each partition runs this `PIPJoin`
+over the regions whose coverings meet its range.
 
 Modes: inner (emit (key, region id) match rows), semi (keep matching
 points), anti (keep non-matching points).

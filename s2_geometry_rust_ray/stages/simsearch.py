@@ -270,7 +270,7 @@ def ann_topk_ivf(ds, queries: np.ndarray, query_ids: np.ndarray, centroids,
     tradeoff).  This form prunes COMPUTE only — at scale, build the
     bucket-partitioned index once (build_ivf_index) and query it with
     ann_topk_ivf_indexed, which prunes the READ to the probed bucket
-    directories (identical output)."""
+    directories (the same vec ids, see there)."""
     return _scan_topk(ds, queries, query_ids, k, merge, COSINE,
                       _ivf_probe(queries, centroids, nprobe))
 
@@ -298,8 +298,11 @@ def ann_topk_ivf_indexed(index_dir: str, queries: np.ndarray,
     compute pruning.  The union of every query's nprobe nearest buckets
     selects which partition DIRECTORIES are read at all; the per-query
     nprobe restriction (and the exact per-row bucket re-derivation, the
-    same argmax the writer ran) then runs inside the scan as before, so
-    the output is identical to ann_topk_ivf over the full table."""
+    same argmax the writer ran) then runs inside the scan as before.  So
+    the output has ann_topk_ivf's vec id at every (query, rank), and its
+    cosines equal ann_topk_ivf's up to float32 matmul rounding: BLAS
+    summation order depends on the batch's row count, and this read cuts
+    different batches (at sf0.01 two cosines differ in their low bits)."""
     import os
 
     import ray.data

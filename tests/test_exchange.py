@@ -19,6 +19,23 @@ def test_hash_part_partitions_all_rows():
     assert len(nonempty) == 1
 
 
+def _part_ids(parts, keys) -> list[int]:
+    """The partition of each key in `keys`, from `_hash_part` output."""
+    where = {k: p for p, part in enumerate(parts) for k in part["k"].to_pylist()}
+    return [where[k] for k in keys]
+
+
+def test_hash_part_integer_placement_golden():
+    """Integer hash placement is pinned bit for bit: sessions and the
+    tile_encode hash final depend on which partition each key meets."""
+    k = np.arange(0, 2**40, 2**35 + 12345, dtype=np.int64)[:24]
+    t = pa.table({"k": k, "w": np.arange(24, dtype=np.int64) % 3})
+    assert _part_ids(exchange._hash_part(t, "k", 5), k.tolist()) == [
+        0, 2, 4, 2, 4, 1, 3, 0, 3, 0, 2, 0, 1, 4, 1, 3, 1, 3, 0, 2, 4, 2, 4, 1]
+    assert _part_ids(exchange._hash_part(t, ["k", "w"], 5), k.tolist()) == [
+        0, 1, 2, 2, 3, 4, 3, 4, 1, 0, 1, 3, 1, 3, 4, 3, 0, 1, 0, 1, 2, 2, 3, 4]
+
+
 def test_hash_join_matches_pandas(ray_session):
     import pandas as pd
     import ray.data
@@ -523,7 +540,6 @@ def test_grouped_ops_on_empty_input(ray_session, executors, op, final, inp):
             assert b.schema.equals(schema), (b.schema, schema)
     elif op == "hot_key_histogram":
         assert exchange.hot_key_histogram(ds, "k") == {}
-        assert exchange.hot_key_histogram(ds, "k", with_total=True) == ({}, 0)
     elif final == "bogus":
         with pytest.raises(ValueError, match="bogus"):
             _AGG_OPS[op](ds, final)
@@ -570,105 +586,6 @@ def test_lsh_ops_on_empty_input(ray_session, executors, op, inp):
     schema = pa.schema([("doc_a", _I64), ("doc_b", _I64)])
     for b in blocks:
         assert b.schema.equals(schema), (b.schema, schema)
-
-
-def test_shuffle_pip_salted_matches_unsalted(ray_session):
-    """Uniform tile salting must be output-invariant (the skew path), and
-    a pretagged skewed corpus (~25% of points in one urban tile) must
-    produce identical results at salt=1 and salt=8."""
-    import pandas as pd
-    import ray.data
-    from s2_geometry_rust_ray.pipelines import pip as ppip
-    from s2_geometry_rust_ray.pipelines import pip_shuffle
-
-    layer = ppip.standard_polygon_layer()
-    rng = np.random.default_rng(11)
-    n = 4000
-    hot = n // 4
-    # 25% of points clustered inside urban cluster 0 (40.75, -74), the
-    # rest spread wide
-    lat = np.concatenate([
-        40.75 + rng.uniform(-0.05, 0.05, hot),
-        rng.uniform(-60, 60, n - hot),
-    ])
-    lng = np.concatenate([
-        -74.0 + rng.uniform(-0.05, 0.05, hot),
-        rng.uniform(-179, 179, n - hot),
-    ])
-    df = pd.DataFrame({"k": np.arange(n, dtype=np.int64),
-                       "lat": lat, "lng": lng})
-    outs = {}
-    for salt in (1, 8):
-        ds = ray.data.from_pandas(df).repartition(4)
-        out = pip_shuffle.shuffle_pip_join(
-            ds, "k", layer, level=7, num_parts=4, salt=salt,
-            pretagged=True,
-        ).to_pandas()
-        outs[salt] = out.sort_values(["k", "polygon_id"]).reset_index(
-            drop=True
-        )
-    assert len(outs[1]) > 0
-    assert outs[1].equals(outs[8])
-
-    # salt="auto": the hot cluster must trigger per-tile salting and the
-    # output must stay identical to the unsalted run
-    ds = ray.data.from_pandas(df).repartition(4)
-    auto_out = pip_shuffle.shuffle_pip_join(
-        ds, "k", layer, level=7, num_parts=4, salt="auto",
-        pretagged=True, hot_factor=0.5,
-    ).to_pandas().sort_values(["k", "polygon_id"]).reset_index(drop=True)
-    assert outs[1].equals(auto_out)
-
-
-def test_covering_tiles_grid_bounds_snake_polygons(ray_session):
-    """A thin spiral polygon (candy_cane) whose covering sits at coarse
-    levels must NOT explode into level-K descendants: the grid-coarsened
-    tile table stays covering-sized (was 69k rows x pickled geometry
-    before the grid fix), and the shuffle join still matches the
-    broadcast join exactly on a corpus straddling the spiral."""
-    import pandas as pd
-    import ray.data
-    from s2_geometry_rust_ray.geometry import fixtures
-    from s2_geometry_rust_ray.pipelines import pip_shuffle
-
-    def as_loops(coords):
-        return [([c[0] for c in coords], [c[1] for c in coords])]
-
-    layer = {"candy": as_loops(fixtures.LOOP_COORDS_DEG["candy_cane"]),
-             "box": as_loops([(30, 10), (30, 30), (50, 30), (50, 10)])}
-    tiles = pip_shuffle.covering_tiles(layer, 8, with_geometry=True)
-    assert tiles.num_rows <= 256, tiles.num_rows
-    assert tiles.nbytes < 2_000_000, tiles.nbytes
-
-    rng = np.random.default_rng(7)
-    n = 3000
-    df = pd.DataFrame({
-        "k": np.arange(n, dtype=np.int64),
-        "lat": rng.uniform(-30, 55, n),
-        "lng": rng.uniform(-179, 179, n),
-    })
-    ds = ray.data.from_pandas(df).repartition(4)
-    shuf = pip_shuffle.shuffle_pip_join(
-        ds, "k", layer, level=8, num_parts=4, pretagged=True
-    ).to_pandas()
-    a = shuf.sort_values(["k", "polygon_id"]).reset_index(drop=True)
-
-    # driver-side exact oracle: contains_points per polygon
-    from s2_geometry_rust_ray.functions.coords import latlng_deg_to_xyz
-    from s2_geometry_rust_ray.geometry.loop import Polygon
-
-    x, y, z = latlng_deg_to_xyz(df["lat"].values, df["lng"].values)
-    pts = np.stack([x, y, z], axis=-1)
-    rows = []
-    for pid, loops in layer.items():
-        inside = Polygon.from_loops_latlng_deg(loops).contains_points(pts)
-        for k in df["k"].values[inside]:
-            rows.append((int(k), pid))
-    b = pd.DataFrame(rows, columns=["k", "polygon_id"]).sort_values(
-        ["k", "polygon_id"]
-    ).reset_index(drop=True)
-    assert len(a) > 0
-    assert a.equals(b)
 
 
 def test_broadcast_join_matches_pyarrow_join(ray_session):
@@ -757,45 +674,6 @@ def test_hash_join_zero_block_sides(ray_session, executors):
                                    how="left")) == 0
 
 
-def test_shuffle_pip_join_empty_layer_salted(ray_session):
-    """An empty polygon layer with salting must return an empty result,
-    not crash in the tile replication."""
-    import pandas as pd
-    import ray.data
-
-    from s2_geometry_rust_ray.pipelines import pip_shuffle
-
-    df = pd.DataFrame({"k": np.arange(10, dtype=np.int64),
-                       "lat": np.zeros(10), "lng": np.zeros(10)})
-    ds = ray.data.from_pandas(df)
-    out = pip_shuffle.shuffle_pip_join(
-        ds, "k", {}, level=8, num_parts=2, salt=8, pretagged=True
-    )
-    assert out.count() == 0
-
-
-@pytest.mark.parametrize("salt", [1, 8, "auto"])
-@pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
-def test_shuffle_pip_join_on_empty_input(ray_session, executors, inp, salt):
-    """A zero-block or all-filtered point input leaves the point
-    partitions without columns; the refine must return 0 rows (key,
-    polygon_id), in a computed dataset, instead of looking up the key
-    column's type in them."""
-    import ray.data
-
-    from s2_geometry_rust_ray.pipelines import pip as ppip
-    from s2_geometry_rust_ray.pipelines import pip_shuffle
-
-    src = ray.data.from_arrow(pa.table({
-        "doc_id": np.arange(1000, dtype=np.int64)})).repartition(3)
-    out = pip_shuffle.shuffle_pip_join(
-        _EMPTY_INPUTS[inp](src), "doc_id", ppip.standard_polygon_layer(),
-        num_parts=2, salt=salt)
-    blocks = executors.fetch(out)
-    assert blocks and sum(b.num_rows for b in blocks) == 0
-    assert all(b.column_names == ["doc_id", "polygon_id"] for b in blocks)
-
-
 def test_hash_part_composite_key_spreads_low_card_leading_key():
     """Hash partitioning on a composite key must spread by the JOINT
     cardinality: a 2-value leading key over 1000 windows must fill (far)
@@ -836,113 +714,175 @@ def test_broadcast_join_column_collision_raises(ray_session):
         ).materialize()
 
 
-def test_drop_contained_precision_no_float_collapse():
-    """A descendant sharing range_min with its ancestor differs in
-    range_max by a few ulps of nothing at int64 scale but far below
-    float64's 53-bit mantissa at ~2^62 — the sweep must still drop it."""
-    from s2_geometry_rust_ray.functions import cellid
-    from s2_geometry_rust_ray.pipelines.pip_shuffle import _drop_contained
+def _broadcast_rows(df, key_col: str, layer) -> set:
+    """(key, polygon_id) rows of the broadcast PIPJoin over a pretagged
+    frame, run in the driver."""
+    from s2_geometry_rust_ray.stages import pip as pip_stages
 
-    leaf = cellid.from_latlng_deg(np.array([10.0]), np.array([20.0]))
-    parent = cellid.parent(leaf, 29)
-    child = cellid.range_min(parent)  # first leaf: shares range_min
-    # descendant FIRST in input order: the old float64 sort collapsed the
-    # rmax tie and kept both
-    ids = np.concatenate([np.atleast_1d(child).astype(np.uint64),
-                          np.atleast_1d(parent).astype(np.uint64)])
-    kept = _drop_contained(ids)
-    assert len(kept) == 1 and kept[0] == np.atleast_1d(parent)[0]
+    out = pip_stages.PIPJoin(pip_stages.prepare_layer(layer), key_col)(
+        pa.Table.from_pandas(df, preserve_index=False))
+    return set(zip(out[key_col].to_pylist(), out["polygon_id"].to_pylist()))
 
 
-def test_hot_key_histogram_with_total(ray_session):
-    """with_total=True returns the exact total row count from the same
-    single pass (sentinel-row tree reduce), and the sentinel never leaks
-    into the histogram."""
-    import ray.data
+def _rows(ds, key_col: str) -> set:
+    import ray
 
-    k = np.concatenate([np.full(900, 7), np.arange(100)]).astype(np.int64)
-    ds = ray.data.from_arrow(pa.table({"k": k})).repartition(4)
-    hist, total = exchange.hot_key_histogram(ds, "k", top_n=3,
-                                             with_total=True)
-    assert total == 1000
-    assert max(hist, key=hist.get) == 7 and hist[7] == 901
-    assert -(1 << 63) not in hist
-
-    # degenerate: ONE key holds every row (count ties the sentinel) —
-    # both must survive the keep_n truncation
-    one = ray.data.from_arrow(
-        pa.table({"k": np.full(50, 3, dtype=np.int64)})
-    ).repartition(2)
-    hist1, total1 = exchange.hot_key_histogram(one, "k", top_n=1,
-                                               with_total=True)
-    assert total1 == 50 and hist1 == {3: 50}
+    out = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    return set(zip(out[key_col].to_pylist(), out["polygon_id"].to_pylist()))
 
 
-def test_shuffle_pip_auto_sampled_histogram(ray_session):
-    """salt='auto' must stay output-invariant with the sampled histogram
-    pass, at a sampling fraction small enough to miss tiles (1/8) AND at
-    full sampling (1,1) which deterministically triggers the hot-tile
-    salting — and the pipeline must not materialize the candidate set."""
+def _hot_cluster(key: str):
+    """4,000 pretagged points, 25% of them within 0.05 deg of urban
+    cluster 0 (40.75, -74), the rest spread wide; int or string keys."""
     import pandas as pd
+
+    rng = np.random.default_rng(11)
+    n, hot = 4000, 1000
+    lat = np.concatenate([40.75 + rng.uniform(-0.05, 0.05, hot),
+                          rng.uniform(-60, 60, n - hot)])
+    lng = np.concatenate([-74.0 + rng.uniform(-0.05, 0.05, hot),
+                          rng.uniform(-179, 179, n - hot)])
+    k = (np.arange(n, dtype=np.int64) if key == "int"
+         else [f"img-{i:06d}" for i in range(n)])
+    return pd.DataFrame({"k": k, "lat": lat, "lng": lng})
+
+
+@pytest.mark.parametrize("num_parts", [1, 4])
+@pytest.mark.parametrize("key", ["int", "str"])
+def test_shuffle_pip_hot_cluster_matches_broadcast(ray_session, monkeypatch,
+                                                   key, num_parts):
+    """On a hot-cluster corpus the shuffle join gives the broadcast join's
+    (key, polygon_id) rows, and the leaf-quantile ranges balance the
+    candidates: the largest partition holds <= 2x the median's rows (a
+    level-7 tile hash sent all of them to one partition)."""
+    import ray
     import ray.data
+
     from s2_geometry_rust_ray.pipelines import pip as ppip
     from s2_geometry_rust_ray.pipelines import pip_shuffle
 
     layer = ppip.standard_polygon_layer()
-    rng = np.random.default_rng(23)
+    df = _hot_cluster(key)
+    sizes = []
+    co_partition = exchange.co_partition
+
+    def spy(sides, num_parts, fn, pinned=None):
+        [(points, part, _)] = sides
+        for b in ray.get(exchange.block_refs(points)):
+            sizes.append([t.num_rows for t in exchange._hash_part(b, part, num_parts)])
+        return co_partition(sides, num_parts, fn, pinned)
+
+    monkeypatch.setattr(exchange, "co_partition", spy)
+    out = pip_shuffle.shuffle_pip_join(
+        ray.data.from_pandas(df).repartition(4), "k", layer,
+        num_parts=num_parts, pretagged=True)
+    want = _broadcast_rows(df, "k", layer)
+    assert len(want) > 0
+    assert _rows(out, "k") == want
+    per_part = np.sum(sizes, axis=0)
+    assert per_part.sum() >= len({k for k, _ in want})
+    assert per_part.max() <= 2 * np.median(per_part), per_part
+
+
+def test_shuffle_pip_snake_polygons_match_contains_points(ray_session):
+    """A thin spiral polygon (candy_cane) whose covering sits at coarse
+    levels: the shuffle join over a corpus straddling the spiral gives
+    exactly the driver-side contains_points rows, which are the broadcast
+    join's rows."""
+    import pandas as pd
+    import ray.data
+
+    from s2_geometry_rust_ray.functions.coords import latlng_deg_to_xyz
+    from s2_geometry_rust_ray.geometry import fixtures
+    from s2_geometry_rust_ray.geometry.loop import Polygon
+    from s2_geometry_rust_ray.pipelines import pip_shuffle
+
+    def as_loops(coords):
+        return [([c[0] for c in coords], [c[1] for c in coords])]
+
+    layer = {"candy": as_loops(fixtures.LOOP_COORDS_DEG["candy_cane"]),
+             "box": as_loops([(30, 10), (30, 30), (50, 30), (50, 10)])}
+    rng = np.random.default_rng(7)
     n = 3000
-    hot = n // 3
-    lat = np.concatenate([40.75 + rng.uniform(-0.05, 0.05, hot),
-                          rng.uniform(-60, 60, n - hot)])
-    lng = np.concatenate([-74.0 + rng.uniform(-0.05, 0.05, hot),
-                          rng.uniform(-179, 179, n - hot)])
-    df = pd.DataFrame({"k": np.arange(n, dtype=np.int64),
-                       "lat": lat, "lng": lng})
+    df = pd.DataFrame({
+        "k": np.arange(n, dtype=np.int64),
+        "lat": rng.uniform(-30, 55, n),
+        "lng": rng.uniform(-179, 179, n),
+    })
+    got = _rows(pip_shuffle.shuffle_pip_join(
+        ray.data.from_pandas(df).repartition(4), "k", layer, num_parts=4,
+        pretagged=True), "k")
 
-    def run(salt, hist_sample=(1, 8)):
-        ds = ray.data.from_pandas(df).repartition(4)
-        return pip_shuffle.shuffle_pip_join(
-            ds, "k", layer, level=7, num_parts=4, salt=salt,
-            pretagged=True, hot_factor=0.5, hist_sample=hist_sample,
-        ).to_pandas().sort_values(["k", "polygon_id"]).reset_index(
-            drop=True)
-
-    base = run(1)
-    assert len(base) > 0
-    assert base.equals(run("auto", (1, 8)))
-    assert base.equals(run("auto", (1, 1)))
+    pts = np.stack(latlng_deg_to_xyz(df["lat"].values, df["lng"].values), axis=-1)
+    want = set()
+    for pid, loops in layer.items():
+        inside = Polygon.from_loops_latlng_deg(loops).contains_points(pts)
+        want |= {(int(k), pid) for k in df["k"].values[inside]}
+    assert {pid for _, pid in want} == {"candy", "box"}
+    assert got == want == _broadcast_rows(df, "k", layer)
 
 
-def test_shuffle_pip_auto_string_keys(ray_session):
-    """String point keys through the salted path: the salt hash must fall
-    back to pd.util.hash_array (the integer multiply-shift would raise
-    inside add_part_key exactly when a hot tile is detected — a
-    data-dependent crash).  Output must match salt=1."""
+def test_shuffle_pip_join_empty_layer(ray_session, executors):
+    """An empty region layer gives 0 rows (k, polygon_id) in a computed
+    dataset."""
     import pandas as pd
     import ray.data
+
+    from s2_geometry_rust_ray.pipelines import pip_shuffle
+
+    df = pd.DataFrame({"k": np.arange(10, dtype=np.int64),
+                       "lat": np.zeros(10), "lng": np.zeros(10)})
+    out = pip_shuffle.shuffle_pip_join(
+        ray.data.from_pandas(df), "k", {}, num_parts=2, pretagged=True)
+    blocks = executors.fetch(out)
+    assert blocks and sum(b.num_rows for b in blocks) == 0
+    assert all(b.column_names == ["k", "polygon_id"] for b in blocks)
+
+
+@pytest.mark.parametrize("num_parts", [1, 8, None], ids=["1", "8", "auto"])
+@pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
+def test_shuffle_pip_join_on_empty_input(ray_session, executors, inp, num_parts):
+    """A zero-block or all-filtered point input, at one, several or the
+    default (None) number of partitions, leaves the point partitions
+    without columns; the join must return 0 rows (key, polygon_id), in a
+    computed dataset, instead of looking up the key column's type in
+    them."""
+    import ray.data
+
     from s2_geometry_rust_ray.pipelines import pip as ppip
     from s2_geometry_rust_ray.pipelines import pip_shuffle
 
-    layer = ppip.standard_polygon_layer()
-    rng = np.random.default_rng(31)
-    n = 1500
-    hot = n // 3
-    lat = np.concatenate([40.75 + rng.uniform(-0.05, 0.05, hot),
-                          rng.uniform(-60, 60, n - hot)])
-    lng = np.concatenate([-74.0 + rng.uniform(-0.05, 0.05, hot),
-                          rng.uniform(-179, 179, n - hot)])
-    df = pd.DataFrame({"k": [f"img-{i:06d}" for i in range(n)],
-                       "lat": lat, "lng": lng})
+    src = ray.data.from_arrow(pa.table({
+        "doc_id": np.arange(1000, dtype=np.int64)})).repartition(3)
+    out = pip_shuffle.shuffle_pip_join(
+        _EMPTY_INPUTS[inp](src), "doc_id", ppip.standard_polygon_layer(),
+        num_parts=num_parts)
+    blocks = executors.fetch(out)
+    assert blocks and sum(b.num_rows for b in blocks) == 0
+    assert all(b.column_names == ["doc_id", "polygon_id"] for b in blocks)
 
-    def run(salt):
-        ds = ray.data.from_pandas(df).repartition(4)
-        return pip_shuffle.shuffle_pip_join(
-            ds, "k", layer, level=7, num_parts=4, salt=salt,
-            pretagged=True, hot_factor=0.5, hist_sample=(1, 1),
-        ).to_pandas().sort_values(["k", "polygon_id"]).reset_index(
-            drop=True)
 
-    base = run(1)
-    assert len(base) > 0
-    assert base.equals(run("auto"))
-    assert base.equals(run(8))
+def test_attach_pair_payloads_runs_source_once(ray_session, executors):
+    """Both payload joins read one projection of the source: a lazy
+    source's plan runs once, and the output is the pair table with
+    payload_a and payload_b attached by id."""
+    import ray.data
+
+    n = 60
+    src = ray.data.from_arrow(pa.table({
+        "doc_id": np.arange(n, dtype=np.int64),
+        "text": pa.array([f"t{i}" for i in range(n)]),
+    })).repartition(3).map_batches(lambda b: b, batch_format="pyarrow")
+    rng = np.random.default_rng(2)
+    a = rng.integers(0, n + 5, 200)  # some ids miss the source
+    b = rng.integers(0, n + 5, 200)
+    cand = exchange.as_dataset(pa.table({"doc_a": a, "doc_b": b}))
+    before = executors.started
+    out = pa.concat_tables(executors.fetch(exchange.attach_pair_payloads(
+        cand, src, "doc_id", "text", "doc_a", "doc_b", 4)))
+    assert executors.started - before <= 1
+    assert out.column_names == ["doc_a", "doc_b", "text_a", "text_b"]
+    want = sorted((int(x), int(y), f"t{x}", f"t{y}")
+                  for x, y in zip(a, b) if x < n and y < n)
+    got = sorted(zip(*(out[c].to_pylist() for c in out.column_names)))
+    assert got == want

@@ -92,45 +92,21 @@ def test_sample_by_hash_thresholds_nest(keys, f1, f2):
     assert keep_lo <= keep_hi
 
 
-@settings(max_examples=40, deadline=None)
-@given(keys=st.lists(st.integers(min_value=-(2**62), max_value=2**62),
-                     min_size=1, max_size=400))
-def test_key_hash_deterministic_and_string_parity(keys):
-    """pip_shuffle._key_hash: stable across calls, defined for int64 AND
-    string keys (the salted path's crash class), and spreads values
-    (not constant) for non-trivial inputs."""
-    from s2_geometry_rust_ray.pipelines.pip_shuffle import _key_hash
-
-    k = np.array(keys, dtype=np.int64)
-    h1, h2 = _key_hash(k), _key_hash(k)
-    assert h1.dtype == np.uint64 and np.array_equal(h1, h2)
-    s = np.array([f"k-{v}" for v in keys], dtype=object)
-    sh1, sh2 = _key_hash(s), _key_hash(s)
-    assert sh1.dtype == np.uint64 and np.array_equal(sh1, sh2)
-    if len(set(keys)) > 50:  # enough distinct input to expect spread
-        assert len(set(h1.tolist())) > 1
-        assert len(set(sh1.tolist())) > 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(counts=st.lists(st.integers(min_value=1, max_value=50),
-                       min_size=1, max_size=40),
-       top_n=st.integers(min_value=1, max_value=8))
-def test_hot_key_histogram_partial_total_invariant(counts, top_n):
-    """The with_total sentinel-row partial: per-block totals must sum to
-    the exact row count regardless of truncation, and the sentinel can
-    never collide with a real key (block-level invariant of
-    exchange.hot_key_histogram, checked without a Ray session by
-    replicating the partial's arithmetic)."""
-    sentinel = -(1 << 63)
-    keys = np.repeat(np.arange(len(counts), dtype=np.int64),
-                     np.array(counts))
-    uk, c = np.unique(keys, return_counts=True)
-    if len(uk) > top_n:
-        idx = np.argpartition(-c, top_n)[:top_n]
-        uk, c = uk[idx], c[idx]
-    uk2 = np.concatenate([uk, [sentinel]]).astype(np.int64)
-    c2 = np.concatenate([c, [len(keys)]])
-    assert sentinel not in set(uk.tolist())
-    assert c2[-1] == sum(counts)  # the sentinel row carries the block total
-    assert c2[-1] >= c2[:-1].max()  # sentinel survives any top-k cut
+@settings(max_examples=50, deadline=None)
+@given(keys=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=300),
+       bounds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=8),
+       extra=st.integers(min_value=0, max_value=3))
+def test_range_part_is_an_ordered_partition(keys, bounds, extra):
+    """A `Ranges` split keeps every row once, and partition p holds
+    exactly the keys in [bounds[p - 1], bounds[p]), for any sorted uint64
+    bounds (repeated, or fewer than num_parts - 1)."""
+    k = np.array(keys, dtype=np.uint64)
+    b = np.sort(np.array(bounds, dtype=np.uint64))
+    num_parts = len(bounds) + 1 + extra
+    t = pa.table({"k": k, "i": np.arange(len(k), dtype=np.int64)})
+    parts = exchange._hash_part(t, exchange.Ranges("k", b), num_parts)
+    assert len(parts) == num_parts
+    assert sorted(i for p in parts for i in p["i"].to_pylist()) == list(range(len(k)))
+    edges = [0] + [int(x) for x in b] + [2**64] * (extra + 1)
+    for p, part in enumerate(parts):
+        assert all(edges[p] <= v < edges[p + 1] for v in part["k"].to_pylist())

@@ -117,10 +117,30 @@ def test_ann_ivf_recall(ray_session):
     assert np.mean(rec) >= 0.6, rec
 
 
+def _assert_ivf_indexed_matches(full, indexed):
+    """The same vec id at every (query, rank), and cosines equal up to
+    float32 matmul rounding: a 64-term float32 dot of unit vectors summed
+    in another order moves by a few float32 ulps of 1."""
+    full = full.sort_values(["query_id", "rank"]).reset_index(drop=True)
+    indexed = indexed.sort_values(["query_id", "rank"]).reset_index(drop=True)
+    assert len(full) > 0
+    for c in ["query_id", "rank", "vec_id"]:
+        assert np.array_equal(full[c].values, indexed[c].values), c
+    diff = np.abs(full["cosine"].values - indexed["cosine"].values)
+    assert diff.max() <= 8 * np.finfo(np.float32).eps, diff.max()
+
+
 def test_ann_ivf_indexed_matches_unindexed(ray_session, tmp_path):
-    """The bucket-partitioned index path must return EXACTLY the rows of
-    the full-scan IVF path (same probe set, same per-row bucket argmax,
-    same float dots — only the I/O is pruned)."""
+    """The bucket-partitioned index path returns the full-scan IVF path's
+    rows (same probe set, same per-row bucket argmax; only the I/O is
+    pruned) up to float32 rounding of the cosines: the scan's BLAS
+    summation order depends on the batch's row count, and the indexed
+    read cuts different batches.  Checked here at sf0.001, and through
+    the two driver queries on the sf0.01 documents, where two cosines
+    differ in their low bits."""
+    import importlib
+    import os
+
     import ray.data
 
     from s2_geometry_rust_ray.stages import simsearch
@@ -132,23 +152,22 @@ def test_ann_ivf_indexed_matches_unindexed(ray_session, tmp_path):
     q = rng.normal(size=(5, 64)).astype("float32")
     ds = ray.data.read_parquet(f"{SF}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
-    full = simsearch.ann_topk_ivf(
-        ds, q, np.arange(5), cent, k=10, nprobe=4
-    ).to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
+    full = simsearch.ann_topk_ivf(ds, q, np.arange(5), cent, k=10, nprobe=4)
 
     idx_dir = str(tmp_path / "ivf_idx")
     ds2 = ray.data.read_parquet(f"{SF}/embeddings.parquet",
                                 columns=["vec_id", "embedding"])
     simsearch.build_ivf_index(ds2, cent, idx_dir)
     # only probed bucket dirs should be read; assert the layout exists
-    import os
     assert any(d.startswith("ivf_bucket=") for d in os.listdir(idx_dir))
     indexed = simsearch.ann_topk_ivf_indexed(
-        idx_dir, q, np.arange(5), cent, k=10, nprobe=4
-    ).to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
-    assert np.array_equal(full["vec_id"].values, indexed["vec_id"].values)
-    assert np.array_equal(full["query_id"].values, indexed["query_id"].values)
-    assert np.allclose(full["cosine"].values, indexed["cosine"].values)
+        idx_dir, q, np.arange(5), cent, k=10, nprobe=4)
+    _assert_ivf_indexed_matches(full.to_pandas(), indexed.to_pandas())
+
+    queries = importlib.import_module("__ray_entry__").queries()
+    sf = SF.replace("sf0.001", "sf0.01")
+    _assert_ivf_indexed_matches(queries["ann_ivf_topk"](sf).to_pandas(),
+                                queries["ann_ivf_indexed_topk"](sf))
 
 
 def test_window_counts_total(ray_session):
