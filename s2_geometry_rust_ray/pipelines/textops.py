@@ -679,14 +679,14 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
     suffix_bits = 64 - b
     mask = np.uint64((1 << suffix_bits) - 1)
 
-    from ..functions.hashing import splitmix64
+    from ..functions.hashing import key_hash
 
     def to_regs(batch: pa.Table) -> pa.Table:
-        u = batch[val_col].to_numpy(zero_copy_only=False)
-        # splitmix64, not a single multiplicative hash: see
-        # functions/hashing.py (a Fibonacci hash caps the leading-zero
-        # ranks of sequential ids — HLL measured 53% low at n=47k)
-        h = splitmix64(u)
+        # splitmix64 for an integer value, not a single multiplicative
+        # hash: see functions/hashing.py (a Fibonacci hash caps the
+        # leading-zero ranks of sequential ids — HLL measured 53% low at
+        # n=47k)
+        h = key_hash(batch[val_col])
         bucket = (h >> np.uint64(suffix_bits)).astype(np.int64)
         suffix = h & mask
         # bit_length via frexp is EXACT for suffix < 2^53 (the f64
@@ -737,23 +737,24 @@ def hll_estimate(hist, b: int = 12) -> dict:
 def sample_by_hash(ds, key_col: str, frac: float, num: int | None = None,
                    den: int | None = None):
     """Deterministic, reproducible sampling: keep rows where
-    splitmix64(key) < frac * 2^64 — the same keys survive on every run,
+    key_hash(key) < frac * 2^64 — the same keys survive on every run,
     any engine, any partitioning (the fixture-sampling primitive for
     100 TB pipelines: sample once, join debug runs against it later).
     Pass num/den to pin an exact rational fraction (frac is then
     ignored); the threshold floor(2^64 * num / den) is computed in exact
     integer arithmetic so the SQL twin matches bit-exactly.
 
-    String keys are hashed with pd.util.hash_array (stable across
-    workers and runs, unlike builtin hash) — deterministic WITHIN this
-    engine but with no SQL twin; the bit-exact oracle contract applies
-    to integer keys only.  Float keys (what Arrow hands back for
+    `functions/hashing.key_hash` is splitmix64 for an integer key, which
+    `sql_splitmix64_ctes` reproduces in DuckDB.  A string key goes through
+    the engine's string hash (a splitmix64 fold over its UTF-8 bytes): the
+    same on every worker, run and library version, but with no SQL twin
+    yet.  A null key is never kept.  Float keys (what pandas hands back for
     nullable ints) are rejected: ids >= 2^53 would round BEFORE hashing
-    and NaN->uint64 is undefined, both silently breaking the same-keys
+    and NaN has no integer value, both silently breaking the same-keys
     guarantee."""
     import pyarrow as pa
 
-    from ..functions.hashing import splitmix64
+    from ..functions.hashing import key_hash
 
     if (num is None) != (den is None):
         raise ValueError("pass BOTH num and den (or neither)")
@@ -766,18 +767,12 @@ def sample_by_hash(ds, key_col: str, frac: float, num: int | None = None,
     thr = np.uint64(((1 << 64) * num) // den)
 
     def fn(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        if k.dtype.kind in "iu":
-            h = splitmix64(k)
-        elif k.dtype.kind in "OUS":
-            import pandas as pd
-
-            h = pd.util.hash_array(np.asarray(k)).astype(np.uint64)
-        else:
+        k = batch[key_col]
+        if pa.types.is_floating(k.type):
             raise TypeError(
-                f"sample_by_hash needs a non-null integer or string key "
-                f"column; got dtype {k.dtype} for {key_col!r}"
+                f"sample_by_hash needs an integer or string key column; "
+                f"got {k.type} for {key_col!r}"
             )
-        return batch.filter(pa.array(h < thr))
+        return batch.filter(pa.array(key_hash(k) < thr))
 
     return ds.map_batches(fn, batch_format="pyarrow")

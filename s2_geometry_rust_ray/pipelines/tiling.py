@@ -98,57 +98,6 @@ def face_histogram(ds: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
     return agg.reduce_by_key(partials, "face", ["n"])
 
 
-def tile_counts_salted(
-    ds: "ray.data.Dataset", key_col: str, level: int, salt: int = 8,
-    hot_top_n: int = 32, sample_frac: float = 0.05,
-) -> "ray.data.Dataset":
-    """Tile counts with explicit hot-key salting (north_rule skew handling):
-    a cheap histogram over a RANDOM SAMPLE finds the hottest tiles, the
-    partial-count key becomes tile | hash(row)%salt (low bits) for those,
-    the aggregate runs on the salted keys, and a second (tiny) reduce
-    un-salts.  Identical output to tile_counts — the hot-set only changes
-    the physical partitioning, never the result, so a sampled histogram is
-    exact.  Nothing is materialized: the sample pass re-derives the cheap
-    encode, and the main pass streams."""
-    from ..stages import exchange
-
-    def tiles_of(batch: pa.Table) -> pa.Table:
-        batch = geotag_and_encode(key_col)(batch)
-        cid = batch["cell_id"].to_numpy(zero_copy_only=False)
-        return pa.table({"tile": cellid.to_sort_key(cellid.parent(cid, level))})
-
-    sample = ds.random_sample(sample_frac, seed=17) if sample_frac < 1.0 else ds
-    hot = set(exchange.hot_key_histogram(
-        sample.map_batches(tiles_of, batch_format="pyarrow"), "tile",
-        top_n=hot_top_n,
-    ))
-
-    def salted_partials(batch: pa.Table) -> pa.Table:
-        batch = geotag_and_encode(key_col)(batch)
-        cid = batch["cell_id"].to_numpy(zero_copy_only=False)
-        tiles = cellid.to_sort_key(cellid.parent(cid, level))
-        skey = exchange.salted_cell_key(tiles, cid, hot, salt)
-        uniq, counts = np.unique(skey, return_counts=True)
-        return pa.table({"skey": uniq, "n_partial": counts.astype(np.int64)})
-
-    partials = ds.map_batches(
-        salted_partials, batch_format="pyarrow", batch_size=131072
-    )
-
-    def unsalt(batch: pa.Table) -> pa.Table:
-        skey = agg.column(batch, "skey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"tile": skey & ~np.int64(salt - 1),
-             "n_partial": agg.column(batch, "n_partial")}
-        )
-
-    salted = agg.reduce_by_key(partials, "skey", ["n_partial"], finish=unsalt)
-    return agg.reduce_by_key(
-        salted, "tile", ["n_partial"],
-        finish=tokenize("tile", "tile_token", {"n_partial": "n"}),
-    )
-
-
 def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
                num_parts: int | None = None) -> "ray.data.Dataset":
     """Per-tile BOUNDING-CAP aggregate (S2Cap::add_point folded in key

@@ -11,7 +11,7 @@ DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call:
      same combine (every combine is re-reducible), then an optional
      `finish` that runs INSIDE the final — in the last tree-merge task or
      in each hash-partition task — exactly once per key, so a caller's
-     output projection (tokenize, unsalt, truncate) costs no extra Ray
+     output projection (tokenize, truncate) costs no extra Ray
      Data execution:
 
      * ``final='tree'`` (default) — raw-Ray merge tasks, BRANCHING blocks

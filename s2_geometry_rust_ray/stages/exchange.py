@@ -1,4 +1,4 @@
-"""Co-partitioned exchange on raw Ray tasks, plus broadcast joins and salting.
+"""Co-partitioned exchange on raw Ray tasks, plus broadcast joins.
 
 WHY raw Ray here (the one deliberate drop below the Dataset API, per the
 mandate's escape hatch): Ray Data's groupby/aggregate combine runs ~20x
@@ -46,18 +46,19 @@ Driver discipline (the 100 TB rules):
     and a zero-block side contributes one schema-ful empty table, so
     partition fns and `as_dataset` never see inconsistent schemas.
 
-Key hashing is deterministic ACROSS PROCESSES: integer keys use a
-multiplicative hash; string/bytes/other keys use pandas' keyed siphash
-(`pd.util.hash_array`, fixed key) — NOT Python's builtin `hash`, whose
-PYTHONHASHSEED randomization would route the same key to different
-partitions in different Ray workers.
+Key hashing is `functions/hashing.key_hash`, read from the Arrow buffers:
+splitmix64 for integers (so a coarse S2 cell id, whose low bits are all
+zero, spreads like any other key), and a splitmix64 word fold for strings.
+It is the same in every process and on every pandas or Python version, so
+the same key meets the same partition in every Ray worker (Python's
+builtin `hash` is salted per process by PYTHONHASHSEED).
 
-Skew handling (north_rule "salting for hot cells"): `salted_cell_key`
-spreads a hot-key set over SALT sub-keys on the map side; mergeable
-aggregations un-salt in a second tiny pass.  A join whose key is ordered
-(a leaf cell id) takes range bounds from quantiles of its data instead:
-a hot spot gets narrow ranges, and each row still meets exactly one
-partition (pipelines/pip_shuffle.py).
+Skew: a grouped reduce's map-side combine sends a hot key at most one row
+per block (stages/agg.py); a join whose key is ordered (a leaf cell id)
+takes `Ranges` bounds from quantiles of its data, so a hot spot gets
+narrow ranges and each row still meets exactly one partition
+(pipelines/pip_shuffle.py); and `lsh_candidate_pairs` splits a hot LSH
+bucket into chunks paired in separate tasks.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
+
+from ..functions.hashing import key_hash
 
 
 def default_num_parts(min_parts: int = 8, per_cpu: int = 2) -> int:
@@ -121,26 +124,6 @@ def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_format="pyarrow",
     )
 
 
-def _hash_keys(k: np.ndarray) -> np.ndarray:
-    """uint64 hash of a key array, deterministic across processes.
-
-    The integer hash keeps bits 40-63 of k * C (C odd), so an integer key
-    with t >= 40 trailing zero bits hashes to an odd multiple of
-    2^(t - 40): such keys reach at most max(1, P / 2^(t - 39)) of a
-    power-of-two P partitions.  A level-L S2 cell id has 2 * (30 - L)
-    trailing zero bits, so cell ids at level <= 8 all land in ONE
-    partition for every power-of-two P <= 32 (level 9 reaches P / 8,
-    level 10 P / 2; 100k random points).  Coarse cell ids must not be
-    hash keys: range-partition them (`Ranges`)."""
-    if k.dtype.kind in "iu":
-        return (k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-    # strings / bytes / mixed: pandas keyed siphash (fixed key, no
-    # PYTHONHASHSEED dependence — safe for cross-worker co-partitioning)
-    import pandas as pd
-
-    return pd.util.hash_array(np.asarray(k, dtype=object), categorize=False)
-
-
 class Ranges(NamedTuple):
     """Range partitioner of a `co_partition` side: a row goes to partition
     ``searchsorted(bounds, row[col], side="right")``, so partition p holds
@@ -176,8 +159,7 @@ def _hash_part(table: pa.Table, key, num_parts: int) -> list[pa.Table]:
     else:
         h = np.zeros(table.num_rows, dtype=np.uint64)
         for c in _key_cols(key):
-            k = table[c].to_numpy(zero_copy_only=False)
-            h = h * np.uint64(0x100000001B3) + _hash_keys(k)
+            h = h * np.uint64(0x100000001B3) + key_hash(table[c])
         part = (h % np.uint64(num_parts)).astype(np.int64)
     order = np.argsort(part, kind="stable")
     bounds = np.searchsorted(part[order], np.arange(num_parts + 1))
@@ -234,8 +216,9 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
     `sides`: list of ``(Dataset, key, map_fn or None)``; key is a column
     name or a list of names (composite key, hash-partitioned) or a
     `Ranges`, and map_fn (a projection) runs in the split task.  Hashed
-    sides co-locate equal keys only if their key columns hash alike (same
-    dtypes and arity).  `tables` are
+    sides co-locate equal keys only if their key columns hash alike: the
+    same arity, and per column integers of any width or the same other
+    type (`functions/hashing.key_hash`).  `tables` are
     each side's partition, in `sides` order, then ``pinned[p]`` if
     `pinned` (num_parts ObjectRefs, e.g. a static table partitioned once
     and reused every round) is given.  A zero-block side contributes one
@@ -628,46 +611,3 @@ def topk_merge_partials(partials, merge_fn, merge: str = "single",
     return hash_exchange_apply(
         partials, key_col, default_num_parts(), merge_fn
     )
-
-
-def hot_key_histogram(ds, key_col: str, top_n: int = 64):
-    """Cheap first-pass histogram for salting decisions: per-block top-N
-    partial counts -> distributed tree merge (stages/agg.reduce_by_key)
-    -> top-N truncation inside the last merge task.  The driver only ever
-    pulls <= top_n rows — no linear-in-num_blocks driver merge."""
-    from . import agg
-
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        uk, counts = np.unique(k, return_counts=True)
-        if len(uk) > top_n:
-            idx = np.argpartition(-counts, top_n)[:top_n]
-            uk, counts = uk[idx], counts[idx]
-        return pa.table({key_col: uk, "n": counts.astype(np.int64)})
-
-    def truncate(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= top_n:
-            return batch
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        idx = np.argpartition(-n, top_n)[:top_n]
-        return batch.take(pa.array(np.sort(idx)))
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    rows = agg.reduce_by_key(
-        partials, key_col, {"n": "sum"}, finish=truncate
-    ).take_all()
-    out = {row[key_col]: row["n"] for row in rows}
-    return dict(sorted(out.items(), key=lambda kv: -kv[1])[:top_n])
-
-
-def salted_cell_key(tile_sort_keys: np.ndarray, row_hash: np.ndarray,
-                    hot_keys: set, salt: int):
-    """Map-side salting for S2 cell sort keys: hot keys spread over `salt`
-    sub-keys.  A level-L cell id has 2*(30-L) zero bits below its lsb, so
-    hot tiles take the salt in the LOW bits (no overflow, order preserved
-    within a tile).  `salt` must be a power of
-    two well below the level's lsb.  Un-salt: key & ~(salt-1)."""
-    keys = np.asarray(tile_sort_keys, dtype=np.int64)
-    is_hot = np.isin(keys, np.fromiter(hot_keys, dtype=np.int64, count=len(hot_keys)))
-    s = (np.asarray(row_hash, dtype=np.uint64) % np.uint64(salt)).astype(np.int64)
-    return keys | np.where(is_hot, s, 0)

@@ -1,9 +1,10 @@
-"""Hash exchange / hash join / salting unit tests (stages/exchange.py)."""
+"""Hash exchange / hash join unit tests (stages/exchange.py)."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
+from s2_geometry_rust_ray.functions import cellid, geo
 from s2_geometry_rust_ray.pipelines import textops, tiling
 from s2_geometry_rust_ray.stages import agg, exchange, simsearch
 
@@ -31,9 +32,59 @@ def test_hash_part_integer_placement_golden():
     k = np.arange(0, 2**40, 2**35 + 12345, dtype=np.int64)[:24]
     t = pa.table({"k": k, "w": np.arange(24, dtype=np.int64) % 3})
     assert _part_ids(exchange._hash_part(t, "k", 5), k.tolist()) == [
-        0, 2, 4, 2, 4, 1, 3, 0, 3, 0, 2, 0, 1, 4, 1, 3, 1, 3, 0, 2, 4, 2, 4, 1]
+        0, 4, 2, 0, 4, 1, 2, 4, 2, 3, 4, 4, 2, 2, 2, 1, 0, 1, 2, 3, 1, 2, 3, 1]
     assert _part_ids(exchange._hash_part(t, ["k", "w"], 5), k.tolist()) == [
-        0, 1, 2, 2, 3, 4, 3, 4, 1, 0, 1, 3, 1, 3, 4, 3, 0, 1, 0, 1, 2, 2, 3, 4]
+        4, 0, 0, 2, 4, 4, 0, 1, 2, 0, 2, 0, 3, 2, 1, 3, 2, 4, 3, 4, 1, 2, 1, 4]
+
+
+def _tile_keys(keys: np.ndarray, level: int) -> np.ndarray:
+    """The level-`level` tile sort keys of the engine's hashed points."""
+    lat, lng = geo.derive_latlng(keys)
+    return cellid.to_sort_key(cellid.parent(cellid.from_latlng_deg(lat, lng), level))
+
+
+@pytest.mark.parametrize("level", [6, 7, 8])
+def test_hash_part_spreads_coarse_cell_keys(level):
+    """Coarse cell ids end in 2 * (30 - level) zero bits; their hash must
+    still reach every partition."""
+    t = pa.table({"k": _tile_keys(np.arange(10_000, dtype=np.int64), level)})
+    for num_parts in (4, 8, 16, 32):
+        parts = exchange._hash_part(t, "k", num_parts)
+        assert all(p.num_rows for p in parts), (level, num_parts)
+
+
+def test_coarse_tile_finals_run_in_several_partitions(ray_session):
+    """The level-8 tile count's hash final and the level-5 cap fold spread
+    over more than one partition, with the same output as the tree final
+    and the DuckDB twin."""
+    import duckdb
+    import ray.data
+
+    from s2_geometry_rust_ray.oracle import sql as osql
+
+    src = pa.table({"doc_id": np.arange(20_000, dtype=np.int64) * 7919})
+    ds = ray.data.from_arrow(src).repartition(4)
+
+    def rows(d, cols):
+        return d.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
+
+    hashed = tiling.tile_counts(ds, "doc_id", level=8, final="hash")
+    assert hashed.num_blocks() > 1
+    cols = ["tile_token", "n"]
+    assert rows(hashed, cols).equals(
+        rows(tiling.tile_counts(ds, "doc_id", level=8), cols))
+
+    caps = tiling.cap_bounds(ds, "doc_id", level=5, num_parts=8)
+    assert caps.num_blocks() > 1
+    cols = ["tile_token", "keep_key", "n", "r2"]
+    con = duckdb.connect()
+    con.register("src", src)
+    want = con.sql(osql.q_cap_bounds("SELECT doc_id FROM src", "doc_id", 5)).df()
+    got = rows(caps, cols)
+    want = want[cols].sort_values(cols).reset_index(drop=True)
+    assert len(got) == len(want)
+    for c in cols:
+        assert (got[c].values == want[c].values).all(), c
 
 
 def test_hash_join_matches_pandas(ray_session):
@@ -55,7 +106,8 @@ def test_hash_join_matches_pandas(ray_session):
 
 def test_hash_part_string_keys_deterministic():
     """String keys must hash identically in any process (no PYTHONHASHSEED
-    dependence): check against precomputed pandas siphash partition ids."""
+    dependence): the engine's string hash (functions/hashing.key_hash)
+    gives the same partition ids in a subprocess with another seed."""
     keys = pa.array(["alpha", "beta", "gamma", "alpha", ""])
     t = pa.table({"k": keys, "v": np.arange(5)})
     parts = exchange._hash_part(t, "k", 4)
@@ -128,32 +180,6 @@ def test_co_partition_drops_empty_partitions(ray_session):
     out = exchange.co_partition([(src, "k", None)], 8, lambda t: t)
     assert out.count() == 3
     assert out.num_blocks() == 1  # 7 empties dropped by their count refs
-
-
-def test_hot_key_histogram(ray_session):
-    import ray.data
-
-    k = np.concatenate([np.full(900, 7), np.arange(100)]).astype(np.int64)
-    ds = ray.data.from_arrow(pa.table({"k": k})).repartition(4)
-    hot = exchange.hot_key_histogram(ds, "k", top_n=3)
-    assert max(hot, key=hot.get) == 7
-    assert hot[7] == 900 + 1  # 7 also occurs once in arange
-
-
-def test_salted_cell_key_roundtrip():
-    # level-8-style sort keys have 44 zero low bits
-    base = (np.array([3, 9], dtype=np.int64) << 44) | (1 << 43)
-    rows = np.arange(10, dtype=np.uint64)
-    hot = {int(base[0])}
-    for k in base:
-        keys = np.full(10, k, dtype=np.int64)
-        salted = exchange.salted_cell_key(keys, rows, hot, 8)
-        unsalted = salted & ~np.int64(7)
-        assert np.all(unsalted == k)
-        if int(k) in hot:
-            assert len(np.unique(salted)) > 1  # spread
-        else:
-            assert len(np.unique(salted)) == 1
 
 
 def test_co_partition_zero_blocks(ray_session, executors):
@@ -513,7 +539,7 @@ _PIPELINES = {
 @pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
 @pytest.mark.parametrize("op,final", [
     (op, final) for op in _AGG_OPS for final in ("tree", "hash", "bogus")
-] + [("hot_key_histogram", None)] + [
+] + [
     (op, final) for op in ("tile_counts", "h3_tile_counts")
     for final in ("tree", "hash")
 ] + [("snap_dedup", None), ("term_counts", None)])
@@ -538,8 +564,6 @@ def test_grouped_ops_on_empty_input(ray_session, executors, op, final, inp):
         assert blocks and sum(b.num_rows for b in blocks) == 0
         for b in blocks:
             assert b.schema.equals(schema), (b.schema, schema)
-    elif op == "hot_key_histogram":
-        assert exchange.hot_key_histogram(ds, "k") == {}
     elif final == "bogus":
         with pytest.raises(ValueError, match="bogus"):
             _AGG_OPS[op](ds, final)

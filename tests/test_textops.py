@@ -689,8 +689,12 @@ def test_sample_by_hash_direct(ray_session):
     )
     with pytest.raises(Exception, match="integer or string key"):
         textops.sample_by_hash(bad, "k", 0.5).count()
-    # string keys: engine-deterministic (pd.util.hash_array), nested
-    # fractions stay subsets just like the integer path
+    # a null integer key is never kept, and the others keep their hash
+    nk = ray.data.from_arrow(pa.table({"k": pa.array([None] + list(range(5000)),
+                                                      pa.int64())}))
+    assert set(textops.sample_by_hash(nk, "k", 0.10).to_pandas()["k"]) == s10
+    # string keys: engine-deterministic (functions/hashing.key_hash),
+    # nested fractions stay subsets just like the integer path
     sk = [f"doc-{i}" for i in range(2000)]
     sds = ray.data.from_arrow(pa.table({"k": pa.array(sk, pa.string())}))
     t10 = set(textops.sample_by_hash(sds, "k", 0.10).to_pandas()["k"])
