@@ -215,7 +215,7 @@ def run_benchmarks() -> dict:
         inp = expanded_points(SF_DIR, EXPAND).materialize()
         pip_stages.prepare_layer(ppip.standard_polygon_layer())
         t0 = time.perf_counter()
-        ppip.pip_join(inp, "k", concurrency=NUM_CPUS).count()
+        ppip.pip_join(inp, "k").count()
         dt = time.perf_counter() - t0
         return {
             "metric": "pip_join_actor_pool",

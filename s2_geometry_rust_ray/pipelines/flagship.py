@@ -35,18 +35,13 @@ def geometry_view(images_dir: str):
 
 
 def image_tile_counts(images_dir: str, level: int = 8):
-    ds = geometry_view(images_dir)
-    encoded = ds.map_batches(
-        lambda b: encode_cells(b), batch_format="pyarrow", batch_size=131072
-    )
-    partials = encoded.map_batches(
-        tiling.tile_partial_counts(level), batch_format="pyarrow", batch_size=131072
-    )
     from ..stages import agg
 
+    tp = tiling.tile_partial_counts(level)
     return agg.reduce_by_key(
-        partials, "tile", ["n_partial"],
+        geometry_view(images_dir), "tile", ["n_partial"],
         finish=tiling.tokenize("tile", "tile_token", {"n_partial": "n"}),
+        prepare=lambda b: tp(encode_cells(b)), batch_size=131072,
     )
 
 
@@ -189,9 +184,8 @@ def image_caption_token_tiles(images_dir: str, level: int = 6):
             }
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=131072)
     return agg.reduce_by_key(
-        partials, "tile", {"n": "sum", "caption_tokens": "sum"},
+        ds, "tile", {"n": "sum", "caption_tokens": "sum"},
         finish=tiling.tokenize("tile", "tile_token", ["n", "caption_tokens"]),
+        prepare=partial, batch_size=131072,
     )

@@ -39,7 +39,7 @@ class _GeotagKnn:
 
 
 def knn_brute(ds, key_col: str, k: int = 5, n_queries: int = 50,
-              concurrency=None, merge: str = "single"):
+              merge: str = "single"):
     """Exact kNN: (query_id, neighbor, d2, rank) — brute-force baseline."""
     queries = make_queries(n_queries)
     partials = _actor_map(
@@ -48,7 +48,6 @@ def knn_brute(ds, key_col: str, k: int = 5, n_queries: int = 50,
         fn_constructor_kwargs={"stage_cls": knn_stages.BruteKnn,
                                "key_col": key_col, "queries": queries, "k": k},
         batch_size=262144,
-        concurrency=concurrency,
     )
     # each partition emits <= Q*k rows, so the single-task merge input is
     # tiny (B_blocks * Q * k); merge='distributed' for very large Q
@@ -58,8 +57,7 @@ def knn_brute(ds, key_col: str, k: int = 5, n_queries: int = 50,
 
 
 def knn_cell(ds, key_col: str, k: int = 5, n_queries: int = 50,
-             n_estimate: int | None = None, concurrency=None,
-             merge: str = "single"):
+             n_estimate: int | None = None, merge: str = "single"):
     """Exact kNN via cell-range pruning — the 10^12-row path.  Identical
     output to knn_brute; per-batch work is O(candidates) instead of O(N).
 
@@ -80,7 +78,6 @@ def knn_cell(ds, key_col: str, k: int = 5, n_queries: int = 50,
             "queries": queries, "k": k, "rings": rings,
         },
         batch_size=262144,
-        concurrency=concurrency,
     )
     return topk_merge_partials(
         partials, lambda b: knn_stages.merge_topk(b, k), merge

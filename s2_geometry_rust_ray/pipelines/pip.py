@@ -48,7 +48,8 @@ def shape_index_pip_join(ds, key_col: str, layer=None):
     class ShapeIndexPIP:
         def __init__(self, layer):
             self.geotag = lambda b: derive_geotags(b, key_col)
-            # index built ONCE per worker (coverings + postings + seeds)
+            # index (coverings + postings + seeds) built ONCE per map task
+            # or worker, never per batch
             self.index = si.MutableShapeIndex(
                 max_cells_per_shape=32, max_level=12
             )
@@ -129,13 +130,15 @@ class _GeotagEncodeJoin(pip_stages.PIPJoin):
         return pip_stages.batch_latlng_leaves(self.enc(tile))
 
 
-def _region_join(ds, key_col: str, concurrency=None, **join_kwargs):
+def _region_join(ds, key_col: str, **join_kwargs):
     """The one broadcast region join behind pip_join, within_distance_join
     and route_buffer_join (`join_kwargs` go to PIPJoin): a fused
-    geotag+encode+PIPJoin stage, run as a task-pool map
-    (`exchange.actor_map`) whose instance is built once per worker and
-    cached there.  The prepared layer rides the object store once per
-    worker, never per batch.  The join runs each batch in row tiles
+    geotag+encode+PIPJoin stage, run by `exchange.actor_map`: over a
+    computed input one raw task per block, which builds the instance
+    once, so the query starts no Ray Data executor; over a lazy input a
+    task-pool map fused with the read, which builds it once per worker.
+    The prepared layer rides the object store with the stage, once per
+    task or worker, never per batch.  The join runs each batch in row tiles
     (stages/pip.TILE_ROWS), so a batch's memory is its columns and
     matches plus a per-tile constant, whatever the candidate and edge
     counts.
@@ -144,24 +147,22 @@ def _region_join(ds, key_col: str, concurrency=None, **join_kwargs):
     the block, the per-tile passes), which 131072 rows amortize.
     The size was chosen when this stage was an actor pool (32768 -> 131072
     took a 4-slot run from 10.7 s to 5.9 s; 262144 regressed on cache
-    pressure) and is kept for the task-pool map."""
+    pressure) and is kept for the task maps."""
     return _actor_map(
         ds,
         _GeotagEncodeJoin,
         fn_constructor_kwargs={"key_col": key_col, **join_kwargs},
         batch_size=131072,
-        concurrency=concurrency,
     )
 
 
-def pip_join(ds, key_col: str, layer=None, mode: str = "inner", concurrency=None):
+def pip_join(ds, key_col: str, layer=None, mode: str = "inner"):
     """Broadcast PIP join (`_region_join`): (key_col, polygon_id) rows, or
-    the matching (semi) / non-matching (anti) input rows.  At scale
-    `concurrency` is sized to the cluster."""
+    the matching (semi) / non-matching (anti) input rows."""
     if layer is None:
         layer = standard_polygon_layer()
     prepared = pip_stages.prepare_layer(layer)  # coverer runs ONCE per process
-    return _region_join(ds, key_col, concurrency, layer=prepared, mode=mode)
+    return _region_join(ds, key_col, layer=prepared, mode=mode)
 
 
 def standard_routes():

@@ -337,8 +337,8 @@ def term_counts(ds, top_n: int = 100):
              "rank": pa.array(np.arange(1, len(order) + 1), pa.int64())}
         )
 
-    partials = ds.map_batches(explode_count, batch_format="pyarrow")
-    return agg.reduce_by_key(partials, "term", {"n": "sum"}, finish=truncate)
+    return agg.reduce_by_key(ds, "term", {"n": "sum"}, finish=truncate,
+                             prepare=explode_count)
 
 
 def _ts_us(batch: pa.Table) -> np.ndarray:
@@ -485,10 +485,6 @@ def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
                      ("n", pa.int64()), ("sum_floor_value", pa.int64())])
 
     def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            # Ray Data can hand map_batches an empty block (upstream filter
-            # / block split); starts=[0] below would index an empty array
-            return out.empty_table()
         ts = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
         epoch_us = ts.astype(np.int64)
         base = epoch_us // hop_us * hop_us  # latest hop-aligned start <= ts
@@ -528,12 +524,12 @@ def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
             }
         )
 
-    partials = ds.map_batches(fn, batch_format="pyarrow")
     # cross-batch merge: exact composite GROUP BY (event_type, window_s)
     return agg.reduce_by_key(
-        partials, ["event_type", "window_s"],
+        ds, ["event_type", "window_s"],
         {"n": "sum", "sum_floor_value": "sum"},
         finish=lambda t: t if t.num_rows else out.empty_table(),
+        prepare=fn,
     )
 
 

@@ -67,21 +67,18 @@ def tile_counts(
     empty input.  The groupby is agg.reduce_by_key over the map-side
     partial counts: final='tree' merges them into one block (bounded
     cardinality, <= 6*4^level tiles); pass final='hash' for high tile
-    levels whose counts should stay distributed.  The token is built
-    inside the final (`tokenize` as the reduce's finish), so the query is
-    one Ray Data execution.
+    levels whose counts should stay distributed.  The encode and per-slice
+    tile count run inside the reduce's map-side combine (its `prepare`)
+    and the token inside its final (`tokenize` as the finish), so the
+    query is one Ray Data execution over a lazy input and none over a
+    computed one (stages/agg.py).
     """
-    # encode + map-side combine FUSED into one wrapper: each extra
-    # map_batches layer re-slices and re-wraps every batch (~10-20% of the
-    # headline encode job; Ray fuses the operators either way)
     enc = geotag_and_encode(key_col)
     tp = tile_partial_counts(level)
-    partials = ds.map_batches(
-        lambda b: tp(enc(b)), batch_format="pyarrow", batch_size=BATCH_SIZE
-    )
     return agg.reduce_by_key(
-        partials, "tile", ["n_partial"], final=final,
+        ds, "tile", ["n_partial"], final=final,
         finish=tokenize("tile", "tile_token", {"n_partial": "n"}),
+        prepare=lambda b: tp(enc(b)), batch_size=BATCH_SIZE,
     )
 
 
@@ -94,8 +91,7 @@ def face_histogram(ds: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
         uniq, counts = np.unique(face, return_counts=True)
         return pa.table({"face": uniq, "n": counts.astype(np.int64)})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return agg.reduce_by_key(partials, "face", ["n"])
+    return agg.reduce_by_key(ds, "face", ["n"], prepare=partial)
 
 
 def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
@@ -156,22 +152,14 @@ def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
              "n": counts.astype(np.int64), "r2": r2}
         ))
 
-    def project_chunked(batch: pa.Table) -> pa.Table:
-        # split tasks see WHOLE blocks; cap the geotag+encode temporaries
-        # (several float64 arrays per row) at 64k rows per slice — the
-        # memory bound the former map_batches(batch_size=65536) provided
-        if batch.num_rows <= 65536:
-            return project(batch)
-        return pa.concat_tables(
-            [project(batch.slice(i, 65536))
-             for i in range(0, batch.num_rows, 65536)]
-        )
-
     # fused exchange: the geotag+encode+project runs inside the split
     # task, the per-tile cap fold in the shard-concat task (one plasma
-    # round-trip for the 5-column payload)
+    # round-trip for the 5-column payload).  Split tasks see WHOLE
+    # blocks, so the projection runs on 64k-row slices, a bound on the
+    # geotag+encode temporaries (several float64 arrays per row).
     return exchange.hash_exchange_apply(
-        ds, "tile", num_parts, per_partition, map_fn=project_chunked
+        ds, "tile", num_parts, per_partition,
+        map_fn=exchange.in_slices(project, 65536),
     )
 
 
@@ -193,9 +181,9 @@ def snap_dedup(
         )
 
     return agg.reduce_by_key(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        "snap", {"keep_key": "min", "n": "sum"},
+        ds, "snap", {"keep_key": "min", "n": "sum"},
         finish=tokenize("snap", "snap_token", ["keep_key", "n"]),
+        prepare=partial,
     )
 
 
@@ -214,11 +202,11 @@ def h3_tile_counts(
         uniq, counts = np.unique(cells, return_counts=True)
         return pa.table({"h3_cell": uniq, "n_partial": counts.astype(np.int64)})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=131072)
     return agg.reduce_by_key(
-        partials, "h3_cell", ["n_partial"], final=final,
+        ds, "h3_cell", ["n_partial"], final=final,
         finish=tokenize("h3_cell", "h3_token", {"n_partial": "n"},
                         decode=lambda k: k.view(np.uint64)),
+        prepare=partial, batch_size=131072,
     )
 
 

@@ -6,7 +6,8 @@ per-block NumPy reduce.  So every grouped operator here (sum/min/max,
 DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call:
 
   1. a map-side combine per block (one row per key per block for the
-     reducers; at most n rows per key for top-N),
+     reducers; at most n rows per key for top-N), with the caller's
+     row-local `prepare` (encode, explode) fused in front of it,
   2. a final that brings each key's partials together and re-runs the
      same combine (every combine is re-reducible), then an optional
      `finish` that runs INSIDE the final — in the last tree-merge task or
@@ -24,16 +25,19 @@ DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call:
        keys (h3_tile_r6: 1.83-1.90 s vs 2.10-2.37 s for a range-sort final).
 
    Both finals cross the Ray Data boundary the way `stages/exchange.py`
-   describes: the partials' plan (input + combine, fused) runs ONCE
-   (`exchange.block_refs`), and the result is a computed dataset
-   (`exchange.as_dataset`) whose consumption starts no executor, so a
-   grouped query over a lazy input is one Ray Data execution in all.
+   describes.  The map-side step is `exchange.map_blocks`: over a lazy
+   input, the partials' plan (input + prepare + combine, fused) runs
+   ONCE (`exchange.block_refs`); over a computed input it is one raw task
+   per block.  The result is a computed dataset (`exchange.as_dataset`)
+   whose consumption starts no executor, so a grouped query is one Ray
+   Data execution over a lazy input and none over a computed one.
 
-Zero-row rule: `combine` never sees a zero-row table; `finish` does.  A
-zero-block input, an all-filtered input or an empty hash partition reaches
-`finish` as a zero-row table that may lack columns or carry null-typed key
-columns, and every finish returns its typed empty table (use `column`), so
-an empty input keeps the documented output schema.
+Zero-row rule: `prepare` and `combine` never see a zero-row table;
+`finish` does.  A zero-block input, an all-filtered input or an empty hash
+partition reaches `finish` as a zero-row table that may lack columns or
+carry null-typed key columns, and every finish returns its typed empty
+table (use `column`), so an empty input keeps the documented output
+schema.
 
 Skew note: the map-side combine bounds a hot key's contribution to one row
 (n rows for top-N) per input block, so neither final ever sees the skew.
@@ -88,31 +92,42 @@ def column(t: pa.Table, name: str, default: pa.DataType = pa.int64()):
     return pa.array([], default)
 
 
-def _group(ds, keys: list[str], combine, final: str, finish=None):
-    """The one grouped plan: `combine` per block, then the `final` merge
-    re-running `combine` over each key's partials, then `finish` once,
-    inside the final (the last tree-merge task, or each hash-partition
-    task).
+def _group(ds, keys: list[str], combine, final: str, finish=None,
+           prepare=None, batch_size: int | None = None):
+    """The one grouped plan: the map-side combine per block
+    (`exchange.map_blocks`), then the `final` merge re-running `combine`
+    over each key's partials, then `finish` once, inside the final (the
+    last tree-merge task, or each hash-partition task).
 
-    `combine` never sees a zero-row table (it passes through); `finish`
-    gets every final table, zero-row ones included, and returns its typed
-    empty table for those."""
+    `prepare` (optional) maps the input rows to `combine`'s input inside
+    the map-side step, over `batch_size`-row slices (a bound on its
+    temporaries); the step then combines the block's prepared slices.
+
+    `prepare` and `combine` never see a zero-row table (it passes
+    through); `finish` gets every final table, zero-row ones included, and
+    returns its typed empty table for those."""
     import ray
 
     from . import exchange
 
     if final not in ("tree", "hash"):
         raise ValueError(f"unknown final {final!r}: use 'tree' or 'hash'")
+    prepared = None if prepare is None else exchange.in_slices(prepare, batch_size)
 
     def step(t: pa.Table) -> pa.Table:
         return combine(t) if t.num_rows else t
+
+    def first(t: pa.Table) -> pa.Table:
+        if prepared is not None and t.num_rows:
+            t = prepared(t)
+        return step(t)
 
     def last(t: pa.Table) -> pa.Table:
         if t.num_rows:
             t = combine(t)
         return t if finish is None else finish(t)
 
-    partials = ds.map_batches(step, batch_format="pyarrow")
+    partials = exchange.map_blocks(ds, first)
     if final == "hash":
         return exchange.hash_exchange_apply(
             partials, keys, exchange.default_num_parts(), last
@@ -136,15 +151,18 @@ def _group(ds, keys: list[str], combine, final: str, finish=None):
 
 
 def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
-                  final: str = "tree", finish=None):
+                  final: str = "tree", finish=None, prepare=None,
+                  batch_size: int | None = None):
     """Distributed grouped reduce: spec {col: 'sum'|'min'|'max'} (a list
     means all-sum) GROUP BY `keys` (one column or a composite).  All three
     ops are re-reducible, so combine -> final merge is exact; both finals
     return exactly one row per key.  `finish` (table -> table) maps the
-    reduced table inside the final instead of in a trailing map_batches;
-    it follows `_group`'s zero-row rule.  Without one, an empty input
-    gives the zero-row (keys, spec columns) table, int64 where the input
-    carried no type."""
+    reduced table inside the final instead of in a trailing map_batches,
+    and `prepare` (input rows -> keys and spec columns, per
+    `batch_size`-row slice) maps the input inside the map-side combine
+    instead of in a leading one; both follow `_group`'s zero-row rule.
+    Without a finish, an empty input gives the zero-row (keys, spec
+    columns) table, int64 where the input carried no type."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     if isinstance(spec, list):
         spec = {c: "sum" for c in spec}
@@ -153,7 +171,8 @@ def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
             if t.num_rows:
                 return t
             return pa.table({c: column(t, c) for c in [*keys, *spec]})
-    return _group(ds, keys, _reduce_block(keys, spec), final, finish)
+    return _group(ds, keys, _reduce_block(keys, spec), final, finish,
+                  prepare, batch_size)
 
 
 # plain aliases: perfbench/layers.py calls these names

@@ -21,7 +21,8 @@ serves both.
 The Ray Data boundary (`block_refs` in, `as_dataset` out): the engine runs
 each input plan ONCE where it drops to raw Ray, and returns raw-Ray
 results as COMPUTED datasets, so downstream stays in the Dataset API at
-no execution cost.  Two Ray 2.49 mechanisms make this the cheap contract:
+no execution cost, and it maps a computed input row-locally in raw tasks
+(`map_blocks`).  Three Ray 2.49 mechanisms make this the cheap contract:
   * `to_arrow_refs()` on a lazy plan streams it through one executor, then
     calls `schema(fetch_if_missing=True)`, which starts a second executor
     and re-runs the plan under a `limit(1)` up to its first non-empty
@@ -34,6 +35,12 @@ no execution cost.  Two Ray 2.49 mechanisms make this the cheap contract:
     `ExecutionPlan.execute()`'s source-operator shortcut: no executor now
     or when the result is consumed, and a query that is raw Ray from end
     to end never starts that actor.
+  * Row-local maps over computed inputs are raw tasks, one per block
+    (`map_blocks`, and `actor_map` and the grouped map-side combine over
+    it), because ANY executor's shutdown starts that ~124 MB actor: a
+    `map_batches` over a computed input would start one for nothing the
+    raw task does not do.  A lazy input keeps `map_batches`, so a read
+    still fuses with the map.
 
 Driver discipline (the 100 TB rules):
   * ALL split tasks are submitted before any result is awaited — the map
@@ -87,23 +94,75 @@ def default_num_parts(min_parts: int = 8, per_cpu: int = 2) -> int:
     return max(min_parts, per_cpu * cpus)
 
 
-def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_format="pyarrow",
-              batch_size=None, **mb_kwargs):
-    """map_batches with a stateful callable class, constructed once per
-    worker — as a TASK-pool map with a per-worker closure cache, not an
-    actor pool.
+def in_slices(fn, batch_size: int | None):
+    """`fn` over consecutive `batch_size`-row slices of a table (the whole
+    table when batch_size is None or covers it), outputs concatenated in
+    order: a bound on `fn`'s temporaries.  Only a zero-row table reaches
+    `fn` with zero rows, whole."""
+    def apply(t: pa.Table) -> pa.Table:
+        if batch_size is None or t.num_rows <= batch_size:
+            return fn(t)
+        return pa.concat_tables(
+            [fn(t.slice(i, batch_size)) for i in range(0, t.num_rows, batch_size)],
+            promote_options="default")
 
-    Ray's ActorPoolMapOperator turns every batch into an actor call (RPC
-    + object-store arg/result round trip) and never fuses with the input:
-    measured 10.4 s actor pool vs 5.9 s task pool for the same broadcast
-    PIP join at 4 slots / batch_size 131072 (r4).  A task-pool map
-    processes whole blocks in-worker, and the deserialized fn — including
-    `cache` — persists in the worker's function table, so the class is
-    constructed once per worker process: actor amortization without the
-    per-batch RPC, the pool-sizing deadlock (r3 ADVICE: a full-width
-    fixed pool starves the un-fused source operator; fatal at 1 cpu), or
-    the reservation/starvation tuning.  ObjectRef kwargs are ray.get once
-    per worker (the broadcast pattern)."""
+    return apply
+
+
+def map_blocks(ds, fn, batch_size: int | None = None):
+    """The row-local map at the Ray Data boundary: ``fn(pa.Table) ->
+    pa.Table`` over `batch_size`-row slices, keeping the state of its
+    input.
+
+    A computed input (`MaterializedDataset`: a `materialize()` result, an
+    in-memory source materialized, every `as_dataset`) runs as one raw
+    Ray task per block: `fn` is put in the object store once, each task
+    applies it to its block's slices (`in_slices`; never to a zero-row
+    slice: a zero-row block maps to a zero-row, column-less table, as
+    under `map_batches`) and concatenates the outputs, and the result is
+    `as_dataset` of the task refs in block order.  No executor starts, now
+    or when the result is consumed.
+
+    A lazy input returns ``ds.map_batches(fn, batch_format="pyarrow",
+    batch_size=batch_size)``, so a read still fuses with the map and
+    streams through one executor when a consumer runs it."""
+    import ray
+    from ray.data.block import BlockAccessor
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+
+    @ray.remote
+    def run(fn, block):
+        if not isinstance(block, pa.Table):
+            block = BlockAccessor.for_block(block).to_arrow()
+        if block.num_rows == 0:
+            return pa.table({})
+        return in_slices(fn, batch_size)(block)
+
+    fn_ref = ray.put(fn)
+    # the snapshot's block refs, read without `to_arrow_refs`' schema
+    # lookup (it runs a plan when every block is column-less)
+    blocks = [ref for bundle in ds.iter_internal_ref_bundles()
+              for ref, _ in bundle.blocks]
+    return as_dataset([run.remote(fn_ref, b) for b in blocks])
+
+
+def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_size=None):
+    """`map_blocks` with a stateful callable class: ``cls(**kwargs)`` is
+    built on first use and reused for every later slice, once per task on
+    the raw path (a computed input) and once per worker on Ray Data's
+    task-pool map (a lazy input: the deserialized fn, `cache` included,
+    persists in the worker's function table).  ObjectRef kwargs are
+    `ray.get` at construction (the broadcast pattern).
+
+    Not an actor pool: Ray's ActorPoolMapOperator turns every batch into
+    an actor call (RPC + object-store arg/result round trip) and never
+    fuses with the input: measured 10.4 s actor pool vs 5.9 s task pool
+    for the same broadcast PIP join at 4 slots / batch_size 131072 (r4),
+    and a full-width fixed pool starves the un-fused source operator (r3
+    ADVICE; fatal at 1 cpu)."""
     import ray
 
     kw = dict(fn_constructor_kwargs or {})
@@ -119,9 +178,7 @@ def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_format="pyarrow",
             )
         return cache["inst"](batch)
 
-    return ds.map_batches(
-        fn, batch_format=batch_format, batch_size=batch_size, **mb_kwargs
-    )
+    return map_blocks(ds, fn, batch_size)
 
 
 class Ranges(NamedTuple):
@@ -285,10 +342,11 @@ def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int,
 
 
 class _BroadcastJoiner:
-    """Per-worker state for broadcast_join: the right table is ray.put
-    ONCE; each worker deserializes it once (actor_map closure cache) and
-    builds a sorted-key index once.  Lookup per batch is one vectorized
-    searchsorted — no shuffle of the big side ever happens."""
+    """Per-task state for broadcast_join: the right table is ray.put
+    ONCE; each map task (each worker, over a lazy input) deserializes it
+    once (actor_map closure cache) and builds a sorted-key index once.
+    Lookup per batch is one vectorized searchsorted — no shuffle of the
+    big side ever happens."""
 
     def __init__(self, right: pa.Table, key_col: str, right_on: str):
         self.key_col = key_col
@@ -334,7 +392,7 @@ def broadcast_join(ds, right_tbl: pa.Table, key_col: str,
                    right_on: str | None = None, columns=None):
     """Map-side INNER equi-join of a Dataset against a BROADCAST small
     table (dimension-table pattern): the right side is put in the object
-    store once and indexed once per worker; each batch does one
+    store once and indexed once per map task; each batch does one
     vectorized searchsorted.  Right keys must be UNIQUE (dimension key).
     `columns` prunes the attached right columns.  This is the
     never-shuffle-the-big-side path; for two large sides use hash_join."""
@@ -349,7 +407,6 @@ def broadcast_join(ds, right_tbl: pa.Table, key_col: str,
         fn_constructor_kwargs={
             "right": ray.put(right_tbl), "key_col": key_col, "right_on": rk,
         },
-        batch_format="pyarrow",
     )
 
 

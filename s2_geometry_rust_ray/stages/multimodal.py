@@ -1,5 +1,6 @@
-"""Multimodal (image / audio / video) stages — actor-pool map_batches over
-opaque binary payload columns with typed metadata.
+"""Multimodal (image / audio / video) stages — stateful row-local maps
+(`exchange.actor_map`) over opaque binary payload columns with typed
+metadata.
 
 The Ray-side plumbing (schema, batch sizing, actor signature, output layout)
 is real and tested; the codec layer is gated: PNG decode is implemented
@@ -9,8 +10,8 @@ container — at deploy time, swap `_decode` for PIL/libjpeg/ffmpeg bindings
 without touching the pipeline shape.
 
 Scale notes: payload columns are WIDE — these stages use small batch_size
-(payload bytes x batch_size x concurrency must fit worker heaps), keep
-batch_format="pyarrow" (binary columns round-trip zero-copy; pandas would
+(payload bytes x batch_size x parallel tasks must fit worker heaps), take
+Arrow batches (binary columns round-trip zero-copy; pandas would
 objectify them), and emit only derived columns unless pass-through is
 requested (the PSNR/caption invariants forbid rewriting payloads).
 """
@@ -91,14 +92,9 @@ class Resize:
         return batch.append_column("bytes_resized", pa.array(out, pa.binary()))
 
 
-def image_features(ds, concurrency=None, batch_size: int = 1024):
+def image_features(ds, batch_size: int = 1024):
     """Feature-extraction pipeline (small batches: wide payload rows)."""
-    return _actor_map(
-        ds,
-        ImageFeatures,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return _actor_map(ds, ImageFeatures, batch_size=batch_size)
 
 
 class PhashRecompute:
@@ -122,10 +118,5 @@ class PhashRecompute:
         return pa.table({"image_id": batch["image_id"], "phash": out})
 
 
-def phash_recompute(ds, concurrency=None, batch_size: int = 1024):
-    return _actor_map(
-        ds,
-        PhashRecompute,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def phash_recompute(ds, batch_size: int = 1024):
+    return _actor_map(ds, PhashRecompute, batch_size=batch_size)

@@ -3,9 +3,9 @@
 Broadcast path (this module): the region layer is tiny relative to the
 point table (10^1..10^5 regions vs 10^12 points), so it is prepared ONCE
 where the plan is built (`prepare_layer`: coverings memoized per process)
-and shipped to every worker with the stage; `exchange.actor_map` (a
-task-pool map) constructs `PIPJoin` once per worker process and caches
-the instance.  No shuffle at all.  (SURVEY.md §2.10 "Joins/lookups".)
+and shipped with the stage; `exchange.actor_map` constructs `PIPJoin`
+once per raw map task over a computed input (once per worker over a
+lazy one) and caches the instance.  No shuffle at all.  (SURVEY.md §2.10 "Joins/lookups".)
 
 `PIPJoin` runs a batch in tiles of TILE_ROWS rows.  Per tile and
 region, the region's covering picks the candidates, then `refine`: the
@@ -210,8 +210,8 @@ def refine(region, interior, lat, lng, leaves, rows: np.ndarray) -> np.ndarray:
 
 class PIPJoin:
     """Broadcast region-join stage: callable class for `exchange.actor_map`
-    (a task-pool map that constructs it once per worker and caches the
-    instance).  `layer` is a PreparedLayer; per tile of a batch, each
+    (which constructs it once per map task, or per worker over a lazy
+    input, and caches the instance).  `layer` is a PreparedLayer; per tile of a batch, each
     region's covering picks candidates and `refine` keeps those inside.
     Inner mode emits (key_col, id_col) rows sorted by key, then by the
     region's place in the layer, then by row; it needs string region ids

@@ -5,6 +5,7 @@ import pyarrow as pa
 import pytest
 
 from s2_geometry_rust_ray.functions import cellid, geo
+from s2_geometry_rust_ray.pipelines import pip as ppip
 from s2_geometry_rust_ray.pipelines import textops, tiling
 from s2_geometry_rust_ray.stages import agg, exchange, simsearch
 
@@ -237,9 +238,19 @@ def _in_blocks(t: pa.Table, n: int = 3):
         [t.slice(i, step) for i in range(0, t.num_rows, step)]).materialize()
 
 
+def _lazy(ds):
+    return ds.map_batches(lambda b: b, batch_format="pyarrow")
+
+
+def _urban_layer():
+    """One polygon of the standard layer: 40 of the keys 0..399 fall in it."""
+    return {"urban_0": ppip.standard_polygon_layer()["urban_0"]}
+
+
 # query over materialized (events, keys, right) inputs -> executors it
 # starts, built and fetched: a query that is raw Ray from its input to its
-# output starts none; a lazy input's plan runs exactly once
+# output starts none (row-local maps over computed inputs are raw tasks,
+# `exchange.map_blocks`); a lazy input's plan runs exactly once
 _EXECUTOR_COUNTS = {
     "sessionize": (lambda ev, keys, right: textops.sessionize(
         ev, num_parts=2), 0),
@@ -250,12 +261,25 @@ _EXECUTOR_COUNTS = {
     "hash_join": (lambda ev, keys, right: exchange.hash_join(
         keys, right, "k", num_parts=4), 0),
     "tile_counts_tree": (lambda ev, keys, right: tiling.tile_counts(
-        keys, "k", 8, final="tree"), 1),
+        keys, "k", 8, final="tree"), 0),
     "tile_counts_hash": (lambda ev, keys, right: tiling.tile_counts(
-        keys, "k", 8, final="hash"), 1),
+        keys, "k", 8, final="hash"), 0),
+    "tile_counts_lazy_input": (lambda ev, keys, right: tiling.tile_counts(
+        _lazy(keys), "k", 8), 1),
+    "pip_join_inner": (lambda ev, keys, right: ppip.pip_join(
+        keys, "k", layer=_urban_layer()), 0),
+    "pip_join_semi": (lambda ev, keys, right: ppip.pip_join(
+        keys, "k", layer=_urban_layer(), mode="semi"), 0),
+    "pip_join_anti": (lambda ev, keys, right: ppip.pip_join(
+        keys, "k", layer=_urban_layer(), mode="anti"), 0),
+    "within_distance_join": (lambda ev, keys, right: ppip.within_distance_join(
+        keys, "k", layer=_urban_layer(), radius_deg=1.0), 0),
+    "grouped_topk": (lambda ev, keys, right: agg.grouped_topk(
+        ev, "user_id", "event_id", "event_id", 2), 0),
+    "reduce_by_key": (lambda ev, keys, right: agg.reduce_by_key(
+        ev, "user_id", ["event_id"]), 0),
     "co_partition_lazy_side": (lambda ev, keys, right: exchange.co_partition(
-        [(keys.map_batches(lambda b: b, batch_format="pyarrow"), "k", None)],
-        4, lambda t: t), 1),
+        [(_lazy(keys), "k", None)], 4, lambda t: t), 1),
 }
 
 
@@ -275,14 +299,30 @@ def test_plan_runs_once_and_result_is_computed(ray_session, executors, op):
     assert sum(t.num_rows for t in tables) > 0
 
 
+@pytest.mark.parametrize("mode,rows", [("inner", 40), ("semi", 40), ("anti", 360)])
+def test_pip_join_over_lazy_input_fuses_with_it(ray_session, executors, mode,
+                                                rows):
+    """Over a lazy input the region join stays a Ray Data map, fused with
+    the input's plan: the result is lazy, and running it is one executor."""
+    from ray.data.dataset import MaterializedDataset
+
+    keys = _lazy(_in_blocks(pa.table({"k": np.arange(400, dtype=np.int64)})))
+    out = ppip.pip_join(keys, "k", layer=_urban_layer(), mode=mode)
+    assert not isinstance(out, MaterializedDataset)
+    before = executors.started
+    assert out.materialize().count() == rows
+    assert executors.started - before == 1
+
+
 @pytest.mark.parametrize("final", ["tree", "hash"])
-@pytest.mark.parametrize("inp,want", [("read_parquet", 1), ("map_batches", 2)])
+@pytest.mark.parametrize("inp,want", [("read_parquet", 1), ("map_batches", 1)])
 def test_distinct_count_by_key_runs_input_once(ray_session, executors,
                                                tmp_path, inp, want, final):
     """distinct_count_by_key reads the value type without a partial run
     of the input.  A lazy parquet read carries its schema, so the read
     and the pair dedup are one fused run; a map's schema is unknown until
-    it runs, so the map runs once and the dedup runs over its blocks."""
+    it runs, so the map runs once and the dedup runs over its computed
+    blocks in raw tasks."""
     import pyarrow.parquet as pq
     import ray.data
 
@@ -342,7 +382,6 @@ def test_co_partition_lost_worker_is_deterministic(ray_session, tmp_path):
     byte-identical to a clean run."""
     import os
 
-    import ray
     import ray.data
 
     rng = np.random.default_rng(4)
@@ -363,19 +402,109 @@ def test_co_partition_lost_worker_is_deterministic(ray_session, tmp_path):
                 _crash_once(fn_marker)
             return t.sort_by([("k", "ascending"), ("v", "ascending")])
 
-        out = exchange.co_partition([(src, "k", map_fn)], 4, fn)
-        blobs = []
-        for tbl in ray.get(out.to_arrow_refs()):
-            sink = pa.BufferOutputStream()
-            with pa.ipc.new_stream(sink, tbl.schema) as w:
-                w.write_table(tbl)
-            blobs.append(sink.getvalue().to_pybytes())
-        return blobs
+        return _ipc_blobs(exchange.co_partition([(src, "k", map_fn)], 4, fn))
 
     clean = run(False)
     crashed = run(True)
     assert os.path.exists(map_marker) and os.path.exists(fn_marker)
     assert crashed == clean
+
+
+def _ipc_blobs(ds) -> list[bytes]:
+    """Each block of a computed dataset as Arrow IPC stream bytes."""
+    import ray
+
+    blobs = []
+    for tbl in ray.get(ds.to_arrow_refs()):
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, tbl.schema) as w:
+            w.write_table(tbl)
+        blobs.append(sink.getvalue().to_pybytes())
+    return blobs
+
+
+def test_map_blocks_lost_worker_is_deterministic(ray_session, tmp_path):
+    """A raw map task loses its worker once; Ray's default retry reruns it
+    and the output is byte-identical to a clean run."""
+    import os
+
+    import pyarrow.compute as pc
+    import ray.data
+
+    src = ray.data.from_arrow([
+        pa.table({"k": np.arange(i, i + 500, dtype=np.int64)})
+        for i in range(0, 2000, 500)]).materialize()
+    marker = str(tmp_path / "map")
+
+    def run(crash: bool) -> list[bytes]:
+        def fn(t):
+            if crash:
+                _crash_once(marker)
+            return t.append_column("k3", pc.multiply(t["k"], 3))
+
+        return _ipc_blobs(exchange.map_blocks(src, fn, batch_size=128))
+
+    clean = run(False)
+    crashed = run(True)
+    assert os.path.exists(marker)
+    assert len(clean) == 4 and crashed == clean
+
+
+def _map_blocks_inputs():
+    """Computed inputs for `map_blocks`: zero blocks, column-less blocks
+    (a filter that dropped every row), and blocks of 3, 8 and 20 rows
+    (smaller than, equal to and larger than a batch_size of 8)."""
+    import ray.data
+
+    t = pa.table({"k": np.arange(31, dtype=np.int64)})
+    src = ray.data.from_arrow([t.slice(0, 3), t.slice(3, 8), t.slice(11, 20)])
+    return {
+        "zero_blocks": src.limit(0).materialize(),
+        "filter_all": src.filter(lambda r: False).materialize(),
+        "sized": src.materialize(),
+    }
+
+
+@pytest.mark.parametrize("batch_size", [None, 8])
+@pytest.mark.parametrize("inp", ["zero_blocks", "filter_all", "sized"])
+def test_map_blocks_degenerate_inputs_match_map_batches(ray_session, executors,
+                                                        inp, batch_size):
+    """`fn` sees at most batch_size rows and never a zero-row table, and
+    the rows, schema and content equal `map_batches` over the same input.
+    No executor starts.  (A result without a schema, like `map_batches`'
+    here, is read by its block refs: `to_arrow_refs` runs a plan to look
+    for one.)"""
+    import pyarrow.compute as pc
+    import ray
+    from perfbench.workloads import digest
+
+    ds = _map_blocks_inputs()[inp]
+
+    def fn(t: pa.Table) -> pa.Table:
+        return t.append_column("k2", pc.multiply(t["k"], 2))
+
+    def checked(t: pa.Table) -> pa.Table:
+        assert 0 < t.num_rows <= (batch_size or 20), t.num_rows
+        return fn(t)
+
+    before = executors.started
+    out = exchange.map_blocks(ds, checked, batch_size)
+    got = ray.get([ref for bundle in out.iter_internal_ref_bundles()
+                   for ref, _ in bundle.blocks])
+    assert executors.started == before
+    want = ray.get(ds.map_batches(fn, batch_format="pyarrow",
+                                  batch_size=batch_size).materialize()
+                   .to_arrow_refs())
+    assert out.count() == sum(t.num_rows for t in want)
+    assert out.schema(fetch_if_missing=False) == (
+        ds.map_batches(fn, batch_format="pyarrow").materialize()
+        .schema(fetch_if_missing=False))
+    concat = (lambda ts: pa.concat_tables(ts, promote_options="default")
+              if ts else None)
+    assert digest(concat(got)) == digest(concat(want))
+    if inp == "sized":
+        assert concat(got).column_names == ["k", "k2"]
+        assert concat(got)["k2"].to_pylist() == [2 * k for k in range(31)]
 
 
 def _bruteforce_pairs(ids, buckets):
