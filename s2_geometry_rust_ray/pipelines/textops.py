@@ -384,7 +384,9 @@ def sessionize(ds, gap_minutes: int = 30, num_parts: int | None = None):
     cumulative CASE sum) matches bit-exactly.
 
     Physical plan: the one per-user exchange (`_by_user`).  The (user_id,
-    ts_us) projection runs in the split task, so 16 B per row cross the
+    ts_us) projection runs in the split task (16 B per row), and the
+    shard narrowing of `exchange.co_partition` writes user_id as uint16
+    offsets where a shard's ids span < 65536, so ~10 B per row cross the
     exchange; each partition, sorted by (user, ts), is cut into sessions
     at a new user or a gap, in numpy."""
     gap_us = gap_minutes * 60_000_000

@@ -20,15 +20,20 @@ DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call:
        exchange; the right plan for bounded key sets (tile levels: at most
        6*4^K keys) and for small results a consumer reads whole.
      * ``final='hash'`` — `exchange.hash_exchange_apply` on the full key
-       tuple: every key lands in exactly one partition, so the result stays
-       distributed with one row per key — the plan for high-cardinality
-       keys (h3_tile_r6: 1.83-1.90 s vs 2.10-2.37 s for a range-sort final).
+       tuple, with the map-side combine as its `map_fn`: every key lands
+       in exactly one partition, so the result stays distributed with one
+       row per key — the plan for high-cardinality keys (h3_tile_r6:
+       1.83-1.90 s vs 2.10-2.37 s for a range-sort final).  The partials
+       cross as narrowed shards where those stay over Ray's inline limit
+       (a count column as uint8/uint16 offsets; `exchange.co_partition`).
 
    Both finals cross the Ray Data boundary the way `stages/exchange.py`
-   describes.  The map-side step is `exchange.map_blocks`: over a lazy
-   input, the partials' plan (input + prepare + combine, fused) runs
-   ONCE (`exchange.block_refs`); over a computed input it is one raw task
-   per block.  The result is a computed dataset (`exchange.as_dataset`)
+   describes.  Over a lazy input the map-side step fuses with the input:
+   its plan (input + prepare + combine) runs ONCE (`exchange.block_refs`).
+   Over a computed input the tree final's map-side step is one raw task
+   per block (`exchange.map_blocks`), and the hash final's runs inside
+   the exchange's split task, so its partials are never objects of their
+   own.  The result is a computed dataset (`exchange.as_dataset`)
    whose consumption starts no executor, so a grouped query is one Ray
    Data execution over a lazy input and none over a computed one.
 
@@ -95,9 +100,10 @@ def column(t: pa.Table, name: str, default: pa.DataType = pa.int64()):
 def _group(ds, keys: list[str], combine, final: str, finish=None,
            prepare=None, batch_size: int | None = None):
     """The one grouped plan: the map-side combine per block
-    (`exchange.map_blocks`), then the `final` merge re-running `combine`
-    over each key's partials, then `finish` once, inside the final (the
-    last tree-merge task, or each hash-partition task).
+    (`exchange.map_blocks`, or the hash final's split task), then the
+    `final` merge re-running `combine` over each key's partials, then
+    `finish` once, inside the final (the last tree-merge task, or each
+    hash-partition task).
 
     `prepare` (optional) maps the input rows to `combine`'s input inside
     the map-side step, over `batch_size`-row slices (a bound on its
@@ -127,11 +133,11 @@ def _group(ds, keys: list[str], combine, final: str, finish=None,
             t = combine(t)
         return t if finish is None else finish(t)
 
-    partials = exchange.map_blocks(ds, first)
     if final == "hash":
         return exchange.hash_exchange_apply(
-            partials, keys, exchange.default_num_parts(), last
+            ds, keys, exchange.default_num_parts(), last, map_fn=first
         )
+    partials = exchange.map_blocks(ds, first)
 
     @ray.remote
     def merge(is_last: bool, *tbls):

@@ -49,9 +49,10 @@ Driver discipline (the 100 TB rules):
   * The driver never `ray.get`s a partition payload.  Partition tasks
     return ``(table_ref, nrows_ref)`` via ``num_returns=2``; only the tiny
     int refs are fetched, to drop empty partitions.
-  * Every shard — including empty ones — carries the full input schema,
-    and a zero-block side contributes one schema-ful empty table, so
-    partition fns and `as_dataset` never see inconsistent schemas.
+  * Every shard — including empty ones — widens back to the full input
+    schema (shards cross narrowed, see `co_partition`), and a zero-block
+    side contributes one schema-ful empty table, so partition fns and
+    `as_dataset` never see inconsistent schemas.
 
 Key hashing is `functions/hashing.key_hash`, read from the Arrow buffers:
 splitmix64 for integers (so a coarse S2 cell id, whose low bits are all
@@ -198,18 +199,14 @@ def _key_cols(key) -> list[str]:
     return [key] if isinstance(key, str) else list(key)
 
 
-def _hash_part(table: pa.Table, key, num_parts: int) -> list[pa.Table]:
-    """Split `table` into num_parts tables by a partitioner: a `Ranges`,
-    or a key column name or list of names hashed % num_parts.  A
-    composite key hashes the FULL tuple (FNV-style fold of per-column
-    hashes) so partitioning spreads by the joint cardinality — hashing
-    only the first component would collapse a low-cardinality leading key
-    (e.g. event_type) into a handful of partitions regardless of
-    num_parts."""
-    if table.num_rows == 0:
-        # empty blocks may even lack columns (e.g. a filter that dropped
-        # everything); emit schema-preserving empty slices
-        return [table.slice(0, 0)] * num_parts
+def _placement(table: pa.Table, key, num_parts: int) -> list[pa.Array]:
+    """Each partition's row indices in `table` (ascending), by a
+    partitioner: a `Ranges`, or a key column name or list of names
+    hashed % num_parts.  A composite key hashes the FULL tuple (FNV-style
+    fold of per-column hashes) so partitioning spreads by the joint
+    cardinality — hashing only the first component would collapse a
+    low-cardinality leading key (e.g. event_type) into a handful of
+    partitions regardless of num_parts."""
     if isinstance(key, Ranges):
         col = table[key.col].to_numpy(zero_copy_only=False)
         part = np.searchsorted(key.bounds, col, side="right")
@@ -217,9 +214,22 @@ def _hash_part(table: pa.Table, key, num_parts: int) -> list[pa.Table]:
         h = np.zeros(table.num_rows, dtype=np.uint64)
         for c in _key_cols(key):
             h = h * np.uint64(0x100000001B3) + key_hash(table[c])
-        part = (h % np.uint64(num_parts)).astype(np.int64)
+        part = h % np.uint64(num_parts)
+    if num_parts <= 1 << 16:
+        # numpy's stable argsort of 16-bit ints is a radix sort: ~4x
+        # faster than its merge sort of 64-bit ids, same order
+        part = part.astype(np.uint16)
     order = np.argsort(part, kind="stable")
-    bounds = np.searchsorted(part[order], np.arange(num_parts + 1))
+    bounds = np.r_[0, np.cumsum(np.bincount(part, minlength=num_parts))]
+    return [pa.array(order[bounds[p]:bounds[p + 1]]) for p in range(num_parts)]
+
+
+def _hash_part(table: pa.Table, key, num_parts: int) -> list[pa.Table]:
+    """Split `table` into num_parts tables by a partitioner (`_placement`)."""
+    if table.num_rows == 0:
+        # empty blocks may even lack columns (e.g. a filter that dropped
+        # everything); emit schema-preserving empty slices
+        return [table.slice(0, 0)] * num_parts
     # one take PER PARTITION, not one take + zero-copy slices: pickling a
     # pa.Table slice serializes the slice's FULL parent buffers (measured:
     # a 1/16 slice of a 48 MB table pickles to 48 MB), so returning slices
@@ -228,10 +238,88 @@ def _hash_part(table: pa.Table, key, num_parts: int) -> list[pa.Table]:
     # the sessions-family N->4N efficiency to 0.50.  Per-partition takes
     # do the same total row movement but produce compact, offset-0 arrays
     # that serialize at their true size.
-    return [
-        table.take(pa.array(order[bounds[p]:bounds[p + 1]]))
-        for p in range(num_parts)
-    ]
+    return [table.take(rows) for rows in _placement(table, key, num_parts)]
+
+
+# Ray returns a task result smaller than this through its owner (the
+# driver) instead of writing it to the object store
+_INLINE_LIMIT = 100 * 1024  # ray_constants.DEFAULT_MAX_DIRECT_CALL_OBJECT_SIZE
+# field metadata of a narrowed shard column: the minimum it is offset from,
+# and the original field (IPC-serialized, metadata included)
+_BASE, _FIELD = b"exchange.narrow.base", b"exchange.narrow.field"
+_OFFSET_TYPES = (pa.uint8(), pa.uint16(), pa.uint32())
+
+
+def _narrow(t: pa.Table) -> pa.Table:
+    """Frame-of-reference coding of a shard: each null-free integer column
+    becomes its offsets from its minimum, in the narrowest of
+    uint8/uint16/uint32 that holds max - min and is narrower than the
+    column.  Any other column (a wider range, nulls, floats, strings)
+    stays as it is; a shard with nothing to narrow is returned itself.
+    `_widen` restores the exact original table."""
+    if t.num_rows == 0:
+        return t
+    fields, cols = list(t.schema), list(t.columns)
+    narrowed = False
+    for i, (f, col) in enumerate(zip(fields, cols)):
+        if not pa.types.is_integer(f.type) or col.null_count:
+            continue
+        v = col.to_numpy()
+        lo, hi = v.min(), v.max()
+        span = int(hi) - int(lo)
+        to = next((o for o in _OFFSET_TYPES if span < 1 << o.bit_width
+                   and o.bit_width < f.type.bit_width), None)
+        if to is None:
+            continue
+        # the true difference fits `to`, so the subtraction cannot wrap
+        off = np.subtract(v, lo, out=np.empty(len(v), to.to_pandas_dtype()),
+                          casting="unsafe")
+        cols[i] = pa.array(off, to)
+        fields[i] = pa.field(f.name, to, f.nullable, {
+            _BASE: str(int(lo)).encode(),
+            _FIELD: pa.schema([f]).serialize().to_pybytes()})
+        narrowed = True
+    if not narrowed:
+        return t
+    return pa.Table.from_arrays(cols, schema=pa.schema(fields, t.schema.metadata))
+
+
+def _widen(t: pa.Table) -> pa.Table:
+    """The original table of a `_narrow`ed shard (any other table as it
+    is): the original fields, metadata included, and values."""
+    fields, cols = list(t.schema), list(t.columns)
+    widened = False
+    for i, f in enumerate(fields):
+        if not f.metadata or _BASE not in f.metadata:
+            continue
+        fields[i] = pa.ipc.read_schema(pa.py_buffer(f.metadata[_FIELD])).field(0)
+        dtype = fields[i].type.to_pandas_dtype()
+        v = np.add(cols[i].to_numpy(), dtype(int(f.metadata[_BASE])), dtype=dtype)
+        cols[i] = pa.array(v, fields[i].type)
+        widened = True
+    if not widened:
+        return t
+    return pa.Table.from_arrays(cols, schema=pa.schema(fields, t.schema.metadata))
+
+
+def _split(block: pa.Table, key, num_parts: int, map_fn=None) -> list[pa.Table]:
+    """A split task's work: `map_fn`, then each row is placed by its
+    original values and each partition's rows are taken from the
+    `_narrow`ed block (one base per block).  A shard narrowed under Ray's
+    inline limit is taken wide instead: narrowing never moves a shard
+    from the object store to the driver (a shard's stored size is at
+    least its `nbytes`), and a shard already under the limit stays as it
+    is."""
+    if map_fn is not None:
+        block = map_fn(block)
+    narrow = _narrow(block) if block.nbytes >= _INLINE_LIMIT else block
+    if narrow is block or narrow.nbytes < _INLINE_LIMIT:
+        return _hash_part(block, key, num_parts)
+    shards = []
+    for rows in _placement(block, key, num_parts):
+        s = narrow.take(rows)
+        shards.append(s if s.nbytes >= _INLINE_LIMIT else block.take(rows))
+    return shards
 
 
 def block_refs(ds) -> list:
@@ -272,35 +360,57 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
 
     `sides`: list of ``(Dataset, key, map_fn or None)``; key is a column
     name or a list of names (composite key, hash-partitioned) or a
-    `Ranges`, and map_fn (a projection) runs in the split task.  Hashed
+    `Ranges`, and map_fn (a projection, a map-side combine) is a
+    row-local block map: it fuses into a lazy side's plan (`map_blocks`)
+    and runs in the split task of a computed side.  Hashed
     sides co-locate equal keys only if their key columns hash alike: the
     same arity, and per column integers of any width or the same other
     type (`functions/hashing.key_hash`).  `tables` are
     each side's partition, in `sides` order, then ``pinned[p]`` if
     `pinned` (num_parts ObjectRefs, e.g. a static table partitioned once
     and reused every round) is given.  A zero-block side contributes one
-    schema-ful empty table (after map_fn) to every partition.
+    schema-ful empty table (its input schema's, after map_fn) to every
+    partition.
+
+    Shards cross narrowed: the split task places each row by its original
+    values, then takes each shard from the block with its null-free
+    integer columns written as offsets from their block minimum in the
+    narrowest uint that holds their range (`_narrow`), and the partition
+    task widens every shard back to its exact fields before the concat
+    (`_widen`), so `fn` sees the input schema.  Only a shard that stays
+    at or over Ray's inline limit (100 KiB) narrowed is sent narrowed;
+    any other goes wide, as it is, so narrowing never moves a shard from
+    the object store to the driver, which receives every task result
+    under the limit.  At ``default_num_parts`` (2 per CPU slot) small
+    shards already go that way: the seed-1 `sessions` benchmark shards
+    (16 B/row wide, 168-180 KB at 8 partitions, 105-113 KB narrowed) fall
+    under 100 KiB from 14 partitions up (7 slots).
 
     Each side's plan runs once (`block_refs`).  Returns a computed
     Dataset of the non-empty outputs in partition order (empties dropped
     by their count refs; one empty output is kept if all are)."""
     import ray
+    from ray.data.dataset import MaterializedDataset
 
-    specs = [(key, map_fn) for _, key, map_fn in sides]
+    # a lazy side's map_fn fuses into its plan; a computed side's runs in
+    # the split task
+    fused = [map_fn is not None and not isinstance(ds, MaterializedDataset)
+             for ds, _, map_fn in sides]
+    specs = [(key, None if f else map_fn)
+             for (_, key, map_fn), f in zip(sides, fused)]
 
     @ray.remote
     def split(side: int, block: pa.Table):
         key, map_fn = specs[side]
-        if map_fn is not None:
-            block = map_fn(block)
-        parts = _hash_part(block, key, num_parts)
+        parts = _split(block, key, num_parts, map_fn)
         return parts[0] if num_parts == 1 else tuple(parts)
 
     @ray.remote(num_returns=2)
     def run(sizes, *refs):
         tables, i = [], 0
         for n in sizes:
-            tables.append(pa.concat_tables(refs[i:i + n], promote_options="default"))
+            tables.append(pa.concat_tables([_widen(t) for t in refs[i:i + n]],
+                                           promote_options="default"))
             i += n
         out = fn(*tables, *refs[i:])
         return out, out.num_rows
@@ -310,7 +420,7 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
     split_n = split.options(num_returns=num_parts) if num_parts > 1 else split
     per_side = []  # per side: per-partition shard lists
     for side, (ds, key, map_fn) in enumerate(sides):
-        blocks = block_refs(ds)
+        blocks = block_refs(map_blocks(ds, map_fn) if fused[side] else ds)
         if not blocks:
             empty = ray.put(_empty_exchange_table(ds, key, map_fn))
             per_side.append([[empty]] * num_parts)
@@ -333,11 +443,13 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
 
 def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int,
                         reduce_fn, map_fn=None):
-    """Single-side `co_partition`: `map_fn` (the projection) in the split
-    task, `reduce_fn` on each whole partition.  vs a projection stage plus
-    a materialized partition this saves TWO object-store round-trips of
-    the payload: ~2x for a slim 16 B/row exchange, where plasma traffic IS
-    the job (sessions family: 102M rows 12.0 -> 20+M rows/s at 8 slots)."""
+    """Single-side `co_partition`: `map_fn` (the projection) fused into the
+    input's plan or run in the split task, `reduce_fn` on each whole
+    partition.  vs a projection stage plus a materialized partition this
+    saves TWO object-store round-trips of the payload: ~2x for a slim
+    exchange, where plasma traffic IS the job (sessions family, 16 B/row
+    before shard narrowing: 102M rows 12.0 -> 20+M rows/s at 8 slots;
+    narrowed, sessionize's shards carry ~10 B/row)."""
     return co_partition([(ds, key_col, map_fn)], num_parts, reduce_fn)
 
 

@@ -219,6 +219,207 @@ def test_co_partition_zero_blocks(ray_session, executors):
     assert seen["na"].sum() == 0 and seen["nb"].sum() == 10
 
 
+_I64_MIN, _I64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+def _narrow_cases() -> dict[str, pa.Table]:
+    rng = np.random.default_rng(5)
+    n = 500
+    return {
+        "int32": pa.table({"a": pa.array(rng.integers(-300, 300, n), pa.int32())}),
+        "int64_near_min": pa.table(
+            {"a": _I64_MIN + rng.integers(0, 70_000, n)}),
+        "int64_near_max": pa.table(
+            {"a": _I64_MAX - rng.integers(0, 2**31, n)}),
+        "uint64_above_2_63": pa.table({"a": pa.array(
+            np.uint64(2**63 + 9) + rng.integers(0, 2**20, n).astype(np.uint64),
+            pa.uint64())}),
+        "uint64_top": pa.table({"a": pa.array(
+            np.full(n, 2**64 - 1, dtype=np.uint64) - np.arange(n, dtype=np.uint64),
+            pa.uint64())}),
+        "all_equal": pa.table({"a": np.full(n, -7, dtype=np.int64)}),
+        "mixed": pa.table({
+            "a": rng.integers(0, 30_000, n),
+            "ts": rng.integers(0, 10**15, n),
+            "x": rng.normal(size=n),
+            "s": pa.array([f"s{i}" for i in range(n)]),
+            "nullable": pa.array([None if i % 7 == 0 else i for i in range(n)],
+                                 pa.int64()),
+        }),
+        "extremes": pa.table({"a": np.r_[_I64_MIN, _I64_MAX,
+                                         np.zeros(n - 2, dtype=np.int64)]}),
+        "zero_rows": pa.table({"a": pa.array([], pa.int64())}),
+        "column_less": pa.table({}),
+    }
+
+
+# the offset type each case's narrowable columns take (None: stays wide)
+_NARROWED = {"int32": pa.uint16(), "int64_near_min": pa.uint32(),
+             "int64_near_max": pa.uint32(), "uint64_above_2_63": pa.uint32(),
+             "uint64_top": pa.uint16(), "all_equal": pa.uint8(),
+             "mixed": pa.uint16(), "extremes": None, "zero_rows": None,
+             "column_less": None}
+
+
+@pytest.mark.parametrize("case", sorted(_NARROWED))
+def test_narrow_widen_round_trip(case):
+    """`_widen(_narrow(t))` is `t` byte for byte: values, types, field and
+    schema metadata.  Only null-free integer columns whose range fits a
+    narrower uint are narrowed; a shard holding INT64_MIN and INT64_MAX,
+    nulls, floats and strings stay as they are."""
+    t = _narrow_cases()[case]
+    schema = t.schema.with_metadata({"origin": "test"})
+    if t.num_columns:
+        schema = schema.set(0, schema.field(0).with_metadata({"unit": "id"}))
+    t = pa.Table.from_arrays(t.columns, schema=schema)
+    n = exchange._narrow(t)
+    want = _NARROWED[case]
+    if want is None:
+        assert n is t
+    else:
+        assert n.schema.field("a").type == want
+        assert n.nbytes < t.nbytes
+        for c in ("ts", "x", "s", "nullable"):
+            if c in t.column_names:  # wide range, float, string, nulls
+                assert n.schema.field(c).equals(t.schema.field(c), check_metadata=True)
+    back = exchange._widen(n)
+    assert back.equals(t, check_metadata=True)
+    assert back.schema.serialize().to_pybytes() == t.schema.serialize().to_pybytes()
+
+
+def test_narrow_survives_ray_serialization(ray_session):
+    """A narrowed shard's field metadata (its base and original field)
+    crosses the object store intact."""
+    import ray
+
+    t = _narrow_cases()["uint64_above_2_63"]
+    n = ray.get(ray.put(exchange._narrow(t)))
+    assert n.schema.field("a").type == pa.uint32()
+    assert exchange._widen(n).equals(t, check_metadata=True)
+
+
+def test_inline_limit_is_rays():
+    from ray._private import ray_constants
+
+    assert exchange._INLINE_LIMIT == ray_constants.DEFAULT_MAX_DIRECT_CALL_OBJECT_SIZE
+
+
+def test_partition_fn_sees_input_schema_across_shard_widths(ray_session):
+    """One partition's shards come back narrowed to uint8, to uint16 and
+    wide; the partition fn sees the input schema byte for byte (field and
+    schema metadata included) and every row."""
+    import ray
+    import ray.data
+
+    field = pa.field("k", pa.int64(), metadata={"unit": "id"})
+    schema = pa.schema([field, ("v", pa.float64())], metadata={"origin": "test"})
+
+    def block(k):
+        k = np.asarray(k, dtype=np.int64)
+        return pa.table([k, np.arange(len(k), dtype=np.float64)], schema=schema)
+
+    # 20k rows: every block's one shard stays over the inline limit narrowed
+    n = 20_000
+    blocks = [block(np.arange(n) % 200), block(np.arange(n) * 3),
+              block(np.r_[_I64_MIN, _I64_MAX, np.arange(n - 2)])]
+    widths = {exchange._split(b, "k", 1)[0].schema.field("k").type for b in blocks}
+    assert widths == {pa.uint8(), pa.uint16(), pa.int64()}
+    src = ray.data.from_arrow(blocks).materialize()
+    assert ray.get(src.to_arrow_refs()[0]).schema.equals(schema, check_metadata=True)
+
+    def fn(t: pa.Table) -> pa.Table:
+        assert t.schema.serialize().to_pybytes() == schema.serialize().to_pybytes()
+        return t
+
+    out = pa.concat_tables(ray.get(
+        exchange.co_partition([(src, "k", None)], 1, fn).to_arrow_refs()))
+    assert out.sort_by("k").equals(pa.concat_tables(blocks).sort_by("k"))
+
+
+def _stored_size(t: pa.Table) -> int:
+    """The bytes Ray stores for `t` as a task result."""
+    from ray._private.worker import global_worker
+
+    return global_worker.get_serialization_context().serialize(t).total_bytes
+
+
+def test_narrowing_fires_and_keeps_shards_in_the_object_store(ray_session):
+    """Blocks of 60k rows into 4 partitions give shards of ~15k rows.  A
+    (small-range key, wide-range payload) shard narrows from ~240 KB to
+    ~150 KB; a key-only shard (~120 KB wide, ~30 KB narrow) would fall
+    under Ray's 100 KiB inline limit, so it stays wide.  The exchange's
+    output equals the un-narrowed one."""
+    rng = np.random.default_rng(8)
+    limit = exchange._INLINE_LIMIT
+    blocks = [pa.table({"k": rng.integers(0, 40_000, 60_000),
+                        "ts": rng.integers(0, 10**15, 60_000)})
+              for _ in range(3)]
+    wide = narrow = 0
+    for b in blocks:
+        for key_only in (False, True):
+            b_in = b.select(["k"]) if key_only else b
+            shards = exchange._split(b_in, "k", 4)
+            for s, w in zip(shards, exchange._hash_part(b_in, "k", 4)):
+                ws, ns = _stored_size(w), _stored_size(s)
+                assert ws >= limit
+                assert ns >= limit
+                assert exchange._widen(s).equals(w, check_metadata=True)
+                # a key-only shard would cross the limit, so it stays wide
+                want = pa.int64() if key_only else pa.uint16()
+                assert s.schema.field("k").type == want
+                if not key_only:
+                    wide, narrow = wide + ws, narrow + ns
+    assert narrow < 0.7 * wide
+
+    import ray.data
+
+    def fn(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("k", "ascending"), ("ts", "ascending")])
+        return t.append_column("rank", pa.array(np.arange(t.num_rows)))
+
+    src = ray.data.from_arrow(blocks).materialize()
+    got = ray_session.get(
+        exchange.hash_exchange_apply(src, "k", 4, fn).to_arrow_refs())
+    want = [fn(pa.concat_tables([exchange._hash_part(b, "k", 4)[p] for b in blocks]))
+            for p in range(4)]
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert g.equals(w, check_metadata=True)
+
+
+def _tile_inputs():
+    import ray.data
+
+    src = ray.data.from_arrow(pa.table(
+        {"k": np.arange(20_000, dtype=np.int64) * 7919})).repartition(4)
+    computed = src.materialize()
+    return {
+        "computed": computed,
+        "lazy": _lazy(computed),
+        "zero_block": src.limit(0),
+        "filter_all": src.filter(lambda r: False),
+    }
+
+
+@pytest.mark.parametrize("inp", ["computed", "lazy", "zero_block", "filter_all"])
+def test_hash_final_with_fused_combine_matches_tree(ray_session, inp):
+    """The hash final runs the map-side combine inside the exchange's
+    split task over a computed input (fused into the plan over a lazy
+    one); its level-12 tile counts equal the tree final's."""
+    ds = _tile_inputs()[inp]
+    out = {}
+    for final in ("tree", "hash"):
+        blocks = ray_session.get(
+            tiling.tile_counts(ds, "k", level=12, final=final).to_arrow_refs())
+        t = pa.concat_tables(blocks)
+        assert t.schema.equals(pa.schema([("tile_token", pa.string()),
+                                          ("n", pa.int64())]))
+        out[final] = t.sort_by("tile_token")
+    assert out["hash"].equals(out["tree"])
+    want = 0 if inp in ("zero_block", "filter_all") else 20_000
+    assert int(out["tree"]["n"].to_numpy().sum()) == want
+
+
 def _events_table(n: int = 300) -> pa.Table:
     rng = np.random.default_rng(3)
     kinds = np.array(["view", "purchase", "click"])
@@ -266,6 +467,8 @@ _EXECUTOR_COUNTS = {
         keys, "k", 8, final="hash"), 0),
     "tile_counts_lazy_input": (lambda ev, keys, right: tiling.tile_counts(
         _lazy(keys), "k", 8), 1),
+    "tile_counts_hash_lazy_input": (lambda ev, keys, right: tiling.tile_counts(
+        _lazy(keys), "k", 8, final="hash"), 1),
     "pip_join_inner": (lambda ev, keys, right: ppip.pip_join(
         keys, "k", layer=_urban_layer()), 0),
     "pip_join_semi": (lambda ev, keys, right: ppip.pip_join(
