@@ -23,10 +23,14 @@ the sum is unchanged (no label moved).  Rounds needed = graph diameter —
 near-dup components are duplicate clusters, diameter O(1)-ish in practice;
 `max_iters` bounds pathological chains.
 
-The driver holds ONLY the scalar label-sum per round; labels and edges
-stay distributed.  100 TB: the labels table is one row per document,
-hash-partitioned; each round's join moves edge rows to their u-partition —
-proportional to the pair count, not the corpus.
+The driver holds ONLY the scalar label-sum per round (one raw task per
+labels block); labels and edges stay distributed.  Every step is raw Ray
+(the edge projection in the edge exchange's split task, the label maps
+as `exchange.map_blocks`, each round's union of computed blocks as one
+computed dataset), so over computed inputs no Ray Data executor starts.
+100 TB: the labels table is one row per document, hash-partitioned; each
+round's join moves edge rows to their u-partition — proportional to the
+pair count, not the corpus.
 
 Oracle: a recursive-CTE transitive closure over the SAME pair query
 (oracle/sql-composed in __ray_entry__), min(reachable id) per doc —
@@ -47,7 +51,7 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
     ids_ds: one row per document (the universe — singletons included).
     pairs_ds: near-dup pairs (a_col, b_col), any direction, deduped or not.
     """
-    import ray.data
+    import ray
 
     from ..stages import agg, exchange
 
@@ -55,8 +59,9 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
         num_parts = exchange.default_num_parts()
 
     def to_edges(batch: pa.Table) -> pa.Table:
-        a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        # `agg.column`: a zero-row block may lack the pair columns
+        a = agg.column(batch, a_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        b = agg.column(batch, b_col).to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"u": np.concatenate([a, b]),
                          "v": np.concatenate([b, a])})
 
@@ -68,14 +73,12 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
         return pa.table({c: pa.LargeListArray.from_arrays(
             offsets, et[c].combine_chunks()) for c in ("u", "v")})
 
-    edges = pairs_ds.map_batches(to_edges, batch_format="pyarrow")
     # the STATIC edge table is hash-partitioned ONCE by u — each round
     # only exchanges the labels and runs against the pinned edge
     # partitions (re-exchanging the full edge set every round would
     # dominate the per-round cost at scale)
-    edge_parts = exchange.co_partition(
-        [(edges, "u", None)], num_parts, pack
-    ).to_arrow_refs()
+    edge_parts = exchange.block_refs(exchange.co_partition(
+        [(pairs_ds, "u", to_edges)], num_parts, pack))
 
     def init_labels(batch: pa.Table) -> pa.Table:
         i = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -86,10 +89,15 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
     # lineage every pass otherwise (exponential).  The pinned set is
     # (int64 id, int64 label) for near-dup CANDIDATES only — a small
     # slice of the corpus — and plasma spills it if it outgrows memory.
-    labels = ids_ds.map_batches(init_labels, batch_format="pyarrow").materialize()
+    labels = exchange.map_blocks(ids_ds, init_labels).materialize()
+
+    @ray.remote
+    def block_sum(t: pa.Table) -> int:
+        return int(np.sum(t["label"].to_numpy())) if t.num_rows else 0
 
     def label_sum(ds) -> int:
-        return int(ds.sum("label"))
+        return sum(ray.get([block_sum.remote(b)
+                            for b in exchange.block_refs(ds)]))
 
     def join_part(lt: pa.Table, packed: pa.Table) -> pa.Table:
         # (u, v) x (doc_id==u, label) -> (doc_id=v, label)
@@ -109,7 +117,9 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
         cand_v = exchange.co_partition(
             [(labels, id_col, None)], num_parts, join_part, pinned=edge_parts
         )
-        merged = labels.union(cand_v)
+        # the union of two computed datasets, as one computed dataset
+        merged = exchange.as_dataset(
+            exchange.block_refs(labels) + exchange.block_refs(cand_v))
         # final='hash': one label row per document is the high-cardinality
         # case; the reduce yields exactly ONE row per doc_id, which the
         # label-sum convergence certificate relies on (ADVICE r3)
@@ -133,4 +143,4 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
              "cluster_id": batch["label"].to_numpy(zero_copy_only=False)}
         )
 
-    return labels.map_batches(finish, batch_format="pyarrow")
+    return exchange.map_blocks(labels, finish)

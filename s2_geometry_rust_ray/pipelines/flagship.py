@@ -78,78 +78,33 @@ def indexed_passthrough(images_dir: str, out_dir: str, tile_level: int = 5,
     return resumable_shard_write(files, out_dir, pipeline, max_shards=max_shards)
 
 
+_PHASH_PAIRS = pa.schema([("img_a", pa.string()), ("img_b", pa.string()),
+                          ("hamming", pa.int64())])
+
+
 def image_phash_near_dup(images_dir: str, max_hamming: int = 7,
                          num_parts: int | None = None,
                          hot_bucket_cap: int = 1024):
     """Near-duplicate image pairs by perceptual-hash Hamming distance:
     (img_a, img_b, hamming) with hamming <= max_hamming.
 
-    The image-axis twin of textops.simhash_near_dup: candidates share at
-    least one of the 8 8-bit bands of the stored 64-bit phash (pigeonhole:
-    a pair within hamming 7 differs in at most 7 bands, so some band
-    matches — no false negatives for max_hamming <= 7), then exact
-    popcount(xor) verification.  Fully distributed: band hash-exchange ->
-    per-bucket vectorized pair emission (hot buckets chunk-split) -> pair
-    dedup co-located by img_a -> payload hash-join.  The read is
-    column-pruned to (image_id, phash) — the wide `bytes` payload never
-    enters the pipeline.  Integer-only, so the SQL twin
+    The image-axis twin of textops.simhash_near_dup: the same
+    `textops.hamming_near_dup` (8 8-bit bands of the signature, no false
+    negatives for max_hamming <= 7, exact popcount(xor) verify) over the
+    stored 64-bit phash, keyed by the string image_id itself.  The read
+    is column-pruned to (image_id, phash) — the wide `bytes` payload
+    never enters the pipeline.  Integer-only, so the SQL twin
     (__ray_entry__.oracle_sql img_phash_near_dup) is bit-exact."""
-    import numpy as np
     import ray.data
 
-    from ..functions.text import hamming64
-    from ..stages import exchange
+    from .textops import hamming_near_dup
 
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        # exchange machinery keys on int64 — image_id ("img%012d") is
-        # bijective with its integer suffix
-        import pyarrow.compute as pc
-
-        k = pc.cast(pc.utf8_slice_codeunits(batch["image_id"], 3, 99), pa.int64())
-        return pa.table({"k": k, "phash": batch["phash"]})
-
-    ds = ray.data.read_parquet(
-        images_dir, columns=["image_id", "phash"]
-    ).map_batches(keyed, batch_format="pyarrow")
-
-    def band_stage(batch: pa.Table) -> pa.Table:
-        sig = batch["phash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        shifts = (np.uint64(8) * np.arange(8, dtype=np.uint64))[None, :]
-        chunk = ((sig[:, None] >> shifts) & np.uint64(0xFF)).astype(np.int64)
-        # integer bucket band*256 + chunk — same expression in the SQL twin
-        buckets = np.arange(8, dtype=np.int64)[None, :] * 256 + chunk
-        img = np.repeat(batch["k"].to_numpy(zero_copy_only=False), 8)
-        return pa.table({"k": img, "bucket": buckets.ravel()})
-
-    bands = ds.map_batches(band_stage, batch_format="pyarrow")
-    cand = exchange.lsh_candidate_pairs(
-        bands, "k", "bucket", num_parts, "img_a", "img_b",
-        hot_bucket_cap=hot_bucket_cap,
+    ds = ray.data.read_parquet(images_dir, columns=["image_id", "phash"])
+    return hamming_near_dup(
+        ds, "image_id",
+        lambda b: (b["image_id"], b["phash"].to_numpy(zero_copy_only=False)),
+        _PHASH_PAIRS, max_hamming, num_parts, hot_bucket_cap,
     )
-    j2 = exchange.attach_pair_payloads(
-        cand, ds, "k", "phash", "img_a", "img_b", num_parts
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        a = batch["phash_a"].to_numpy(zero_copy_only=False).view(np.uint64)
-        b = batch["phash_b"].to_numpy(zero_copy_only=False).view(np.uint64)
-        ham = hamming64(a, b)
-        keep = ham <= max_hamming
-
-        def back(ids: np.ndarray) -> pa.Array:
-            s = np.char.zfill(ids.astype("U12"), 12)
-            return pa.array(np.char.add("img", s), type=pa.string())
-
-        return pa.table(
-            {"img_a": back(batch["img_a"].to_numpy(zero_copy_only=False)[keep]),
-             "img_b": back(batch["img_b"].to_numpy(zero_copy_only=False)[keep]),
-             "hamming": ham[keep].astype(np.int64)}
-        )
-
-    return j2.map_batches(verify, batch_format="pyarrow")
 
 
 def image_caption_token_tiles(images_dir: str, level: int = 6):

@@ -3,13 +3,15 @@ token stats, quality/lang scoring, exact dedup, MinHash-LSH near-dup,
 fingerprinting, window aggregation, and the per-user event ops
 (sessionize, as-of join, range join).
 
-Each op is a map_batches kernel + (where a shuffle is needed) a grouped
-reduce from stages/agg.py (tree or hash final) or a hash exchange.  The
-three per-user event ops share ONE exchange, `_by_user`: a projection in
-the split task, one lexsort per partition and a small numpy finish, with
-no per-partition pandas.  The SQL-oracle'd ops restrict themselves to
-cross-engine-identical operations (ASCII regex, md5, integer sums) — see
-each docstring.
+Each row-local op is one map kernel; an op that needs a shuffle is a
+grouped reduce from stages/agg.py (tree or hash final) or a hash exchange.
+The three per-user event ops share ONE exchange, `_by_user`: a projection
+in the split task, one lexsort per partition and a small numpy finish,
+with no per-partition pandas.  The near-dup ops are `exchange.near_dup`
+plus their bands, payload and verify (the 64-bit Hamming pair,
+`hamming_near_dup`, serves SimHash here and phash in flagship.py).  The
+SQL-oracle'd ops restrict themselves to cross-engine-identical operations
+(ASCII regex, md5, integer sums) — see each docstring.
 """
 
 from __future__ import annotations
@@ -96,72 +98,55 @@ def exact_dedup(ds):
     )
 
 
+_JACCARD_PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                            ("jaccard", pa.float64())])
+_SIMHASH_PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                            ("hamming", pa.int64())])
+# byte b of a 64-bit signature is (sig >> 8b) & 0xFF
+_BYTE_SHIFTS = np.uint64(8) * np.arange(8, dtype=np.uint64)
+
+
 def near_dup_pairs(ds, num_hashes: int = 32, band_size: int = 4,
                    threshold: float = 0.5, num_parts: int | None = None,
                    shingle_k: int = 5, shingle_mode: str = "word",
                    hot_bucket_cap: int = 1024):
     """MinHash-LSH near-duplicate pairs: (doc_a, doc_b, jaccard).
 
-    shingle(5-gram words) -> md5 per distinct shingle -> num_hashes
-    universal-hash permutations mod 2^31-1, batched across the whole batch
-    (functions/text.minhash_signatures_batch) -> integer band buckets
-    (mod-p fold, functions/text.band_buckets — no per-doc string builds)
-    -> bucket hash-exchange -> per-bucket candidate pairs (hot buckets
-    chunk-split, stages/exchange.lsh_candidate_pairs) -> pair-keyed dedup
-    exchange -> hash-join texts back by doc id -> exact Jaccard verify >=
-    threshold.
+    An `exchange.near_dup` over: bands = shingle(5-gram words) -> md5 per
+    distinct shingle -> num_hashes universal-hash permutations mod 2^31-1,
+    batched across the whole block (functions/text.minhash_signatures_batch)
+    -> integer band buckets (mod-p fold, functions/text.band_buckets — no
+    per-doc string builds); payload = (doc_id, text); verify = exact
+    Jaccard >= threshold.
 
     Scale path: NOTHING is materialized on the driver.  The band exchange
     carries (doc_id, int64 bucket) rows only; candidate pairs are deduped
     distributed (co-located by hash(doc_a) — identical pairs share doc_a);
     candidate texts arrive via two hash-partitioned equi-joins against the
-    documents table (stages/exchange.hash_join), so each partition holds
-    only its own candidates' texts.  jaccard = n_inter/n_union is a single
-    IEEE division of exact integers => bit-exact vs the DuckDB oracle
-    (oracle/sql.q_near_dup_pairs mirrors the full LSH pipeline incl. the
-    integer band fold)."""
+    documents table, so each partition holds only its own candidates'
+    texts.  jaccard = n_inter/n_union is a single IEEE division of exact
+    integers => bit-exact vs the DuckDB oracle (oracle/sql.q_near_dup_pairs
+    mirrors the full LSH pipeline incl. the integer band fold)."""
     from ..stages import exchange
 
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
-    n_bands = num_hashes // band_size
     sentinel = np.uint64(T.MINHASH_P)
 
-    def band_stage(batch: pa.Table) -> pa.Table:
+    def bands(batch: pa.Table):
         sig = T.minhash_signatures_batch(
             _texts(batch), num_hashes, shingle_k, shingle_mode
         )
         ok = sig[:, 0] != sentinel  # no shingles -> cannot near-dup
-        buckets = T.band_buckets(sig[ok], band_size)  # (m, n_bands) int64
-        doc = np.repeat(
-            batch["doc_id"].to_numpy(zero_copy_only=False)[ok], n_bands
-        )
-        return pa.table({"doc_id": doc, "bucket": buckets.ravel()})
+        return (batch["doc_id"].filter(pa.array(ok)),
+                T.band_buckets(sig[ok], band_size))
 
-    bands = ds.map_batches(band_stage, batch_format="pyarrow")
-    cand = exchange.lsh_candidate_pairs(
-        bands, "doc_id", "bucket", num_parts, "doc_a", "doc_b",
-        hot_bucket_cap=hot_bucket_cap,
-    )
-    # fetch candidate texts via hash-partitioned joins (never broadcast)
-    j2 = exchange.attach_pair_payloads(
-        cand, ds, "doc_id", "text", "doc_a", "doc_b", num_parts
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
+    def verify(batch: pa.Table):
         # vectorized exact-Jaccard: shingle each DISTINCT text once (pairs
         # are co-located by doc_a and boilerplate corpora repeat texts
         # across many pairs) into a u64 md5-hash array — same distinct
         # cardinalities as the raw shingle sets — then count every pair's
         # intersection in ONE (pair, value) lexsort + adjacent-equal scan
-        # over the whole batch.  No per-pair Python set ops.
+        # over the whole partition.  No per-pair Python set ops.
         m = batch.num_rows
-        id_t = batch.schema.field("doc_a").type
-        if m == 0:
-            return pa.table(
-                {"doc_a": pa.array([], id_t), "doc_b": pa.array([], id_t),
-                 "jaccard": pa.array([], pa.float64())}
-            )
         texts = np.concatenate(
             [batch["text_a"].to_numpy(zero_copy_only=False),
              batch["text_b"].to_numpy(zero_copy_only=False)]
@@ -172,9 +157,7 @@ def near_dup_pairs(ds, num_hashes: int = 32, band_size: int = 4,
             T.shingle_hashes(str(t), shingle_k, shingle_mode) for t in uniq
         ]
         lengths = np.array([len(h) for h in hl], dtype=np.int64)
-        vals = (
-            np.concatenate(hl) if hl else np.array([], dtype=np.uint64)
-        )
+        vals = np.concatenate(hl)
         offsets = np.concatenate(([0], np.cumsum(lengths)))
         # one computation per distinct TEXT pair, not per row — a hot
         # boilerplate bucket emits ~n^2/2 rows that all share one text
@@ -217,13 +200,50 @@ def near_dup_pairs(ds, num_hashes: int = 32, band_size: int = 4,
             )
         ja = ja_u[uidx]
         keep = ja >= threshold
-        return pa.table(
-            {"doc_a": batch["doc_a"].filter(pa.array(keep)),
-             "doc_b": batch["doc_b"].filter(pa.array(keep)),
-             "jaccard": ja[keep]}
-        )
+        mask = pa.array(keep)
+        return batch["doc_a"].filter(mask), batch["doc_b"].filter(mask), ja[keep]
 
-    return j2.map_batches(verify, batch_format="pyarrow")
+    return exchange.near_dup(
+        ds, "doc_id", bands, lambda b: b.select(["doc_id", "text"]), verify,
+        _JACCARD_PAIRS, num_parts, hot_bucket_cap,
+    )
+
+
+def hamming_near_dup(ds, id_col: str, signature, schema: pa.Schema,
+                     max_hamming: int, num_parts: int | None,
+                     hot_bucket_cap: int):
+    """Near-duplicate pairs by the Hamming distance of a 64-bit signature,
+    ``signature(block) -> (ids, int64 signatures)`` (rows it leaves out
+    are never paired): rows of `schema` (id a, id b, hamming) with hamming
+    <= max_hamming.  The `exchange.near_dup` of `simhash_near_dup` and
+    `flagship.image_phash_near_dup`.
+
+    Candidates share one of the signature's 8 8-bit bands (bucket
+    band*256 + byte, the SQL twins' expression); a pair within hamming 7
+    differs in at most 7 bands, so some band matches: no false negatives
+    for max_hamming <= 7 (k+1 bands guarantee radius k).  Verification is
+    exact popcount(xor)."""
+    from ..stages import exchange
+
+    def bands(batch: pa.Table):
+        ids, sig = signature(batch)
+        byte = (sig.view(np.uint64)[:, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
+        return ids, np.arange(8, dtype=np.int64) * 256 + byte.astype(np.int64)
+
+    def payload(batch: pa.Table) -> pa.Table:
+        ids, sig = signature(batch)
+        return pa.table({id_col: ids, "sig": sig})
+
+    def verify(batch: pa.Table):
+        ham = T.hamming64(
+            batch["sig_a"].to_numpy(zero_copy_only=False).view(np.uint64),
+            batch["sig_b"].to_numpy(zero_copy_only=False).view(np.uint64))
+        keep = ham <= max_hamming
+        mask = pa.array(keep)
+        return batch.column(0).filter(mask), batch.column(1).filter(mask), ham[keep]
+
+    return exchange.near_dup(ds, id_col, bands, payload, verify, schema,
+                             num_parts, hot_bucket_cap)
 
 
 def simhash_table(ds):
@@ -244,53 +264,18 @@ def simhash_near_dup(ds, max_hamming: int = 7, num_parts: int | None = None,
                      hot_bucket_cap: int = 1024):
     """SimHash near-duplicate pairs: (doc_a, doc_b, hamming).
 
-    Candidates share at least one of the 8 8-bit bands of their SimHash;
-    by pigeonhole a pair with hamming <= 7 differs in at most 7 bands, so
-    some band matches — max_hamming <= 7 has NO false negatives (the
-    classic multi-index Hamming scheme: k+1 bands guarantee radius k).
-    Verification is exact popcount(xor).  Same fully-distributed shape as
-    the MinHash path: band exchange -> per-bucket pairs -> pair dedup
-    co-located by doc_a.  Empty docs (simhash 0) are excluded from
+    `hamming_near_dup` over the 64-bit SimHash of each doc's text (8
+    8-bit bands, no false negatives for max_hamming <= 7, exact
+    popcount(xor) verify).  Empty docs (simhash 0) are excluded from
     banding.  Integer-only => bit-exact vs oracle/sql.q_simhash_near_dup."""
-    from ..stages import exchange
 
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
-
-    def band_stage(batch: pa.Table) -> pa.Table:
+    def signature(batch: pa.Table):
         sig = T.simhash64_batch(_texts(batch))
         ok = sig != np.uint64(0)
-        sig = sig[ok]
-        shifts = (np.uint64(8) * np.arange(8, dtype=np.uint64))[None, :]
-        chunk = ((sig[:, None] >> shifts) & np.uint64(0xFF)).astype(np.int64)
-        # integer bucket b*256 + chunk (bijective with the (band, chunk)
-        # pair; same expression in the SQL twin)
-        buckets = np.arange(8, dtype=np.int64)[None, :] * 256 + chunk
-        doc = np.repeat(batch["doc_id"].to_numpy(zero_copy_only=False)[ok], 8)
-        return pa.table({"doc_id": doc, "bucket": buckets.ravel()})
+        return batch["doc_id"].filter(pa.array(ok)), sig[ok].view(np.int64)
 
-    bands = ds.map_batches(band_stage, batch_format="pyarrow")
-    cand = exchange.lsh_candidate_pairs(
-        bands, "doc_id", "bucket", num_parts, "doc_a", "doc_b",
-        hot_bucket_cap=hot_bucket_cap,
-    )
-    sigs = simhash_table(ds)
-    j2 = exchange.attach_pair_payloads(
-        cand, sigs, "doc_id", "simhash", "doc_a", "doc_b", num_parts
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        a = batch["simhash_a"].to_numpy(zero_copy_only=False).view(np.uint64)
-        b = batch["simhash_b"].to_numpy(zero_copy_only=False).view(np.uint64)
-        ham = T.hamming64(a, b)
-        keep = ham <= max_hamming
-        return pa.table(
-            {"doc_a": batch["doc_a"].to_numpy(zero_copy_only=False)[keep],
-             "doc_b": batch["doc_b"].to_numpy(zero_copy_only=False)[keep],
-             "hamming": ham[keep]}
-        )
-
-    return j2.map_batches(verify, batch_format="pyarrow")
+    return hamming_near_dup(ds, "doc_id", signature, _SIMHASH_PAIRS,
+                            max_hamming, num_parts, hot_bucket_cap)
 
 
 def fingerprints(ds):

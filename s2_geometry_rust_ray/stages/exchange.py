@@ -16,7 +16,10 @@ fused in); P partition tasks concat their shards from every side and run
 one fn, so a payload crosses the object store once.  A side's
 partitioner is hash(key columns) % P, or a `Ranges` (a column and P - 1
 sorted bounds: one searchsorted per block), and one split function
-serves both.
+serves both.  The four LSH near-dup pipelines are one operator over it,
+`near_dup`: a self-join of the band relations on the bucket, then the
+pair DISTINCT planned once with the payload joins; each pipeline gives
+only its bands, payload and verify.
 
 The Ray Data boundary (`block_refs` in, `as_dataset` out): the engine runs
 each input plan ONCE where it drops to raw Ray, and returns raw-Ray
@@ -65,8 +68,8 @@ Skew: a grouped reduce's map-side combine sends a hot key at most one row
 per block (stages/agg.py); a join whose key is ordered (a leaf cell id)
 takes `Ranges` bounds from quantiles of its data, so a hot spot gets
 narrow ranges and each row still meets exactly one partition
-(pipelines/pip_shuffle.py); and `lsh_candidate_pairs` splits a hot LSH
-bucket into chunks paired in separate tasks.
+(pipelines/pip_shuffle.py); and `lsh_candidate_pairs` / `near_dup` split
+a hot LSH bucket into chunks paired in separate tasks.
 """
 
 from __future__ import annotations
@@ -617,6 +620,104 @@ def _left_cross_pairs(ids_sorted: np.ndarray, n_left: int):
     return a, ids_sorted[j]
 
 
+def _distinct(t: pa.Table) -> pa.Table:
+    """The distinct rows of `t` (over all its columns)."""
+    return t.group_by(t.column_names).aggregate([])
+
+
+def _pairs(ids, i: np.ndarray, j: np.ndarray, a_col: str, b_col: str):
+    """The distinct (ids[i], ids[j]) pairs, as (a_col, b_col)."""
+    return _distinct(pa.table({a_col: ids.take(i), b_col: ids.take(j)}))
+
+
+def _candidate_sides(bands_ds, id_col: str, bucket_col: str, num_parts: int,
+                     a_col: str, b_col: str, hot_bucket_cap: int,
+                     map_fn=None) -> list:
+    """The within-bucket pairs (a < b in Arrow sort order) of a bands
+    relation (id_col, bucket_col), as `co_partition` sides keyed by a_col:
+    the small-bucket pairs, emitted in the split task of a prepped side,
+    and, when a bucket holds more than `hot_bucket_cap` ids, the hot
+    buckets' chunk pairs.  `map_fn` maps input blocks to the bands
+    relation in the band exchange's split task.  A pair emitted by
+    several buckets or chunks meets its copies in one partition, since
+    they share their `a` id."""
+    def prep(tbl: pa.Table) -> pa.Table:
+        # one partition's distinct (bucket, id) rows sorted by (bucket,
+        # id): both emission passes read a bucket as one sorted segment
+        if tbl.num_rows == 0:
+            return pa.table({})
+        t = tbl.select([bucket_col, id_col])
+        if pa.types.is_integer(t.schema.field(id_col).type):
+            t = t.set_column(1, id_col, t[id_col].cast(pa.int64()))
+        return _distinct(t).sort_by([(bucket_col, "ascending"),
+                                     (id_col, "ascending")])
+
+    prepped = co_partition([(bands_ds, bucket_col, map_fn)], num_parts, prep)
+
+    def segments(tbl: pa.Table):  # (starts, lengths) of its buckets
+        return _segments_of_sorted(tbl[bucket_col].to_numpy(zero_copy_only=False))
+
+    def small_pairs(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            return pa.table({})
+        starts, lens = segments(tbl)
+        small = lens <= hot_bucket_cap
+        i, j = _segment_triu_pairs(np.arange(tbl.num_rows), starts[small],
+                                   lens[small])
+        return _pairs(tbl[id_col], i, j, a_col, b_col)
+
+    # hot-bucket spill: one (bucket, id, lo) row per (chunk, member at or
+    # above the chunk start); chunk c of a hot bucket of n members is
+    # lo = c*cap and carries members [lo, n), so (bucket, lo) routes one
+    # chunk to one task.  Fully vectorized (the _left_cross_pairs
+    # repeat/arange pattern).
+    def spill_rows(tbl: pa.Table) -> pa.Table:
+        starts, lens = segments(tbl)
+        hot = np.nonzero(lens > hot_bucket_cap)[0]
+        n_chunks = -(-lens[hot] // hot_bucket_cap)
+        seg_of_ch = np.repeat(hot, n_chunks)
+        lo_ch = hot_bucket_cap * (
+            np.arange(len(seg_of_ch)) - np.repeat(np.cumsum(n_chunks) - n_chunks,
+                                                  n_chunks))
+        m_ch = lens[seg_of_ch] - lo_ch
+        row_ch = np.repeat(np.arange(len(seg_of_ch)), m_ch)
+        w = np.arange(len(row_ch)) - np.repeat(np.cumsum(m_ch) - m_ch, m_ch)
+        rows = starts[seg_of_ch][row_ch] + lo_ch[row_ch] + w
+        return tbl.take(rows).append_column(
+            "lo", pa.array(lo_ch[row_ch], pa.int64()))
+
+    sides = [(prepped, a_col, small_pairs)]
+    spill = map_blocks(prepped, spill_rows)
+    # no hot bucket anywhere (the common case): skip the chunk round
+    # entirely — the skew insurance costs nothing when unused
+    if spill.count() == 0:
+        return sides
+
+    def chunk_pairs(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            return pa.table({})
+        # a chunk's members ascend by id (prep sorted each bucket), so the
+        # sort restores the order _left_cross_pairs takes its lefts from
+        t = tbl.sort_by([(bucket_col, "ascending"), ("lo", "ascending"),
+                         (id_col, "ascending")])
+        bk = t[bucket_col].to_numpy(zero_copy_only=False)
+        lo = t["lo"].to_numpy()
+        is_new = np.ones(t.num_rows, dtype=bool)
+        is_new[1:] = (bk[1:] != bk[:-1]) | (lo[1:] != lo[:-1])
+        starts = np.nonzero(is_new)[0]
+        ends = np.r_[starts[1:], t.num_rows]
+        pos = np.arange(t.num_rows)
+        # loop over chunks, not pairs
+        ij = [_left_cross_pairs(pos[s:e], hot_bucket_cap)
+              for s, e in zip(starts, ends)]
+        return _pairs(t[id_col], np.concatenate([i for i, _ in ij]),
+                      np.concatenate([j for _, j in ij]), a_col, b_col)
+
+    chunks = co_partition([(spill, [bucket_col, "lo"], None)], num_parts,
+                          chunk_pairs)
+    return sides + [(chunks, a_col, None)]
+
+
 def lsh_candidate_pairs(bands_ds, id_col: str, bucket_col: str,
                         num_parts: int, a_col: str, b_col: str,
                         hot_bucket_cap: int = 1024):
@@ -624,7 +725,9 @@ def lsh_candidate_pairs(bands_ds, id_col: str, bucket_col: str,
     rows by bucket, emit all within-bucket id pairs (a < b), then dedup
     pairs globally co-located by hash(a) — identical pairs from different
     bands always share their `a` id, so the dedup stays fully distributed.
-    Returns a Dataset (a_col:int64, b_col:int64).
+    Returns a Dataset (a_col, b_col).  Ids may be of any type `key_hash`
+    supports; pairs order them by Arrow sort order, and integer ids come
+    out int64.
 
     Skew handling (the LSH hot-bucket killer — boilerplate-heavy corpora
     put 10%+ of docs in one bucket, emitting O(n^2) pairs in one task):
@@ -637,146 +740,100 @@ def lsh_candidate_pairs(bands_ds, id_col: str, bucket_col: str,
     (triu_indices per segment-length class / repeat+gather per chunk).
 
     An empty input (zero blocks, or blocks a filter left column-less)
-    returns 0 rows typed (a_col: int64, b_col: int64): the prep and dedup
-    rounds map a zero-row partition to their typed empty table, and the
-    emission passes read only prepped partitions."""
-    def int64_table(*cols: str) -> pa.Table:
-        return pa.table({c: pa.array([], pa.int64()) for c in cols})
+    returns 0 rows typed (a_col: int64, b_col: int64)."""
+    def dedup(*tables: pa.Table) -> pa.Table:
+        t = pa.concat_tables(tables, promote_options="default")
+        if t.num_rows == 0:
+            return pa.table({a_col: pa.array([], pa.int64()),
+                             b_col: pa.array([], pa.int64())})
+        return _distinct(t)
 
-    empty_pairs = int64_table(a_col, b_col)
-
-    # ONE fused concat + sort + dedup pass per partition (the prep round);
-    # both emission passes below read a prepped partition — unique
-    # (bucket, id) rows sorted by (bucket, id), one whole block each, so
-    # batch_size=None — in O(n)
-    def prep(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return int64_table(bucket_col, id_col)
-        bucket = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
-        ids = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        order = np.lexsort((ids, bucket))
-        b_s, i_s = bucket[order], ids[order]
-        keep = np.ones(len(b_s), dtype=bool)
-        keep[1:] = (b_s[1:] != b_s[:-1]) | (i_s[1:] != i_s[:-1])
-        return pa.table({bucket_col: b_s[keep], id_col: i_s[keep]})
-
-    prepped = co_partition([(bands_ds, bucket_col, None)], num_parts, prep)
-
-    def small_pairs(tbl: pa.Table) -> pa.Table:
-        b_s = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
-        i_s = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False))
-        starts, lens = _segments_of_sorted(b_s)
-        small = lens <= hot_bucket_cap
-        a, b = _segment_triu_pairs(i_s, starts[small], lens[small])
-        t = pa.table({a_col: a, b_col: b})
-        return t.group_by([a_col, b_col]).aggregate([])
-
-    cand_small = prepped.map_batches(small_pairs, batch_format="pyarrow",
-                                     batch_size=None)
-
-    # hot-bucket spill: one (bucket, lo, id) row per (chunk, member at or
-    # above the chunk start); chunk c of a hot bucket of n members is
-    # lo = c*cap and carries members [lo, n), so (bucket, lo) routes one
-    # chunk to one task.  Fully vectorized (the _left_cross_pairs
-    # repeat/arange pattern).
-    def spill_rows(tbl: pa.Table) -> pa.Table:
-        b_s = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
-        i_s = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False))
-        starts, lens = _segments_of_sorted(b_s)
-        hot = np.nonzero(lens > hot_bucket_cap)[0]
-        n_chunks = -(-lens[hot] // hot_bucket_cap)
-        seg_of_ch = np.repeat(hot, n_chunks)
-        lo_ch = hot_bucket_cap * (
-            np.arange(len(seg_of_ch)) - np.repeat(np.cumsum(n_chunks) - n_chunks,
-                                                  n_chunks))
-        m_ch = lens[seg_of_ch] - lo_ch
-        row_ch = np.repeat(np.arange(len(seg_of_ch)), m_ch)
-        w = np.arange(len(row_ch)) - np.repeat(np.cumsum(m_ch) - m_ch, m_ch)
-        rows = starts[seg_of_ch][row_ch] + lo_ch[row_ch] + w
-        return pa.table({bucket_col: b_s[rows],
-                         "lo": lo_ch[row_ch].astype(np.int64),
-                         id_col: i_s[rows]})
-
-    spill = prepped.map_batches(spill_rows, batch_format="pyarrow",
-                                batch_size=None).materialize()
-    # no hot bucket anywhere (the common case): skip the chunk round
-    # entirely — the skew insurance costs nothing when unused
-    has_spill = spill.count() > 0
-
-    def chunk_pairs(tbl: pa.Table) -> pa.Table:
-        bk = np.asarray(tbl[bucket_col].to_numpy(zero_copy_only=False))
-        lo = tbl["lo"].to_numpy(zero_copy_only=False)
-        ids = tbl[id_col].to_numpy(zero_copy_only=False)
-        # a chunk's members ascend by id (prep sorted each bucket), so the
-        # sort restores the order _left_cross_pairs takes its lefts from
-        order = np.lexsort((ids, lo, bk))
-        bk, lo, ids = bk[order], lo[order], ids[order]
-        is_new = np.ones(len(ids), dtype=bool)
-        is_new[1:] = (bk[1:] != bk[:-1]) | (lo[1:] != lo[:-1])
-        starts = np.nonzero(is_new)[0]
-        lens = np.diff(np.concatenate([starts, [len(ids)]]))
-        out_a, out_b = [], []
-        for st, n in zip(starts, lens):  # loop over chunks, not pairs
-            a, b = _left_cross_pairs(ids[st : st + n], hot_bucket_cap)
-            out_a.append(a)
-            out_b.append(b)
-        if not out_a:
-            return empty_pairs
-        t = pa.table({a_col: np.concatenate(out_a),
-                      b_col: np.concatenate(out_b)})
-        return t.group_by([a_col, b_col]).aggregate([])
-
-    cand = cand_small
-    if has_spill:
-        cand = cand.union(
-            co_partition([(spill, [bucket_col, "lo"], None)], num_parts,
-                         chunk_pairs))
-
-    def dedup_part(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return empty_pairs
-        return tbl.group_by([a_col, b_col]).aggregate([])
-
-    return co_partition([(cand, a_col, None)], num_parts, dedup_part)
+    return co_partition(
+        _candidate_sides(bands_ds, id_col, bucket_col, num_parts, a_col,
+                         b_col, hot_bucket_cap), num_parts, dedup)
 
 
-def attach_pair_payloads(cand, src_ds, id_col: str, payload_col: str,
-                         a_col: str, b_col: str, num_parts: int):
-    """Join a candidate-pair Dataset back to a source table TWICE to pull
-    the payload column for both pair members (columns {payload}_a /
-    {payload}_b).  Hash-partitioned joins — never a broadcast.  The source
-    is projected to (id, payload) and its plan runs once for both joins;
-    each join renames the payload inside its partition task."""
-    src = src_ds.select_columns([id_col, payload_col]).materialize()
+def near_dup(ds, id_col: str, bands, payload, verify, schema: pa.Schema,
+             num_parts: int | None = None, hot_bucket_cap: int = 1024):
+    """The one LSH near-duplicate operator: each pair of `ds` rows sharing
+    an LSH bucket, verified once, as rows of `schema`, whose first two
+    fields name the pair's ids (a < b in Arrow sort order, integers as
+    int64).  Per pipeline:
 
-    def join_on(pair_col: str, suffix: str):
-        def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
-            rt = rt.rename_columns([f"{payload_col}_{suffix}" if c == payload_col
-                                    else c for c in rt.column_names])
-            return _join(lt, rt, pair_col, id_col, "inner")
+    * ``bands(block) -> (ids, buckets)``: the ids (Arrow) of the rows
+      that can near-dup and their (len(ids), n_bands) int64 buckets; run
+      in the band exchange's split task.
+    * ``payload(block) -> pa.Table``: (id_col, the values `verify`
+      compares); run once per block (`map_blocks`).
+    * ``verify(pairs) -> columns in schema order``: `pairs` is (a, b, the
+      payload columns suffixed ``_a``, then ``_b``); run in the second
+      payload join's partition task, never on zero rows (such a partition
+      returns `schema.empty_table()`).
 
-        return join
+    The input runs once; its bands cross the band exchange by bucket;
+    the candidate pairs (`lsh_candidate_pairs`' sides) meet the payload in
+    one exchange by `a`, which runs the pair DISTINCT and the first join
+    (copies of a pair share their `a`); the exchange by `b` runs the
+    second join and `verify`.  Over a computed input no Ray Data executor
+    starts."""
+    if num_parts is None:
+        num_parts = default_num_parts()
+    a_col, b_col = schema.names[:2]
+    ds = ds.materialize()
 
-    j1 = co_partition([(cand, a_col, None), (src, id_col, None)], num_parts,
-                      join_on(a_col, "a"))
-    return co_partition([(j1, b_col, None), (src, id_col, None)], num_parts,
-                        join_on(b_col, "b"))
+    def band_rows(block: pa.Table) -> pa.Table:
+        if block.num_rows == 0:
+            return pa.table({})
+        ids, buckets = bands(block)
+        rows = np.repeat(np.arange(len(ids)), buckets.shape[1])
+        return pa.table({id_col: ids.take(rows), "bucket": buckets.ravel()})
+
+    src = map_blocks(ds, payload)
+
+    def suffixed(t: pa.Table, suffix: str) -> pa.Table:
+        return t.rename_columns([c if c == id_col else f"{c}_{suffix}"
+                                 for c in t.column_names])
+
+    def dedup_join_a(*tables: pa.Table) -> pa.Table:
+        *cands, rt = tables
+        pairs = pa.concat_tables(cands, promote_options="default")
+        if pairs.num_rows == 0:
+            return pa.table({})
+        return _join(_distinct(pairs), suffixed(rt, "a"), a_col, id_col, "inner")
+
+    def join_b_verify(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        t = lt if lt.num_rows == 0 else _join(lt, suffixed(rt, "b"), b_col,
+                                              id_col, "inner")
+        if t.num_rows == 0:
+            return schema.empty_table()
+        return pa.table(list(verify(t)), schema=schema)
+
+    sides = _candidate_sides(ds, id_col, "bucket", num_parts, a_col, b_col,
+                             hot_bucket_cap, band_rows)
+    with_a = co_partition(sides + [(src, id_col, None)], num_parts, dedup_join_a)
+    return co_partition([(with_a, b_col, None), (src, id_col, None)],
+                        num_parts, join_b_verify)
 
 
 def topk_merge_partials(partials, merge_fn, merge: str = "single",
                         key_col: str | list[str] = "query_id"):
     """Shared top-k merge tail for the kNN/ANN pipelines.
 
-    merge='single': one bounded reduce task (every partial is already
-    top-k-truncated, so the input is blocks * Q * k rows).
+    merge='single': one raw task over the partials' blocks (every partial
+    is already top-k-truncated, so the input is blocks * Q * k rows).
     merge='distributed': hash-exchange by `key_col` + per-partition final
     merge — the large-Q path with no repartition(1); a key's rows all meet
     in exactly one partition, so the per-partition merge is final."""
     if merge == "single":
-        return partials.repartition(1).map_batches(
-            merge_fn, batch_format="pyarrow"
-        )
+        import ray
+
+        @ray.remote
+        def merge_all(*tbls: pa.Table) -> pa.Table:
+            live = [t for t in tbls if t.num_rows]
+            return merge_fn(pa.concat_tables(live)) if live else tbls[0]
+
+        refs = block_refs(partials)
+        return as_dataset([merge_all.remote(*refs)] if refs else [])
     return hash_exchange_apply(
         partials, key_col, default_num_parts(), merge_fn
     )

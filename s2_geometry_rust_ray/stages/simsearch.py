@@ -12,10 +12,10 @@ are written once and take it as `arith`.
   K centroids (deterministic seeded k-means-lite on a sample); a query
   scans only its nprobe buckets.  `build_ivf_index` makes the bucket the
   storage layout, so `ann_topk_ivf_indexed` prunes the read itself.
-- Embedding near-dup (`embedding_near_dup`): hyperplane-LSH buckets, the
-  shared candidate-pair exchange, and a verify over vectors that cross the
-  pair joins as one fixed_size_binary column (pack_vectors /
-  unpack_vectors: the flat buffer, no per-row Python).
+- Embedding near-dup (`embedding_near_dup`): `exchange.near_dup` over
+  hyperplane-LSH buckets, with a verify over vectors that cross the pair
+  joins as one fixed_size_binary column (pack_vectors / unpack_vectors:
+  the flat buffer, no per-row Python).
 """
 
 from __future__ import annotations
@@ -342,49 +342,34 @@ def embedding_near_dup(ds, threshold: float, num_planes: int = 16,
 
     Hyperplane LSH: the sign pattern against `num_planes` seeded
     hyperplanes (dimension read from the vectors) buckets every row; only
-    bucket-sharing pairs are verified.  Fully distributed (bucket hash
-    exchange -> per-bucket pairs -> pair dedup -> payload joins), same
-    shape as the MinHash path.  Recall is probabilistic (a near-dup pair
+    bucket-sharing pairs are verified, by the one `exchange.near_dup`
+    every near-dup pipeline runs.  Recall is probabilistic (a near-dup pair
     lands in the same bucket with prob (1 - theta/pi)^num_planes).  COSINE
     output is rows-only checked (float reduction, no bit-exact SQL twin);
     Q15 is exact end to end (oracle/sql.q_emb_near_dup_q15)."""
     from . import exchange
 
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
-
-    def bucket_stage(batch: pa.Table) -> pa.Table:
+    def bands(batch: pa.Table):
         v = arith.bucket(batch_embeddings(batch))
         signs = (v @ arith.planes(num_planes, v.shape[1], seed).T) > 0
         keys = np.zeros(len(v), dtype=np.uint64)
         for i in range(num_planes):
             keys |= signs[:, i].astype(np.uint64) << np.uint64(i)
-        return pa.table(
-            {"vec_id": batch["vec_id"], "bucket": keys.view(np.int64)}
-        )
+        return batch["vec_id"], keys.view(np.int64)[:, None]
 
-    cand = exchange.lsh_candidate_pairs(
-        ds.map_batches(bucket_stage, batch_format="pyarrow"),
-        "vec_id", "bucket", num_parts, "vec_id_a", "vec_id_b",
-    )
-
-    def pack(batch: pa.Table) -> pa.Table:
+    def payload(batch: pa.Table) -> pa.Table:
         return pa.table({"vec_id": batch["vec_id"],
                          "vec": pack_vectors(arith.pack(batch_embeddings(batch)))})
 
-    pairs = exchange.attach_pair_payloads(
-        cand, ds.map_batches(pack, batch_format="pyarrow"),
-        "vec_id", "vec", "vec_id_a", "vec_id_b", num_parts,
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
+    def verify(batch: pa.Table):
         score = arith.verify(unpack_vectors(batch["vec_a"], arith.wire),
                              unpack_vectors(batch["vec_b"], arith.wire))
         keep = score >= threshold
-        return pa.table(
-            {"vec_id_a": batch["vec_id_a"].to_numpy(zero_copy_only=False)[keep],
-             "vec_id_b": batch["vec_id_b"].to_numpy(zero_copy_only=False)[keep],
-             arith.col: score[keep].astype(arith.dtype)}
-        )
+        mask = pa.array(keep)
+        return (batch["vec_id_a"].filter(mask), batch["vec_id_b"].filter(mask),
+                score[keep])
 
-    return pairs.map_batches(verify, batch_format="pyarrow")
+    schema = pa.schema([("vec_id_a", pa.int64()), ("vec_id_b", pa.int64()),
+                        (arith.col, pa.from_numpy_dtype(arith.dtype))])
+    return exchange.near_dup(ds, "vec_id", bands, payload, verify, schema,
+                             num_parts)

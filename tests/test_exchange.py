@@ -5,6 +5,8 @@ import pyarrow as pa
 import pytest
 
 from s2_geometry_rust_ray.functions import cellid, geo
+from s2_geometry_rust_ray.pipelines import dedup_clusters as dc
+from s2_geometry_rust_ray.pipelines import flagship, knn
 from s2_geometry_rust_ray.pipelines import pip as ppip
 from s2_geometry_rust_ray.pipelines import textops, tiling
 from s2_geometry_rust_ray.stages import agg, exchange, simsearch
@@ -448,6 +450,27 @@ def _urban_layer():
     return {"urban_0": ppip.standard_polygon_layer()["urban_0"]}
 
 
+def _docs():
+    """40 computed documents in 3 blocks, in 10 groups of 4 identical
+    texts: every near-dup pipeline over them has output."""
+    i = np.arange(40, dtype=np.int64)
+    return _in_blocks(pa.table({
+        "doc_id": i,
+        "text": pa.array([f"w{k} alpha beta gamma delta epsilon zeta"
+                          for k in i % 10]),
+    }))
+
+
+def _vectors():
+    """40 computed (vec_id, embedding) rows in 3 blocks: 10 vectors, each
+    4 times."""
+    v = np.random.default_rng(4).normal(size=(10, 8)).astype(np.float32)
+    return _in_blocks(pa.table({
+        "vec_id": np.arange(40, dtype=np.int64),
+        "embedding": list(np.tile(v, (4, 1))),
+    }))
+
+
 # query over materialized (events, keys, right) inputs -> executors it
 # starts, built and fetched: a query that is raw Ray from its input to its
 # output starts none (row-local maps over computed inputs are raw tasks,
@@ -483,6 +506,21 @@ _EXECUTOR_COUNTS = {
         ev, "user_id", ["event_id"]), 0),
     "co_partition_lazy_side": (lambda ev, keys, right: exchange.co_partition(
         [(_lazy(keys), "k", None)], 4, lambda t: t), 1),
+    "near_dup_pairs": (lambda ev, keys, right: textops.near_dup_pairs(
+        _docs(), num_parts=4), 0),
+    "simhash_near_dup": (lambda ev, keys, right: textops.simhash_near_dup(
+        _docs(), num_parts=4), 0),
+    "embedding_near_dup": (lambda ev, keys, right: simsearch.embedding_near_dup(
+        _vectors(), threshold=0.9, num_parts=4), 0),
+    "embedding_near_dup_q15": (
+        lambda ev, keys, right: simsearch.embedding_near_dup(
+            _vectors(), threshold=1, num_parts=4, arith=simsearch.Q15), 0),
+    "dedup_clusters": (lambda ev, keys, right: dc.dedup_clusters(
+        _docs(), _in_blocks(pa.table({"doc_a": np.arange(0, 30, 3),
+                                      "doc_b": np.arange(1, 31, 3)})),
+        num_parts=4), 0),
+    "knn_brute_single_merge": (lambda ev, keys, right: knn.knn_brute(
+        keys, "k", n_queries=5), 0),
 }
 
 
@@ -786,6 +824,38 @@ def test_lsh_candidate_pairs_hot_bucket(ray_session, cap):
     assert len(got) == len(out)  # deduped
 
 
+def test_lsh_candidate_pairs_string_ids(ray_session):
+    """String ids ("img%012d") pair like their integer suffixes, through
+    the small-bucket and the hot-bucket chunk paths: the same pairs under
+    the id bijection, a < b, typed string."""
+    import ray
+    import ray.data
+
+    rng = np.random.default_rng(5)
+    ids = np.concatenate([np.arange(40), rng.integers(0, 40, 30)]).astype(np.int64)
+    # one hot bucket of 25 ids over a cap of 8, and small buckets
+    buckets = np.concatenate([np.zeros(25), rng.integers(1, 9, 45)]).astype(np.int64)
+    names = pa.array([f"img{i:012d}" for i in ids])
+
+    def pairs(id_col):
+        ds = ray.data.from_arrow(
+            pa.table({"doc_id": id_col, "bucket": buckets})).repartition(3)
+        return pa.concat_tables(ray.get(exchange.lsh_candidate_pairs(
+            ds, "doc_id", "bucket", 4, "doc_a", "doc_b", hot_bucket_cap=8,
+        ).to_arrow_refs()))
+
+    want = pairs(ids)
+    got = pairs(names)
+    assert got.schema.field("doc_a").type == pa.string()
+    assert all(a < b for a, b in zip(got["doc_a"].to_pylist(),
+                                     got["doc_b"].to_pylist()))
+    back = set(zip((int(a[3:]) for a in got["doc_a"].to_pylist()),
+                   (int(b[3:]) for b in got["doc_b"].to_pylist())))
+    assert len(back) == got.num_rows
+    assert back == set(zip(want["doc_a"].to_pylist(), want["doc_b"].to_pylist()))
+    assert back == _bruteforce_pairs(ids, buckets)
+
+
 def test_reduce_by_key_matches_pandas(ray_session):
     """GROUP BY a composite (string, int) key, a single int key and a
     single string key, plus DISTINCT — exact, no hashed key, both finals."""
@@ -906,23 +976,38 @@ def test_grouped_ops_on_empty_input(ray_session, executors, op, final, inp):
             assert b.schema.equals(_AGG_SCHEMAS[op]), b.schema
 
 
+_F64 = pa.float64()
 _LSH_PIPELINES = {
-    "near_dup_pairs": lambda src: textops.near_dup_pairs(src),
-    "simhash_near_dup": lambda src: textops.simhash_near_dup(src),
-    "embedding_near_dup": lambda src: simsearch.embedding_near_dup(
-        src, threshold=0.9),
-    "embedding_near_dup_q15": lambda src: simsearch.embedding_near_dup(
-        src, threshold=1, arith=simsearch.Q15),
+    "near_dup_pairs": (
+        lambda src: textops.near_dup_pairs(src),
+        pa.schema([("doc_a", _I64), ("doc_b", _I64), ("jaccard", _F64)])),
+    "simhash_near_dup": (
+        lambda src: textops.simhash_near_dup(src),
+        pa.schema([("doc_a", _I64), ("doc_b", _I64), ("hamming", _I64)])),
+    "embedding_near_dup": (
+        lambda src: simsearch.embedding_near_dup(src, threshold=0.9),
+        pa.schema([("vec_id_a", _I64), ("vec_id_b", _I64), ("cosine", _F64)])),
+    "embedding_near_dup_q15": (
+        lambda src: simsearch.embedding_near_dup(src, threshold=1,
+                                                 arith=simsearch.Q15),
+        pa.schema([("vec_id_a", _I64), ("vec_id_b", _I64),
+                   ("dot_q15", _I64)])),
 }
+
+
+def _assert_typed_empty(blocks, schema: pa.Schema):
+    assert blocks and sum(b.num_rows for b in blocks) == 0
+    for b in blocks:
+        assert b.schema.equals(schema), (b.schema, schema)
 
 
 @pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
 @pytest.mark.parametrize("op", ["lsh_candidate_pairs"] + sorted(_LSH_PIPELINES))
 def test_lsh_ops_on_empty_input(ray_session, executors, op, inp):
     """The LSH candidate exchange on a zero-block or all-rows-filtered
-    input returns 0 rows typed (doc_a: int64, doc_b: int64) as a computed
-    dataset, and every pipeline built on it returns 0 rows instead of
-    raising."""
+    input returns 0 rows typed (doc_a: int64, doc_b: int64), and every
+    near-dup pipeline returns 0 rows of its declared schema, each as a
+    computed dataset."""
     import ray.data
 
     src = ray.data.from_arrow(pa.table({
@@ -934,14 +1019,25 @@ def test_lsh_ops_on_empty_input(ray_session, executors, op, inp):
     })).repartition(2)
     ds = _EMPTY_INPUTS[inp](src)
     if op in _LSH_PIPELINES:
-        assert _LSH_PIPELINES[op](ds).count() == 0
+        run, schema = _LSH_PIPELINES[op]
+        _assert_typed_empty(executors.fetch(run(ds)), schema)
         return
-    blocks = executors.fetch(exchange.lsh_candidate_pairs(
-        ds, "doc_id", "bucket", 4, "doc_a", "doc_b"))
-    assert blocks and sum(b.num_rows for b in blocks) == 0
-    schema = pa.schema([("doc_a", _I64), ("doc_b", _I64)])
-    for b in blocks:
-        assert b.schema.equals(schema), (b.schema, schema)
+    _assert_typed_empty(executors.fetch(exchange.lsh_candidate_pairs(
+        ds, "doc_id", "bucket", 4, "doc_a", "doc_b")),
+        pa.schema([("doc_a", _I64), ("doc_b", _I64)]))
+
+
+def test_image_phash_near_dup_on_empty_file(ray_session, executors, tmp_path):
+    """An images directory holding one zero-row parquet file gives 0 rows
+    of (img_a: string, img_b: string, hamming: int64)."""
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({"image_id": pa.array([], pa.string()),
+                             "phash": pa.array([], _I64)}),
+                   tmp_path / "part-0.parquet")
+    out = flagship.image_phash_near_dup(str(tmp_path))
+    _assert_typed_empty(executors.fetch(out), pa.schema(
+        [("img_a", _STR), ("img_b", _STR), ("hamming", _I64)]))
 
 
 def test_broadcast_join_matches_pyarrow_join(ray_session):
@@ -1218,27 +1314,33 @@ def test_shuffle_pip_join_on_empty_input(ray_session, executors, inp, num_parts)
     assert all(b.column_names == ["doc_id", "polygon_id"] for b in blocks)
 
 
-def test_attach_pair_payloads_runs_source_once(ray_session, executors):
-    """Both payload joins read one projection of the source: a lazy
-    source's plan runs once, and the output is the pair table with
-    payload_a and payload_b attached by id."""
+def test_near_dup_runs_source_once(ray_session, executors):
+    """`exchange.near_dup` with an identity verify is the candidate pairs
+    with payload_a and payload_b attached by id: over a lazy source, whose
+    plan runs once for the bands and the payload, through the small- and
+    hot-bucket paths."""
     import ray.data
 
     n = 60
+    band = np.arange(n, dtype=np.int64) % 7
+    band[:12] = 7  # one bucket of 12 ids over a cap of 4
     src = ray.data.from_arrow(pa.table({
         "doc_id": np.arange(n, dtype=np.int64),
+        "band": band,
         "text": pa.array([f"t{i}" for i in range(n)]),
     })).repartition(3).map_batches(lambda b: b, batch_format="pyarrow")
-    rng = np.random.default_rng(2)
-    a = rng.integers(0, n + 5, 200)  # some ids miss the source
-    b = rng.integers(0, n + 5, 200)
-    cand = exchange.as_dataset(pa.table({"doc_a": a, "doc_b": b}))
+    schema = pa.schema([("doc_a", _I64), ("doc_b", _I64), ("text_a", _STR),
+                        ("text_b", _STR)])
     before = executors.started
-    out = pa.concat_tables(executors.fetch(exchange.attach_pair_payloads(
-        cand, src, "doc_id", "text", "doc_a", "doc_b", 4)))
+    out = pa.concat_tables(executors.fetch(exchange.near_dup(
+        src, "doc_id",
+        lambda b: (b["doc_id"], b["band"].to_numpy()[:, None]),
+        lambda b: b.select(["doc_id", "text"]),
+        lambda t: t.columns, schema, num_parts=4, hot_bucket_cap=4)))
     assert executors.started - before <= 1
-    assert out.column_names == ["doc_a", "doc_b", "text_a", "text_b"]
-    want = sorted((int(x), int(y), f"t{x}", f"t{y}")
-                  for x, y in zip(a, b) if x < n and y < n)
+    assert out.schema.equals(schema)
+    want = sorted((x, y, f"t{x}", f"t{y}")
+                  for x in range(n) for y in range(x + 1, n)
+                  if band[x] == band[y])
     got = sorted(zip(*(out[c].to_pylist() for c in out.column_names)))
     assert got == want
