@@ -292,7 +292,7 @@ def run_benchmarks() -> dict:
     if not headline_only:
         t0 = time.perf_counter()
         ds = expanded_points(SF_DIR, EXPAND)
-        tiling.tile_counts(ds, "k", level=12, final="hash").count()
+        tiling.tile_counts(ds, "k", level=12).count()
         queries["encode_tile_l12"] = time.perf_counter() - t0
 
     if not headline_only:
@@ -320,13 +320,12 @@ def run_benchmarks() -> dict:
         queries["knn_cell"] = time.perf_counter() - t0
 
         # res-6 cells are NEAR-UNIQUE at this density (3.2M distinct from
-        # 9.6M points), so map-side combining barely shrinks the partials
-        # and a one-block tree final would merge ~6.6M rows in one task; the
-        # hash final is the right plan for high-cardinality keys (7.4 s for
-        # a range-sort final -> 3.2 s measured) and its rows are identical
+        # 9.6M points), so map-side combining barely shrinks the partials:
+        # the grouped reduce's hash partitions keep the merge spread over
+        # many tasks (7.4 s for a range-sort final -> 3.2 s measured)
         t0 = time.perf_counter()
         ds = expanded_points(SF_DIR, EXPAND)
-        tiling.h3_tile_counts(ds, "k", res=6, final="hash").count()
+        tiling.h3_tile_counts(ds, "k", res=6).count()
         queries["h3_tile_r6"] = time.perf_counter() - t0
 
         # raw-Ray exchange family: sessionization over a 16x events input

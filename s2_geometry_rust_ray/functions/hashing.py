@@ -9,7 +9,7 @@ ranges), and keeping the high bits of k * C sends keys with many trailing
 zero bits (coarse S2 cell ids) to one partition.
 
 `key_hash` is the only code that hashes a key for placement (every
-`co_partition` side hashed by key, so every hash join, hash final and
+`co_partition` side hashed by key, so every hash join, grouped reduce and
 per-user exchange) or for sampling (`textops.sample_by_hash`, the HLL
 registers).  It reads the Arrow buffers directly, so the hash of a value
 depends on neither its neighbours, nulls, chunking, slicing nor the pandas

@@ -14,10 +14,9 @@ fully distributed):
 Every round is one co-partitioned equi-join (labels x the edge table,
 co-located by u and partitioned ONCE — stages/exchange.co_partition with
 the edges pinned) plus one hash-exchange min-reduce
-(stages/agg.reduce_by_key final='hash': the labels table has one row per
-document, so it stays hash-partitioned instead of merging into one tree
-block; either final returns exactly one row per doc_id, which the
-label-sum certificate below depends on).  Labels are monotone non-increasing, so
+(stages/agg.reduce_by_key: the labels table has one row per document and
+stays hash-partitioned; the reduce returns exactly one row per doc_id,
+which the label-sum certificate below depends on).  Labels are monotone non-increasing, so
 sum(labels) is a convergence certificate: the loop stops the first round
 the sum is unchanged (no label moved).  Rounds needed = graph diameter —
 near-dup components are duplicate clusters, diameter O(1)-ish in practice;
@@ -103,6 +102,9 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
         # (u, v) x (doc_id==u, label) -> (doc_id=v, label)
         et = pa.table({c: packed[c].combine_chunks().flatten()
                        for c in ("u", "v")})
+        # `agg.column`: an empty labels side may be column-less (a lazy
+        # map never runs its fn on a zero-row block)
+        lt = pa.table({c: agg.column(lt, c) for c in (id_col, "label")})
         j = et.join(lt, keys="u", right_keys=id_col, join_type="inner")
         return pa.table(
             {id_col: j["v"].to_numpy(zero_copy_only=False),
@@ -120,12 +122,9 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
         # the union of two computed datasets, as one computed dataset
         merged = exchange.as_dataset(
             exchange.block_refs(labels) + exchange.block_refs(cand_v))
-        # final='hash': one label row per document is the high-cardinality
-        # case; the reduce yields exactly ONE row per doc_id, which the
+        # the reduce yields exactly ONE row per doc_id, which the
         # label-sum convergence certificate relies on (ADVICE r3)
-        labels = agg.reduce_by_key(
-            merged, id_col, {"label": "min"}, final="hash"
-        ).materialize()
+        labels = agg.reduce_by_key(merged, id_col, {"label": "min"}).materialize()
         cur = label_sum(labels)
         if cur == prev_sum:  # labels monotone: unchanged sum == fixpoint
             converged = True

@@ -3,7 +3,7 @@
   read images (COLUMN-PRUNED: geometry stages read only image_id/lat/lng;
   the wide `bytes` payload never enters the object store for them)
     -> leaf S2 cell encode + tile parents        (stateless map_batches)
-    -> (a) tile assignment groupby               (tree-final reduce)
+    -> (a) tile assignment groupby               (hash-partitioned reduce)
     -> (b) PIP join vs the polygon layer         (broadcast task-pool map)
     -> (c) indexed pass-through write            (payload + derived cols,
            partitioned by coarse tile, resumable via state/manifest)

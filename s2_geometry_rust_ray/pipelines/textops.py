@@ -4,7 +4,7 @@ fingerprinting, window aggregation, and the per-user event ops
 (sessionize, as-of join, range join).
 
 Each row-local op is one map kernel; an op that needs a shuffle is a
-grouped reduce from stages/agg.py (tree or hash final) or a hash exchange.
+grouped reduce from stages/agg.py or a hash exchange.
 The three per-user event ops share ONE exchange, `_by_user`: a projection
 in the split task, one lexsort per partition and a small numpy finish,
 with no per-partition pandas.  The near-dup ops are `exchange.near_dup`
@@ -297,11 +297,16 @@ def term_counts(ds, top_n: int = 100):
 
     Physical plan: per-batch token explode + LOCAL combine (one row per
     distinct term per batch — the map-side combine that keeps the exchange
-    proportional to vocabulary, not corpus size), tree-final reduce
-    (stages/agg) into one block, truncated inside the last merge task
-    (the reduce's finish).  At 100 TB the vocabulary is the shuffle
-    payload; Zipf skew is absorbed by the map-side combine (a hot term
-    contributes one row per block)."""
+    proportional to vocabulary, not corpus size), the hash-partitioned
+    reduce (stages/agg) whose finish cuts each partition to its own top
+    `top_n`, then ONE top-k merge task over those cuts
+    (`exchange.topk_merge_partials`) that takes the global top `top_n`
+    and ranks it.  Exact: a term lives in exactly one partition, so every
+    global top-N term is in its partition's top-N.  The merge input is at
+    most partitions * top_n rows.  At 100 TB the vocabulary is the
+    shuffle payload; Zipf skew is absorbed by the map-side combine (a hot
+    term contributes one row per block)."""
+    from ..stages import exchange
 
     def explode_count(batch: pa.Table) -> pa.Table:
         tokens = _texts(batch).str.lower().str.findall(T.TOKEN_RE)
@@ -316,14 +321,17 @@ def term_counts(ds, top_n: int = 100):
         term = agg.column(batch, "term", pa.string()).to_numpy(zero_copy_only=False)
         n = agg.column(batch, "n").to_numpy(zero_copy_only=False)
         order = np.lexsort((term, -n))[:top_n]
-        return pa.table(
-            {"term": pa.array(term[order], pa.string()),
-             "n": pa.array(n[order], pa.int64()),
-             "rank": pa.array(np.arange(1, len(order) + 1), pa.int64())}
-        )
+        return pa.table({"term": pa.array(term[order], pa.string()),
+                         "n": pa.array(n[order], pa.int64())})
 
-    return agg.reduce_by_key(ds, "term", {"n": "sum"}, finish=truncate,
+    def top_n_ranked(batch: pa.Table) -> pa.Table:
+        top = truncate(batch)
+        return top.append_column(
+            "rank", pa.array(np.arange(1, top.num_rows + 1), pa.int64()))
+
+    cuts = agg.reduce_by_key(ds, "term", {"n": "sum"}, finish=truncate,
                              prepare=explode_count)
+    return exchange.topk_merge_partials(cuts, top_n_ranked)
 
 
 def _ts_us(batch: pa.Table) -> np.ndarray:
@@ -452,7 +460,7 @@ def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
 
     Physical plan: vectorized n_hops-fold row replication inside
     map_batches (the fan-out happens AFTER the projection to 3 narrow
-    columns), then the map-side-combine + tree-final reduce.
+    columns), then the map-side-combine + grouped reduce.
     window_counts (tumbling) is the n_hops=1 special case and delegates
     here.
 
@@ -575,7 +583,7 @@ def quantiles_by_key(ds, key_col: str = "event_type", val_col: str = "value",
     exchange by the number of DISTINCT (key, value) pairs (real-world
     value columns are low-cardinality: prices, scores, durations), NOT by
     the row count; the per-key quantile walk is a cumsum over the distinct
-    values of one key co-located by the hash final.  No driver
+    values of one key co-located by the grouped reduce.  No driver
     materialization; no assumption that one key's raw rows fit anywhere."""
     import pyarrow as pa
 
@@ -592,7 +600,7 @@ def quantiles_by_key(ds, key_col: str = "event_type", val_col: str = "value",
 
     pairs = ds.map_batches(to_pairs, batch_format="pyarrow")
     counts = agg.reduce_by_key(
-        pairs, [key_col, val_col], {"cnt": "sum"}, final="hash"
+        pairs, [key_col, val_col], {"cnt": "sum"}
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
@@ -647,7 +655,7 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
 
     Scale path: the register table is the re-reducible max-aggregate over
     (key, bucket) — the exchange carries at most keys x 2^b rows no
-    matter the input size; the histogram final is a second tiny sum.
+    matter the input size; the histogram is a second tiny sum.
     This is the approximate-distinct operator for cardinalities where
     distinct_count_by_key's exact exchange would be the bottleneck."""
     import pyarrow as pa
@@ -690,7 +698,7 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
 
     regs = agg.reduce_by_key(
         ds.map_batches(to_regs, batch_format="pyarrow"),
-        [key_col, "bucket"], {"rho": "max"}, final="hash", finish=to_hist,
+        [key_col, "bucket"], {"rho": "max"}, finish=to_hist,
     )
     return agg.reduce_by_key(regs, [key_col, "rho"], {"n_buckets": "sum"})
 

@@ -59,24 +59,24 @@ def tile_counts(
     ds: "ray.data.Dataset",
     key_col: str,
     level: int,
-    final: str = "tree",
+    final=None,
 ) -> "ray.data.Dataset":
     """key -> geotag -> leaf cell -> tile counts at `level`.
 
     Returns a Dataset with columns (tile_token:str, n:int64), also for an
-    empty input.  The groupby is agg.reduce_by_key over the map-side
-    partial counts: final='tree' merges them into one block (bounded
-    cardinality, <= 6*4^level tiles); pass final='hash' for high tile
-    levels whose counts should stay distributed.  The encode and per-slice
-    tile count run inside the reduce's map-side combine (its `prepare`)
-    and the token inside its final (`tokenize` as the finish), so the
-    query is one Ray Data execution over a lazy input and none over a
-    computed one (stages/agg.py).
+    empty input, hash-partitioned by tile and in no global order.  The
+    groupby is agg.reduce_by_key over the map-side partial counts.  The
+    encode and per-slice tile count run inside the reduce's map-side
+    combine (its `prepare`) and the token inside each partition task
+    (`tokenize` as the finish), so the query is one Ray Data execution
+    over a lazy input and none over a computed one (stages/agg.py).
+    `final` is accepted and ignored, like `agg.reduce_by_key`'s: the
+    benchmark harness still passes the old ``final="hash"``.
     """
     enc = geotag_and_encode(key_col)
     tp = tile_partial_counts(level)
     return agg.reduce_by_key(
-        ds, "tile", ["n_partial"], final=final,
+        ds, "tile", ["n_partial"],
         finish=tokenize("tile", "tile_token", {"n_partial": "n"}),
         prepare=lambda b: tp(enc(b)), batch_size=BATCH_SIZE,
     )
@@ -188,11 +188,12 @@ def snap_dedup(
 
 
 def h3_tile_counts(
-    ds: "ray.data.Dataset", key_col: str, res: int, final: str = "tree"
+    ds: "ray.data.Dataset", key_col: str, res: int
 ) -> "ray.data.Dataset":
     """H3-parity tile assignment: key -> geotag -> h3 cell at `res` ->
-    counts.  Same reduce_by_key shape as the S2 path, keyed by h3_cell
-    (uint64 < 2^55, so the int64 view preserves order directly)."""
+    counts.  Same reduce_by_key shape as the S2 path (hash-partitioned,
+    in no global order), keyed by h3_cell viewed as int64 (uint64 < 2^55,
+    so the view is lossless and the token decodes it back)."""
     from ..functions import geo, h3
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -203,7 +204,7 @@ def h3_tile_counts(
         return pa.table({"h3_cell": uniq, "n_partial": counts.astype(np.int64)})
 
     return agg.reduce_by_key(
-        ds, "h3_cell", ["n_partial"], final=final,
+        ds, "h3_cell", ["n_partial"],
         finish=tokenize("h3_cell", "h3_token", {"n_partial": "n"},
                         decode=lambda k: k.view(np.uint64)),
         prepare=partial, batch_size=131072,

@@ -1,41 +1,33 @@
-"""Grouped reduces: one block reducer, two physical plans.
+"""Grouped reduces: one block reducer, one physical plan.
 
 Measured on this Ray build (2.49): ``Dataset.groupby().aggregate()`` runs its
 combine in a single task at ~20k rows/s — 20-100x slower than a vectorized
 per-block NumPy reduce.  So every grouped operator here (sum/min/max,
-DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call:
+DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call, and
+`_group` is one `exchange.hash_exchange_apply` on the full key tuple:
 
   1. a map-side combine per block (one row per key per block for the
      reducers; at most n rows per key for top-N), with the caller's
-     row-local `prepare` (encode, explode) fused in front of it,
-  2. a final that brings each key's partials together and re-runs the
-     same combine (every combine is re-reducible), then an optional
-     `finish` that runs INSIDE the final — in the last tree-merge task or
-     in each hash-partition task — exactly once per key, so a caller's
-     output projection (tokenize, truncate) costs no extra Ray
-     Data execution:
+     row-local `prepare` (encode, explode) fused in front of it, as the
+     exchange's `map_fn`: it runs inside the split task over a computed
+     input, so its partials are never objects of their own, and fuses
+     into a lazy input's plan, which runs ONCE (`exchange.block_refs`).
+     The partials cross as narrowed shards where those stay over Ray's
+     inline limit (a count column as uint8/uint16 offsets;
+     `exchange.co_partition`);
+  2. one task per hash partition that re-runs the same combine over the
+     partition's partials (every combine is re-reducible, and every key
+     lands in exactly one partition, so the result has one row per key),
+     then an optional `finish` (tokenize, rank, truncate) inside that
+     task, so a caller's output projection costs no extra Ray Data
+     execution.
 
-     * ``final='tree'`` (default) — raw-Ray merge tasks, BRANCHING blocks
-       each, log_8(B) rounds down to ONE key-sorted block.  No all-to-all
-       exchange; the right plan for bounded key sets (tile levels: at most
-       6*4^K keys) and for small results a consumer reads whole.
-     * ``final='hash'`` — `exchange.hash_exchange_apply` on the full key
-       tuple, with the map-side combine as its `map_fn`: every key lands
-       in exactly one partition, so the result stays distributed with one
-       row per key — the plan for high-cardinality keys (h3_tile_r6:
-       1.83-1.90 s vs 2.10-2.37 s for a range-sort final).  The partials
-       cross as narrowed shards where those stay over Ray's inline limit
-       (a count column as uint8/uint16 offsets; `exchange.co_partition`).
-
-   Both finals cross the Ray Data boundary the way `stages/exchange.py`
-   describes.  Over a lazy input the map-side step fuses with the input:
-   its plan (input + prepare + combine) runs ONCE (`exchange.block_refs`).
-   Over a computed input the tree final's map-side step is one raw task
-   per block (`exchange.map_blocks`), and the hash final's runs inside
-   the exchange's split task, so its partials are never objects of their
-   own.  The result is a computed dataset (`exchange.as_dataset`)
-   whose consumption starts no executor, so a grouped query is one Ray
-   Data execution over a lazy input and none over a computed one.
+The result stays distributed over the partitions, in no global key order
+(a consumer that needs one sorts; a finish that needs a global view, such
+as `textops.term_counts`' top-N, re-reduces the partitions' outputs).  It
+is a computed dataset (`exchange.as_dataset`) whose consumption starts no
+executor, so a grouped query is one Ray Data execution over a lazy input
+and none over a computed one.
 
 Zero-row rule: `prepare` and `combine` never see a zero-row table;
 `finish` does.  A zero-block input, an all-filtered input or an empty hash
@@ -45,17 +37,13 @@ table (use `column`), so an empty input keeps the documented output
 schema.
 
 Skew note: the map-side combine bounds a hot key's contribution to one row
-(n rows for top-N) per input block, so neither final ever sees the skew.
+(n rows for top-N) per input block, so the exchange never sees the skew.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-# raw-Ray merge fan-in: a concat+reduce task over 8 blocks costs ~0.3 s at
-# the tile shapes, where a Dataset.repartition costs ~2 s per task (measured)
-BRANCHING = 8
 
 _UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
@@ -97,78 +85,55 @@ def column(t: pa.Table, name: str, default: pa.DataType = pa.int64()):
     return pa.array([], default)
 
 
-def _group(ds, keys: list[str], combine, final: str, finish=None,
-           prepare=None, batch_size: int | None = None):
-    """The one grouped plan: the map-side combine per block
-    (`exchange.map_blocks`, or the hash final's split task), then the
-    `final` merge re-running `combine` over each key's partials, then
-    `finish` once, inside the final (the last tree-merge task, or each
-    hash-partition task).
+def _group(ds, keys: list[str], combine, finish=None, prepare=None,
+           batch_size: int | None = None):
+    """The one grouped plan: `exchange.hash_exchange_apply` on the full
+    key tuple, with the map-side combine as its `map_fn` (in the split
+    task, or fused into a lazy input's plan), then `combine` again over
+    each partition's partials and `finish` once per partition.
 
     `prepare` (optional) maps the input rows to `combine`'s input inside
     the map-side step, over `batch_size`-row slices (a bound on its
     temporaries); the step then combines the block's prepared slices.
 
     `prepare` and `combine` never see a zero-row table (it passes
-    through); `finish` gets every final table, zero-row ones included, and
-    returns its typed empty table for those."""
-    import ray
-
+    through); `finish` gets every partition table, zero-row ones
+    included, and returns its typed empty table for those."""
     from . import exchange
 
-    if final not in ("tree", "hash"):
-        raise ValueError(f"unknown final {final!r}: use 'tree' or 'hash'")
     prepared = None if prepare is None else exchange.in_slices(prepare, batch_size)
-
-    def step(t: pa.Table) -> pa.Table:
-        return combine(t) if t.num_rows else t
 
     def first(t: pa.Table) -> pa.Table:
         if prepared is not None and t.num_rows:
             t = prepared(t)
-        return step(t)
+        return combine(t) if t.num_rows else t
 
     def last(t: pa.Table) -> pa.Table:
         if t.num_rows:
             t = combine(t)
         return t if finish is None else finish(t)
 
-    if final == "hash":
-        return exchange.hash_exchange_apply(
-            ds, keys, exchange.default_num_parts(), last, map_fn=first
-        )
-    partials = exchange.map_blocks(ds, first)
-
-    @ray.remote
-    def merge(is_last: bool, *tbls):
-        live = [t for t in tbls if t.num_rows] or tbls[:1]
-        t = pa.concat_tables(live, promote_options="default")
-        return last(t) if is_last else step(t)
-
-    refs = exchange.block_refs(partials) or [
-        ray.put(exchange._empty_exchange_table(partials, keys))
-    ]
-    while len(refs) > BRANCHING:
-        refs = [
-            merge.remote(False, *refs[i : i + BRANCHING])
-            for i in range(0, len(refs), BRANCHING)
-        ]
-    return exchange.as_dataset([merge.remote(True, *refs)])
+    return exchange.hash_exchange_apply(
+        ds, keys, exchange.default_num_parts(), last, map_fn=first
+    )
 
 
 def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
-                  final: str = "tree", finish=None, prepare=None,
+                  final=None, finish=None, prepare=None,
                   batch_size: int | None = None):
     """Distributed grouped reduce: spec {col: 'sum'|'min'|'max'} (a list
     means all-sum) GROUP BY `keys` (one column or a composite).  All three
-    ops are re-reducible, so combine -> final merge is exact; both finals
-    return exactly one row per key.  `finish` (table -> table) maps the
-    reduced table inside the final instead of in a trailing map_batches,
-    and `prepare` (input rows -> keys and spec columns, per
-    `batch_size`-row slice) maps the input inside the map-side combine
-    instead of in a leading one; both follow `_group`'s zero-row rule.
-    Without a finish, an empty input gives the zero-row (keys, spec
-    columns) table, int64 where the input carried no type."""
+    ops are re-reducible, so the combine -> per-partition re-combine is
+    exact and returns exactly one row per key.  `finish` (table -> table)
+    maps each partition's reduced table inside its partition task instead
+    of in a trailing map_batches, and `prepare` (input rows -> keys and
+    spec columns, per `batch_size`-row slice) maps the input inside the
+    map-side combine instead of in a leading one; both follow `_group`'s
+    zero-row rule.  Without a finish, an empty input gives the zero-row
+    (keys, spec columns) table, int64 where the input carried no type.
+
+    `final` is accepted and ignored: there is one grouped plan, and the
+    benchmark harness still passes the old ``final="hash"``."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     if isinstance(spec, list):
         spec = {c: "sum" for c in spec}
@@ -177,8 +142,8 @@ def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
             if t.num_rows:
                 return t
             return pa.table({c: column(t, c) for c in [*keys, *spec]})
-    return _group(ds, keys, _reduce_block(keys, spec), final, finish,
-                  prepare, batch_size)
+    return _group(ds, keys, _reduce_block(keys, spec), finish, prepare,
+                  batch_size)
 
 
 # plain aliases: perfbench/layers.py calls these names
@@ -186,9 +151,9 @@ sum_by_key = reduce_by_key
 tree_reduce_by_key = reduce_by_key
 
 
-def distinct_keys(ds, key_col: str, final: str = "tree"):
+def distinct_keys(ds, key_col: str):
     """DISTINCT key_col — a grouped reduce with no value columns."""
-    return reduce_by_key(ds, key_col, {}, final=final)
+    return reduce_by_key(ds, key_col, {})
 
 
 def _rank_in_group(k: np.ndarray) -> np.ndarray:
@@ -199,8 +164,7 @@ def _rank_in_group(k: np.ndarray) -> np.ndarray:
     return np.arange(len(k)) - np.repeat(starts, np.diff(np.append(starts, len(k))))
 
 
-def grouped_topk(ds, key_col: str, val_col: str, id_col: str, n: int,
-                 final: str = "tree"):
+def grouped_topk(ds, key_col: str, val_col: str, id_col: str, n: int):
     """Per-group top-N: for each key the n rows with largest (val desc,
     id asc) — the grouped companion of the kNN/ANN top-k merges.
 
@@ -224,11 +188,11 @@ def grouped_topk(ds, key_col: str, val_col: str, id_col: str, n: int,
         cols["rank"] = pa.array(_rank_in_group(k) + 1, pa.int64())
         return pa.table(cols)
 
-    return _group(ds, [key_col], local_topn, final, finish=add_rank)
+    return _group(ds, [key_col], local_topn, finish=add_rank)
 
 
 def distinct_count_by_key(ds, key_col: str, distinct_col: str,
-                          out_col: str = "n_distinct", final: str = "tree"):
+                          out_col: str = "n_distinct"):
     """Exact COUNT(DISTINCT distinct_col) GROUP BY key_col.
 
     The combine is a per-block (key, value) pair dedup (re-reducible: a
@@ -310,4 +274,4 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
         counts = np.bincount(inv, weights=ok).astype(np.int64)
         return pa.table({key_col: pa.array(uk, kc.type), out_col: counts})
 
-    return _group(ds, [key_col], pair_dedup, final, finish=count_pairs)
+    return _group(ds, [key_col], pair_dedup, finish=count_pairs)

@@ -8,7 +8,7 @@ each row with builtin `hash()` in a Python loop, which is slow, and Ray
 pins no PYTHONHASHSEED, so string keys need not route alike in two
 workers.
 
-Every operator that is not row-local (hash joins, hash-final aggregates,
+Every operator that is not row-local (hash joins, grouped aggregates,
 sessionize, the shuffle PIP join, LSH rounds, label propagation) runs on
 ONE primitive, `co_partition`, the classic M x P shuffle: M split tasks
 per side cut each block by its partitioner (num_returns=P, projection
@@ -821,6 +821,9 @@ def topk_merge_partials(partials, merge_fn, merge: str = "single",
 
     merge='single': one raw task over the partials' blocks (every partial
     is already top-k-truncated, so the input is blocks * Q * k rows).
+    Where no partial has rows, `merge_fn` runs over the first one that
+    carries columns (its typed empty result), and a column-less partial
+    passes through as it is.
     merge='distributed': hash-exchange by `key_col` + per-partition final
     merge — the large-Q path with no repartition(1); a key's rows all meet
     in exactly one partition, so the per-partition merge is final."""
@@ -829,7 +832,8 @@ def topk_merge_partials(partials, merge_fn, merge: str = "single",
 
         @ray.remote
         def merge_all(*tbls: pa.Table) -> pa.Table:
-            live = [t for t in tbls if t.num_rows]
+            live = ([t for t in tbls if t.num_rows]
+                    or [t for t in tbls if t.num_columns][:1])
             return merge_fn(pa.concat_tables(live)) if live else tbls[0]
 
         refs = block_refs(partials)

@@ -31,7 +31,7 @@ def _part_ids(parts, keys) -> list[int]:
 
 def test_hash_part_integer_placement_golden():
     """Integer hash placement is pinned bit for bit: sessions and the
-    tile_encode hash final depend on which partition each key meets."""
+    tile_encode tile counts depend on which partition each key meets."""
     k = np.arange(0, 2**40, 2**35 + 12345, dtype=np.int64)[:24]
     t = pa.table({"k": k, "w": np.arange(24, dtype=np.int64) % 3})
     assert _part_ids(exchange._hash_part(t, "k", 5), k.tolist()) == [
@@ -57,9 +57,9 @@ def test_hash_part_spreads_coarse_cell_keys(level):
 
 
 def test_coarse_tile_finals_run_in_several_partitions(ray_session):
-    """The level-8 tile count's hash final and the level-5 cap fold spread
-    over more than one partition, with the same output as the tree final
-    and the DuckDB twin."""
+    """The level-8 tile count's grouped reduce and the level-5 cap fold
+    spread over more than one partition, with the same output as their
+    DuckDB twins."""
     import duckdb
     import ray.data
 
@@ -67,27 +67,25 @@ def test_coarse_tile_finals_run_in_several_partitions(ray_session):
 
     src = pa.table({"doc_id": np.arange(20_000, dtype=np.int64) * 7919})
     ds = ray.data.from_arrow(src).repartition(4)
-
-    def rows(d, cols):
-        return d.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
-
-    hashed = tiling.tile_counts(ds, "doc_id", level=8, final="hash")
-    assert hashed.num_blocks() > 1
-    cols = ["tile_token", "n"]
-    assert rows(hashed, cols).equals(
-        rows(tiling.tile_counts(ds, "doc_id", level=8), cols))
-
-    caps = tiling.cap_bounds(ds, "doc_id", level=5, num_parts=8)
-    assert caps.num_blocks() > 1
-    cols = ["tile_token", "keep_key", "n", "r2"]
     con = duckdb.connect()
     con.register("src", src)
-    want = con.sql(osql.q_cap_bounds("SELECT doc_id FROM src", "doc_id", 5)).df()
-    got = rows(caps, cols)
-    want = want[cols].sort_values(cols).reset_index(drop=True)
-    assert len(got) == len(want)
-    for c in cols:
-        assert (got[c].values == want[c].values).all(), c
+
+    def assert_matches_twin(out, sql, cols):
+        assert out.num_blocks() > 1
+        got = out.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
+        want = con.sql(sql).df()[cols].sort_values(cols).reset_index(drop=True)
+        assert len(got) == len(want)
+        for c in cols:
+            assert (got[c].values == want[c].values).all(), c
+
+    assert_matches_twin(
+        tiling.tile_counts(ds, "doc_id", level=8),
+        osql.q_tile_counts("SELECT doc_id FROM src", "doc_id", 8),
+        ["tile_token", "n"])
+    assert_matches_twin(
+        tiling.cap_bounds(ds, "doc_id", level=5, num_parts=8),
+        osql.q_cap_bounds("SELECT doc_id FROM src", "doc_id", 5),
+        ["tile_token", "keep_key", "n", "r2"])
 
 
 def test_hash_join_matches_pandas(ray_session):
@@ -405,21 +403,25 @@ def _tile_inputs():
 
 @pytest.mark.parametrize("inp", ["computed", "lazy", "zero_block", "filter_all"])
 def test_hash_final_with_fused_combine_matches_tree(ray_session, inp):
-    """The hash final runs the map-side combine inside the exchange's
+    """The grouped reduce runs the map-side combine inside the exchange's
     split task over a computed input (fused into the plan over a lazy
-    one); its level-12 tile counts equal the tree final's."""
+    one); its level-12 tile counts equal a one-process count of the same
+    keys.  The name is from when the removed tree final was the
+    reference."""
     ds = _tile_inputs()[inp]
-    out = {}
-    for final in ("tree", "hash"):
-        blocks = ray_session.get(
-            tiling.tile_counts(ds, "k", level=12, final=final).to_arrow_refs())
-        t = pa.concat_tables(blocks)
-        assert t.schema.equals(pa.schema([("tile_token", pa.string()),
-                                          ("n", pa.int64())]))
-        out[final] = t.sort_by("tile_token")
-    assert out["hash"].equals(out["tree"])
-    want = 0 if inp in ("zero_block", "filter_all") else 20_000
-    assert int(out["tree"]["n"].to_numpy().sum()) == want
+    blocks = ray_session.get(
+        tiling.tile_counts(ds, "k", level=12).to_arrow_refs())
+    got = pa.concat_tables(blocks)
+    assert got.schema.equals(pa.schema([("tile_token", pa.string()),
+                                        ("n", pa.int64())]))
+    keys = np.arange(20_000, dtype=np.int64) * 7919
+    if inp in ("zero_block", "filter_all"):
+        keys = keys[:0]
+    tiles, n = np.unique(_tile_keys(keys, 12), return_counts=True)
+    want = pa.table({"tile_token": cellid.to_hex(cellid.from_sort_key(tiles)),
+                     "n": n.astype(np.int64)})
+    assert got.sort_by("tile_token").equals(want)
+    assert int(got["n"].to_numpy().sum()) == len(keys)
 
 
 def _events_table(n: int = 300) -> pa.Table:
@@ -484,6 +486,9 @@ _EXECUTOR_COUNTS = {
         ev, num_parts=2), 0),
     "hash_join": (lambda ev, keys, right: exchange.hash_join(
         keys, right, "k", num_parts=4), 0),
+    # `final` is the removed plan knob's value an old caller passes (the
+    # benchmark harness passes "hash"); tile_counts ignores it, so each
+    # value gives the one grouped plan
     "tile_counts_tree": (lambda ev, keys, right: tiling.tile_counts(
         keys, "k", 8, final="tree"), 0),
     "tile_counts_hash": (lambda ev, keys, right: tiling.tile_counts(
@@ -563,7 +568,8 @@ def test_distinct_count_by_key_runs_input_once(ray_session, executors,
     of the input.  A lazy parquet read carries its schema, so the read
     and the pair dedup are one fused run; a map's schema is unknown until
     it runs, so the map runs once and the dedup runs over its computed
-    blocks in raw tasks."""
+    blocks in raw tasks.  `final` is a value an old caller passed for the
+    removed plan knob: the call rejects it before the input runs."""
     import pyarrow.parquet as pq
     import ray.data
 
@@ -575,8 +581,11 @@ def test_distinct_count_by_key_runs_input_once(ray_session, executors,
     if inp == "map_batches":
         ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
     before = executors.started
+    with pytest.raises(TypeError, match="final"):
+        agg.distinct_count_by_key(ds, "k", "v", final=final)
+    assert executors.started == before
     out = pa.concat_tables(executors.fetch(
-        agg.distinct_count_by_key(ds, "k", "v", final=final)))
+        agg.distinct_count_by_key(ds, "k", "v")))
     assert executors.started - before == want
     got = dict(zip(out["k"].to_pylist(), out["n_distinct"].to_pylist()))
     assert got == {k: 11 for k in range(5)}
@@ -858,7 +867,7 @@ def test_lsh_candidate_pairs_string_ids(ray_session):
 
 def test_reduce_by_key_matches_pandas(ray_session):
     """GROUP BY a composite (string, int) key, a single int key and a
-    single string key, plus DISTINCT — exact, no hashed key, both finals."""
+    single string key, plus DISTINCT — exact, no hashed key."""
     import pandas as pd
     import ray.data
 
@@ -878,28 +887,22 @@ def test_reduce_by_key_matches_pandas(ray_session):
             .agg(n=("n", "sum"), v=("v", "min"))
             .reset_index()
         )
-        for final in ["tree", "hash"]:
-            out = agg.reduce_by_key(
-                ds, keys, {"n": "sum", "v": "min"}, final=final
-            ).to_pandas()
-            a = out.sort_values(kl).reset_index(drop=True)
-            b = exp.sort_values(kl).reset_index(drop=True)[a.columns]
-            assert a.equals(b), (keys, final)
-            # one row per key, every final mode
-            assert len(out) == len(exp), (keys, final)
-    for final in ["tree", "hash"]:
-        got = agg.distinct_keys(ds, "et", final=final).to_pandas()["et"]
-        assert sorted(got) == sorted(set(et)), final
+        out = agg.reduce_by_key(ds, keys, {"n": "sum", "v": "min"}).to_pandas()
+        a = out.sort_values(kl).reset_index(drop=True)
+        b = exp.sort_values(kl).reset_index(drop=True)[a.columns]
+        assert a.equals(b), keys
+        # one row per key
+        assert len(out) == len(exp), keys
+    got = agg.distinct_keys(ds, "et").to_pandas()["et"]
+    assert sorted(got) == sorted(set(et))
 
 
 _AGG_OPS = {
-    "reduce_by_key": lambda ds, final: agg.reduce_by_key(
-        ds, "k", ["x"], final=final),
-    "distinct_keys": lambda ds, final: agg.distinct_keys(ds, "k", final=final),
-    "grouped_topk": lambda ds, final: agg.grouped_topk(
-        ds, "k", "x", "i", 2, final=final),
-    "distinct_count_by_key": lambda ds, final: agg.distinct_count_by_key(
-        ds, "k", "x", final=final),
+    "reduce_by_key": lambda ds, **kw: agg.reduce_by_key(ds, "k", ["x"], **kw),
+    "distinct_keys": lambda ds, **kw: agg.distinct_keys(ds, "k", **kw),
+    "grouped_topk": lambda ds, **kw: agg.grouped_topk(ds, "k", "x", "i", 2, **kw),
+    "distinct_count_by_key": lambda ds, **kw: agg.distinct_count_by_key(
+        ds, "k", "x", **kw),
 }
 # in-memory sources only: a `limit(0)` over a parquet read cancels
 # in-flight read tasks
@@ -924,18 +927,21 @@ _AGG_SCHEMAS = {
 }
 _PIPELINES = {
     "tile_counts": (
-        lambda ds, final: tiling.tile_counts(ds, "k", 8, final=final),
+        lambda ds, **kw: tiling.tile_counts(ds, "k", 8, **kw),
         pa.schema([("tile_token", _STR), ("n", _I64)])),
     "h3_tile_counts": (
-        lambda ds, final: tiling.h3_tile_counts(ds, "k", 5, final=final),
+        lambda ds, **kw: tiling.h3_tile_counts(ds, "k", 5, **kw),
         pa.schema([("h3_token", _STR), ("n", _I64)])),
     "snap_dedup": (
-        lambda ds, final: tiling.snap_dedup(ds, "k"),
+        lambda ds, **kw: tiling.snap_dedup(ds, "k", **kw),
         pa.schema([("snap_token", _STR), ("keep_key", _I64), ("n", _I64)])),
     "term_counts": (
-        lambda ds, final: textops.term_counts(ds),
+        lambda ds, **kw: textops.term_counts(ds, **kw),
         pa.schema([("term", _STR), ("n", _I64), ("rank", _I64)])),
 }
+# the two names that still take the removed grouped-plan knob `final`,
+# accepted and ignored (the benchmark harness passes final="hash")
+_IGNORE_FINAL = ("reduce_by_key", "tile_counts")
 
 
 @pytest.mark.parametrize("inp", sorted(_EMPTY_INPUTS))
@@ -947,10 +953,11 @@ _PIPELINES = {
 ] + [("snap_dedup", None), ("term_counts", None)])
 def test_grouped_ops_on_empty_input(ray_session, executors, op, final, inp):
     """Every grouped op on a zero-block (limit 0, also under a map whose
-    schema Ray cannot report) or all-rows-filtered input gives 0 rows
-    under either final, as a computed dataset, and raises on an unknown
-    one; an op or pipeline whose reduce ends in a finish keeps its
-    documented schema."""
+    schema Ray cannot report) or all-rows-filtered input gives 0 rows, as
+    a computed dataset; an op or pipeline whose reduce ends in a finish
+    keeps its documented schema.  `final` is a value an old caller passed
+    for the removed plan knob: the two names that keep the parameter
+    ignore any value, and every other op rejects the keyword."""
     import ray.data
 
     src = ray.data.from_arrow(pa.table({
@@ -960,20 +967,17 @@ def test_grouped_ops_on_empty_input(ray_session, executors, op, final, inp):
         "text": pa.array(["a b"] * 20),
     })).repartition(3)
     ds = _EMPTY_INPUTS[inp](src)
-    if op in _PIPELINES:
-        run, schema = _PIPELINES[op]
-        blocks = executors.fetch(run(ds, final))
-        assert blocks and sum(b.num_rows for b in blocks) == 0
-        for b in blocks:
-            assert b.schema.equals(schema), (b.schema, schema)
-    elif final == "bogus":
-        with pytest.raises(ValueError, match="bogus"):
-            _AGG_OPS[op](ds, final)
-    else:
-        blocks = executors.fetch(_AGG_OPS[op](ds, final))
-        assert blocks and sum(b.num_rows for b in blocks) == 0
-        for b in blocks:
-            assert b.schema.equals(_AGG_SCHEMAS[op]), b.schema
+    run, schema = _PIPELINES.get(op) or (_AGG_OPS[op], _AGG_SCHEMAS[op])
+    kw = {}
+    if final is not None and op in _IGNORE_FINAL:
+        kw = {"final": final}
+    elif final is not None:
+        with pytest.raises(TypeError, match="final"):
+            run(ds, final=final)
+    blocks = executors.fetch(run(ds, **kw))
+    assert blocks and sum(b.num_rows for b in blocks) == 0
+    for b in blocks:
+        assert b.schema.equals(schema), (b.schema, schema)
 
 
 _F64 = pa.float64()
