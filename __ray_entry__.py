@@ -167,9 +167,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def q_grouped_topk(sf_dir: str):
         # per-event-type top-3 events by (floor(value) desc, event_id asc)
+        import pyarrow as pa
         import pyarrow.compute as pc
 
-        from s2_geometry_rust_ray.stages import agg
+        from s2_geometry_rust_ray.stages import agg, exchange
 
         ds = _read(sf_dir, "events", columns=["event_id", "event_type", "value"])
 
@@ -179,10 +180,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "floor_value", fv
             )
 
-        return agg.grouped_topk(
+        # over a lazy map Ray reports no input schema, so the query
+        # declares its own (an empty result keeps it)
+        return exchange.with_schema(agg.grouped_topk(
             ds.map_batches(proj, batch_format="pyarrow"),
             "event_type", "floor_value", "event_id", 3,
-        )
+        ), pa.schema([("event_type", pa.string()), ("floor_value", pa.int64()),
+                      ("event_id", pa.int64()), ("rank", pa.int64())]))
 
     def q_distinct_users(sf_dir: str):
         from s2_geometry_rust_ray.stages import agg
@@ -201,6 +205,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def q_brand_sales(sf_dir: str):
+        import pyarrow as pa
         import pyarrow.parquet as pq
 
         from s2_geometry_rust_ray.stages import agg, exchange
@@ -215,7 +220,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         def project(batch):
             import numpy as np
-            import pyarrow as pa
 
             return pa.table({
                 "p_brand": batch["p_brand"],
@@ -225,10 +229,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ).astype(np.int64),
             })
 
-        return agg.reduce_by_key(
+        # a grouped reduce over a lazy map: the query declares its schema
+        return exchange.with_schema(agg.reduce_by_key(
             joined.map_batches(project, batch_format="pyarrow"),
             "p_brand", {"n": "sum", "sum_qty": "sum"},
-        )
+        ), pa.schema([("p_brand", pa.string()), ("n", pa.int64()),
+                      ("sum_qty", pa.int64())]))
 
     def q_hll(sf_dir: str):
         return textops.hll_rho_hist(
@@ -378,15 +384,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import shutil
         import tempfile
 
+        import pyarrow as pa
+        import ray
+
         from s2_geometry_rust_ray.stages import simsearch
 
         ds, cent, queries, qids = _ivf_setup(sf_dir)
         idx_dir = tempfile.mkdtemp(prefix="graft_ivf_")
         try:
             simsearch.build_ivf_index(ds, cent, idx_dir)
-            return simsearch.ann_topk_ivf_indexed(
-                idx_dir, queries, qids, cent, k=10, nprobe=6
-            ).to_pandas()
+            out = simsearch.ann_topk_ivf_indexed(
+                idx_dir, queries, qids, cent, k=10, nprobe=6)
+            # through Arrow: `Dataset.to_pandas()` drops the columns of an
+            # empty result
+            return pa.concat_tables(ray.get(out.to_arrow_refs())).to_pandas()
         finally:
             shutil.rmtree(idx_dir, ignore_errors=True)
 

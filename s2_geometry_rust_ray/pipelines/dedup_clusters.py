@@ -12,8 +12,8 @@ fully distributed):
   labels_{t+1}[v] = min(labels_t[v], min over edges (u,v) of labels_t[u])
 
 Every round is one co-partitioned equi-join (labels x the edge table,
-co-located by u and partitioned ONCE — stages/exchange.co_partition with
-the edges pinned) plus one hash-exchange min-reduce
+co-located by u and split ONCE — stages/exchange.split, met by
+exchange.co_partition every round) plus one hash-exchange min-reduce
 (stages/agg.reduce_by_key: the labels table has one row per document and
 stays hash-partitioned; the reduce returns exactly one row per doc_id,
 which the label-sum certificate below depends on).  Labels are monotone non-increasing, so
@@ -58,26 +58,16 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
         num_parts = exchange.default_num_parts()
 
     def to_edges(batch: pa.Table) -> pa.Table:
-        # `agg.column`: a zero-row block may lack the pair columns
-        a = agg.column(batch, a_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = agg.column(batch, b_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = batch[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"u": np.concatenate([a, b]),
                          "v": np.concatenate([b, a])})
 
-    def pack(et: pa.Table) -> pa.Table:
-        # one partition's edges as ONE row of two lists: co_partition
-        # never drops a one-row output, so its blocks are exactly the
-        # num_parts partitions in partition order
-        offsets = pa.array([0, et.num_rows], pa.int64())
-        return pa.table({c: pa.LargeListArray.from_arrays(
-            offsets, et[c].combine_chunks()) for c in ("u", "v")})
-
     # the STATIC edge table is hash-partitioned ONCE by u — each round
-    # only exchanges the labels and runs against the pinned edge
-    # partitions (re-exchanging the full edge set every round would
-    # dominate the per-round cost at scale)
-    edge_parts = exchange.block_refs(exchange.co_partition(
-        [(pairs_ds, "u", to_edges)], num_parts, pack))
+    # only exchanges the labels and meets the edge partitions split here
+    # (re-exchanging the full edge set every round would dominate the
+    # per-round cost at scale)
+    edges = exchange.split(pairs_ds, "u", num_parts, to_edges)
 
     def init_labels(batch: pa.Table) -> pa.Table:
         i = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -92,19 +82,14 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
 
     @ray.remote
     def block_sum(t: pa.Table) -> int:
-        return int(np.sum(t["label"].to_numpy())) if t.num_rows else 0
+        return int(np.sum(t["label"].to_numpy()))
 
     def label_sum(ds) -> int:
         return sum(ray.get([block_sum.remote(b)
                             for b in exchange.block_refs(ds)]))
 
-    def join_part(lt: pa.Table, packed: pa.Table) -> pa.Table:
-        # (u, v) x (doc_id==u, label) -> (doc_id=v, label)
-        et = pa.table({c: packed[c].combine_chunks().flatten()
-                       for c in ("u", "v")})
-        # `agg.column`: an empty labels side may be column-less (a lazy
-        # map never runs its fn on a zero-row block)
-        lt = pa.table({c: agg.column(lt, c) for c in (id_col, "label")})
+    def join_part(lt: pa.Table, et: pa.Table) -> pa.Table:
+        # (doc_id==u, label) x (u, v) -> (doc_id=v, label)
         j = et.join(lt, keys="u", right_keys=id_col, join_type="inner")
         return pa.table(
             {id_col: j["v"].to_numpy(zero_copy_only=False),
@@ -114,11 +99,10 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
     prev_sum = label_sum(labels)
     converged = False
     for _ in range(max_iters):
-        # candidate labels flow along edges; labels co-partitioned with the
-        # pinned edge partitions (same hash fn + partition count)
+        # candidate labels flow along edges: the labels split like the
+        # edges (same hash fn + partition count)
         cand_v = exchange.co_partition(
-            [(labels, id_col, None)], num_parts, join_part, pinned=edge_parts
-        )
+            [(labels, id_col, None), edges], num_parts, join_part)
         # the union of two computed datasets, as one computed dataset
         merged = exchange.as_dataset(
             exchange.block_refs(labels) + exchange.block_refs(cand_v))
@@ -142,4 +126,5 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
              "cluster_id": batch["label"].to_numpy(zero_copy_only=False)}
         )
 
-    return exchange.map_blocks(labels, finish)
+    return exchange.with_schema(exchange.map_blocks(labels, finish), pa.schema(
+        [(id_col, pa.int64()), ("cluster_id", pa.int64())]))

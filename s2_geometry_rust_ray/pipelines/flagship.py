@@ -21,7 +21,7 @@ import pyarrow as pa
 
 from ..functions import cellid
 from ..stages.encode import encode_cells
-from ..stages.exchange import actor_map as _actor_map
+from ..stages.exchange import actor_map as _actor_map, with_schema
 from . import tiling
 
 
@@ -38,11 +38,11 @@ def image_tile_counts(images_dir: str, level: int = 8):
     from ..stages import agg
 
     tp = tiling.tile_partial_counts(level)
-    return agg.reduce_by_key(
+    return with_schema(agg.reduce_by_key(
         geometry_view(images_dir), "tile", ["n_partial"],
         finish=tiling.tokenize("tile", "tile_token", {"n_partial": "n"}),
         prepare=lambda b: tp(encode_cells(b)), batch_size=131072,
-    )
+    ), tiling.TILE_COUNTS)
 
 
 def image_pip_join(images_dir: str, layer=None, mode: str = "inner"):
@@ -139,8 +139,8 @@ def image_caption_token_tiles(images_dir: str, level: int = 6):
             }
         )
 
-    return agg.reduce_by_key(
+    return with_schema(agg.reduce_by_key(
         ds, "tile", {"n": "sum", "caption_tokens": "sum"},
         finish=tiling.tokenize("tile", "tile_token", ["n", "caption_tokens"]),
         prepare=partial, batch_size=131072,
-    )
+    ), tiling.TILE_COUNTS.append(pa.field("caption_tokens", pa.int64())))

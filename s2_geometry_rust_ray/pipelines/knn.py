@@ -7,14 +7,19 @@ tiny regardless of input size; the final reduce sorts by query_id and ranks.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 from ..functions import geo
 from ..functions.coords import latlng_deg_to_xyz
 from ..stages import knn as knn_stages
-from ..stages.exchange import actor_map as _actor_map, topk_merge_partials
+from ..stages.exchange import (actor_map as _actor_map, topk_merge_partials,
+                               with_schema)
 from ..stages.encode import derive_geotags
 
 QUERY_KEY_BASE = 900_000_000  # query keys live far above any row key
+# both kNN paths' output, also when empty
+KNN = pa.schema([("query_id", pa.int64()), ("neighbor", pa.int64()),
+                 ("d2", pa.float64()), ("rank", pa.int64())])
 
 
 def make_queries(n_queries: int = 50):
@@ -51,9 +56,9 @@ def knn_brute(ds, key_col: str, k: int = 5, n_queries: int = 50,
     )
     # each partition emits <= Q*k rows, so the single-task merge input is
     # tiny (B_blocks * Q * k); merge='distributed' for very large Q
-    return topk_merge_partials(
+    return with_schema(topk_merge_partials(
         partials, lambda b: knn_stages.merge_topk(b, k), merge
-    )
+    ), KNN)
 
 
 def knn_cell(ds, key_col: str, k: int = 5, n_queries: int = 50,
@@ -79,6 +84,6 @@ def knn_cell(ds, key_col: str, k: int = 5, n_queries: int = 50,
         },
         batch_size=262144,
     )
-    return topk_merge_partials(
+    return with_schema(topk_merge_partials(
         partials, lambda b: knn_stages.merge_topk(b, k), merge
-    )
+    ), KNN)

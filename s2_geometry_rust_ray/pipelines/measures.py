@@ -45,6 +45,10 @@ def loop_vertex_table(layer: dict) -> pa.Table:
     )
 
 
+LOOP_MEASURES = pa.schema([("loop_key", pa.string()), ("n_vertices", pa.int64()),
+                           ("tan_half_area", pa.float64())])
+
+
 def loop_measures(layer: dict, num_parts: int | None = None):
     """Dataset of (loop_key, n_vertices, tan_half_area) for every loop in
     the layer.  Oracle: oracle/sql.q_loop_measures over the same vertex
@@ -59,13 +63,6 @@ def loop_measures(layer: dict, num_parts: int | None = None):
     verts = exchange.as_dataset(tbl)
 
     def fold_partition(tbl: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"loop_key": pa.array([], pa.string()),
-             "n_vertices": pa.array([], pa.int64()),
-             "tan_half_area": pa.array([], pa.float64())}
-        )
-        if tbl.num_rows == 0:
-            return empty
         df = tbl.to_pandas().sort_values(["loop_key", "vidx"])
         out_k, out_n, out_t = [], [], []
         for key, grp in df.groupby("loop_key", sort=True):
@@ -79,6 +76,6 @@ def loop_measures(layer: dict, num_parts: int | None = None):
              "tan_half_area": np.asarray(out_t, dtype=np.float64)}
         )
 
-    return exchange.hash_exchange_apply(
+    return exchange.with_schema(exchange.hash_exchange_apply(
         verts, "loop_key", num_parts, fold_partition
-    )
+    ), LOOP_MEASURES)

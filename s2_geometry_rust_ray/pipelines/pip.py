@@ -12,7 +12,7 @@ from ..geometry.cap import Cap
 from ..geometry.rect import LatLngRect
 from ..stages import distance as dist_stages
 from ..stages import pip as pip_stages
-from ..stages.exchange import actor_map as _actor_map
+from ..stages.exchange import actor_map as _actor_map, known_schema, with_schema
 from ..stages.encode import derive_geotags
 
 
@@ -147,13 +147,21 @@ def _region_join(ds, key_col: str, **join_kwargs):
     the block, the per-tile passes), which 131072 rows amortize.
     The size was chosen when this stage was an actor pool (32768 -> 131072
     took a 4-slot run from 10.7 s to 5.9 s; 262144 regressed on cache
-    pressure) and is kept for the task maps."""
-    return _actor_map(
+    pressure) and is kept for the task maps.
+
+    Over a computed input whose schema Ray reports, an empty result is
+    one empty block: (key_col, the string id column) in inner mode, the
+    input's schema in semi and anti mode."""
+    schema = known_schema(ds)
+    if schema is not None and join_kwargs.get("mode", "inner") == "inner":
+        schema = pa.schema([schema.field(key_col),
+                            (join_kwargs.get("id_col", "polygon_id"), pa.string())])
+    return with_schema(_actor_map(
         ds,
         _GeotagEncodeJoin,
         fn_constructor_kwargs={"key_col": key_col, **join_kwargs},
         batch_size=131072,
-    )
+    ), schema)
 
 
 def pip_join(ds, key_col: str, layer=None, mode: str = "inner"):

@@ -42,8 +42,6 @@ BOUND_SAMPLES = 64
 def _order_stats(block: pa.Table):
     """(up to BOUND_SAMPLES evenly spaced sorted leaf ids, row count) of a
     candidate block."""
-    if block.num_rows == 0:
-        return np.empty(0, dtype=np.uint64), 0
     leaves = np.sort(block["cell_id"].to_numpy(zero_copy_only=False))
     pos = np.linspace(0, leaves.size - 1, min(BOUND_SAMPLES, leaves.size))
     return leaves[pos.round().astype(np.int64)], block.num_rows
@@ -53,7 +51,6 @@ def _range_bounds(stats, num_parts: int) -> np.ndarray:
     """num_parts - 1 sorted uint64 bounds at the quantiles of the blocks'
     `_order_stats`, each statistic standing for an equal share of its
     block's rows.  No candidates: no bounds (one range)."""
-    stats = [(s, n) for s, n in stats if s.size]
     if not stats:
         return np.empty(0, dtype=np.uint64)
     leaves = np.concatenate([s for s, _ in stats])
@@ -90,7 +87,9 @@ def shuffle_pip_join(ds, key_col: str, layer, num_parts: int | None = None,
     `layer`: the rows of the broadcast pip_join, range-partitioned on the
     points' leaf ids (module docstring).  `pretagged`: the input already
     carries lat/lng columns (skips the key -> geotag derivation).
-    Returns a computed dataset."""
+    Returns a computed dataset; an empty one keeps the key column's type
+    where Ray reports the input's schema, and is int64 (a geotag key's
+    type) where it does not."""
     import ray
 
     prepared = prepare_layer(layer)
@@ -114,14 +113,10 @@ def shuffle_pip_join(ds, key_col: str, layer, num_parts: int | None = None,
     pinned = [ray.put(sub) for sub in _sub_layers(prepared, bounds, num_parts)]
 
     def join(pts: pa.Table, sub: PreparedLayer) -> pa.Table:
-        if pts.num_rows == 0:
-            # an empty input leaves point partitions without columns
-            key_type = (pts.schema.field(key_col).type
-                        if key_col in pts.column_names else pa.null())
-            return pa.table({key_col: pa.array([], key_type),
-                             "polygon_id": pa.array([], pa.string())})
         return PIPJoin(sub, key_col)(pts)
 
-    return exchange.co_partition(
+    schema = exchange.known_schema(ds)
+    key = pa.field(key_col, pa.int64()) if schema is None else schema.field(key_col)
+    return exchange.with_schema(exchange.co_partition(
         [(points, exchange.Ranges("cell_id", bounds), None)], num_parts, join,
-        pinned=pinned)
+        pinned=pinned), pa.schema([key, ("polygon_id", pa.string())]))

@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions import text as T
-from ..stages import agg
+from ..stages import agg, exchange
 
 
 def _texts(batch: pa.Table) -> pd.Series:
@@ -93,13 +93,17 @@ def exact_dedup(ds):
         )
 
     hashed = ds.map_batches(hash_stage, batch_format="pyarrow")
-    return agg.reduce_by_key(
+    return exchange.with_schema(agg.reduce_by_key(
         hashed, "content_hash", {"keep_id": "min", "n_dups": "sum"}
-    )
+    ), _EXACT_DEDUP)
 
 
+_EXACT_DEDUP = pa.schema([("content_hash", pa.string()), ("keep_id", pa.int64()),
+                          ("n_dups", pa.int64())])
 _JACCARD_PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
                             ("jaccard", pa.float64())])
+_TERM_COUNTS = pa.schema([("term", pa.string()), ("n", pa.int64()),
+                          ("rank", pa.int64())])
 _SIMHASH_PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
                             ("hamming", pa.int64())])
 # byte b of a 64-bit signature is (sig >> 8b) & 0xFF
@@ -127,8 +131,6 @@ def near_dup_pairs(ds, num_hashes: int = 32, band_size: int = 4,
     texts.  jaccard = n_inter/n_union is a single IEEE division of exact
     integers => bit-exact vs the DuckDB oracle (oracle/sql.q_near_dup_pairs
     mirrors the full LSH pipeline incl. the integer band fold)."""
-    from ..stages import exchange
-
     sentinel = np.uint64(T.MINHASH_P)
 
     def bands(batch: pa.Table):
@@ -223,8 +225,6 @@ def hamming_near_dup(ds, id_col: str, signature, schema: pa.Schema,
     differs in at most 7 bands, so some band matches: no false negatives
     for max_hamming <= 7 (k+1 bands guarantee radius k).  Verification is
     exact popcount(xor)."""
-    from ..stages import exchange
-
     def bands(batch: pa.Table):
         ids, sig = signature(batch)
         byte = (sig.view(np.uint64)[:, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
@@ -306,8 +306,6 @@ def term_counts(ds, top_n: int = 100):
     most partitions * top_n rows.  At 100 TB the vocabulary is the
     shuffle payload; Zipf skew is absorbed by the map-side combine (a hot
     term contributes one row per block)."""
-    from ..stages import exchange
-
     def explode_count(batch: pa.Table) -> pa.Table:
         tokens = _texts(batch).str.lower().str.findall(T.TOKEN_RE)
         flat = tokens.explode().dropna()
@@ -318,8 +316,8 @@ def term_counts(ds, top_n: int = 100):
         )
 
     def truncate(batch: pa.Table) -> pa.Table:
-        term = agg.column(batch, "term", pa.string()).to_numpy(zero_copy_only=False)
-        n = agg.column(batch, "n").to_numpy(zero_copy_only=False)
+        term = batch["term"].to_numpy(zero_copy_only=False)
+        n = batch["n"].to_numpy(zero_copy_only=False)
         order = np.lexsort((term, -n))[:top_n]
         return pa.table({"term": pa.array(term[order], pa.string()),
                          "n": pa.array(n[order], pa.int64())})
@@ -331,7 +329,8 @@ def term_counts(ds, top_n: int = 100):
 
     cuts = agg.reduce_by_key(ds, "term", {"n": "sum"}, finish=truncate,
                              prepare=explode_count)
-    return exchange.topk_merge_partials(cuts, top_n_ranked)
+    return exchange.with_schema(exchange.topk_merge_partials(cuts, top_n_ranked),
+                                _TERM_COUNTS)
 
 
 def _ts_us(batch: pa.Table) -> np.ndarray:
@@ -346,28 +345,19 @@ def _by_user(ds, num_parts: int | None, project, schema: pa.Schema, finish):
     split task of ONE `exchange.hash_exchange_apply` by user_id; each
     partition is sorted by one `np.lexsort` over the projected columns, in
     their order, and `finish(*sorted numpy columns)` returns the output
-    columns in `schema` order.  A zero-row block or partition never
-    reaches `project` or `finish` (a filter can leave column-less blocks,
-    and a zero-block input has no schema to project): it yields
-    `schema.empty_table()`."""
-    from ..stages import exchange
-
+    columns in `schema` order; an empty result is one empty block of
+    `schema`."""
     if num_parts is None:
         num_parts = exchange.default_num_parts()
 
-    def split(block: pa.Table) -> pa.Table:
-        return project(block) if block.num_rows else pa.table({})
-
     def per_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return schema.empty_table()
         cols = [c.to_numpy() for c in tbl.columns]
         order = np.lexsort(cols[::-1])
         return pa.table(finish(*(c[order] for c in cols)), schema=schema)
 
-    return exchange.hash_exchange_apply(
-        ds, "user_id", num_parts, per_partition, map_fn=split
-    )
+    return exchange.with_schema(exchange.hash_exchange_apply(
+        ds, "user_id", num_parts, per_partition, map_fn=project
+    ), schema)
 
 
 def sessionize(ds, gap_minutes: int = 30, num_parts: int | None = None):
@@ -520,12 +510,10 @@ def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
         )
 
     # cross-batch merge: exact composite GROUP BY (event_type, window_s)
-    return agg.reduce_by_key(
+    return exchange.with_schema(agg.reduce_by_key(
         ds, ["event_type", "window_s"],
-        {"n": "sum", "sum_floor_value": "sum"},
-        finish=lambda t: t if t.num_rows else out.empty_table(),
-        prepare=fn,
-    )
+        {"n": "sum", "sum_floor_value": "sum"}, prepare=fn,
+    ), out)
 
 
 def window_counts(ds):
@@ -585,10 +573,6 @@ def quantiles_by_key(ds, key_col: str = "event_type", val_col: str = "value",
     the row count; the per-key quantile walk is a cumsum over the distinct
     values of one key co-located by the grouped reduce.  No driver
     materialization; no assumption that one key's raw rows fit anywhere."""
-    import pyarrow as pa
-
-    from ..stages import agg, exchange
-
     def to_pairs(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -604,12 +588,6 @@ def quantiles_by_key(ds, key_col: str = "event_type", val_col: str = "value",
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        cols = {key_col: pa.array([], pa.string()),
-                "n": pa.array([], pa.int64())}
-        for q in qs:
-            cols[f"p{q}"] = pa.array([], pa.float64())
-        if tbl.num_rows == 0:
-            return pa.table(cols)
         k = np.asarray(tbl[key_col].to_numpy(zero_copy_only=False))
         v = tbl[val_col].to_numpy(zero_copy_only=False)
         c = tbl["cnt"].to_numpy(zero_copy_only=False)
@@ -634,9 +612,10 @@ def quantiles_by_key(ds, key_col: str = "event_type", val_col: str = "value",
         return pa.table(cols)
 
     # tiny second exchange: co-locate each key's distinct values
-    return exchange.hash_exchange_apply(
+    return exchange.with_schema(exchange.hash_exchange_apply(
         counts, key_col, exchange.default_num_parts(), finish
-    )
+    ), pa.schema([(key_col, pa.string()), ("n", pa.int64())]
+                 + [(f"p{q}", pa.float64()) for q in qs]))
 
 
 def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
@@ -658,10 +637,6 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
     matter the input size; the histogram is a second tiny sum.
     This is the approximate-distinct operator for cardinalities where
     distinct_count_by_key's exact exchange would be the bottleneck."""
-    import pyarrow as pa
-
-    from ..stages import agg
-
     # suffix must stay < 2^53 so the f64 conversion inside the frexp
     # bit-length is lossless: b <= 10 gives 54+-bit suffixes that can
     # round UP across a power of two and corrupt rho
@@ -691,8 +666,7 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
 
     def to_hist(batch: pa.Table) -> pa.Table:
         return pa.table(
-            {key_col: agg.column(batch, key_col, pa.string()),
-             "rho": agg.column(batch, "rho"),
+            {key_col: batch[key_col], "rho": batch["rho"],
              "n_buckets": np.ones(batch.num_rows, dtype=np.int64)}
         )
 
@@ -700,7 +674,10 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
         ds.map_batches(to_regs, batch_format="pyarrow"),
         [key_col, "bucket"], {"rho": "max"}, finish=to_hist,
     )
-    return agg.reduce_by_key(regs, [key_col, "rho"], {"n_buckets": "sum"})
+    return exchange.with_schema(
+        agg.reduce_by_key(regs, [key_col, "rho"], {"n_buckets": "sum"}),
+        pa.schema([(key_col, pa.string()), ("rho", pa.int64()),
+                   ("n_buckets", pa.int64())]))
 
 
 def hll_estimate(hist, b: int = 12) -> dict:

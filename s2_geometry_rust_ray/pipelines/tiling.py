@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import cellid
-from ..stages import agg
+from ..stages import agg, exchange
 from ..stages.encode import geotag_and_encode
 
 BATCH_SIZE = 32768  # rows per tile_counts encode + combine batch
@@ -25,20 +25,28 @@ def tokenize(key_col: str, token_col: str, carry, decode=cellid.from_sort_key):
     `token_col` (`decode` maps a key back to its uint64 id: from_sort_key
     for S2 cells, the raw uint64 view for H3), then the `carry` columns
     ({src: out}, or names kept as-is).  Every tile pipeline builds its
-    token here, so the format cannot diverge between them.  A zero-row
-    table gives the typed empty result (carried columns default to
-    int64)."""
+    token here, so the format cannot diverge between them."""
     if not isinstance(carry, dict):
         carry = {c: c for c in carry}
 
     def fn(t: pa.Table) -> pa.Table:
-        keys = agg.column(t, key_col).to_numpy(zero_copy_only=False)
+        keys = t[key_col].to_numpy(zero_copy_only=False)
         cols = {token_col: cellid.to_hex(decode(keys))}
         for src, out in carry.items():
-            cols[out] = agg.column(t, src)
+            cols[out] = t[src]
         return pa.table(cols)
 
     return fn
+
+
+# each tile pipeline's output schema, also of an empty result
+_STR, _I64 = pa.string(), pa.int64()
+TILE_COUNTS = pa.schema([("tile_token", _STR), ("n", _I64)])
+CAP_BOUNDS = pa.schema([("tile_token", _STR), ("keep_key", _I64), ("n", _I64),
+                        ("r2", pa.float64())])
+SNAP_DEDUP = pa.schema([("snap_token", _STR), ("keep_key", _I64), ("n", _I64)])
+H3_TILE_COUNTS = pa.schema([("h3_token", _STR), ("n", _I64)])
+FACE_HISTOGRAM = pa.schema([("face", _I64), ("n", _I64)])
 
 
 def tile_partial_counts(level: int):
@@ -75,11 +83,11 @@ def tile_counts(
     """
     enc = geotag_and_encode(key_col)
     tp = tile_partial_counts(level)
-    return agg.reduce_by_key(
+    return exchange.with_schema(agg.reduce_by_key(
         ds, "tile", ["n_partial"],
         finish=tokenize("tile", "tile_token", {"n_partial": "n"}),
         prepare=lambda b: tp(enc(b)), batch_size=BATCH_SIZE,
-    )
+    ), TILE_COUNTS)
 
 
 def face_histogram(ds: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
@@ -91,7 +99,8 @@ def face_histogram(ds: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
         uniq, counts = np.unique(face, return_counts=True)
         return pa.table({"face": uniq, "n": counts.astype(np.int64)})
 
-    return agg.reduce_by_key(ds, "face", ["n"], prepare=partial)
+    return exchange.with_schema(
+        agg.reduce_by_key(ds, "face", ["n"], prepare=partial), FACE_HISTOGRAM)
 
 
 def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
@@ -105,7 +114,6 @@ def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
     the min-key point makes the fold order-independent, unlike raw C++
     add_point over arbitrary insertion order."""
     from ..functions.coords import latlng_deg_to_xyz
-    from ..stages import exchange
 
     def project(batch: pa.Table) -> pa.Table:
         batch = geotag_and_encode(key_col)(batch)
@@ -124,14 +132,6 @@ def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
     to_token = tokenize("tile", "tile_token", ["keep_key", "n", "r2"])
 
     def per_partition(tbl: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"tile_token": pa.array([], pa.string()),
-             "keep_key": pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64()),
-             "r2": pa.array([], pa.float64())}
-        )
-        if tbl.num_rows == 0:
-            return empty
         t = tbl["tile"].to_numpy(zero_copy_only=False)
         k = tbl["key"].to_numpy(zero_copy_only=False)
         x = tbl["x"].to_numpy(zero_copy_only=False)
@@ -157,10 +157,10 @@ def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
     # round-trip for the 5-column payload).  Split tasks see WHOLE
     # blocks, so the projection runs on 64k-row slices, a bound on the
     # geotag+encode temporaries (several float64 arrays per row).
-    return exchange.hash_exchange_apply(
+    return exchange.with_schema(exchange.hash_exchange_apply(
         ds, "tile", num_parts, per_partition,
         map_fn=exchange.in_slices(project, 65536),
-    )
+    ), CAP_BOUNDS)
 
 
 def snap_dedup(
@@ -180,11 +180,11 @@ def snap_dedup(
              "n": np.ones(len(keys), dtype=np.int64)}
         )
 
-    return agg.reduce_by_key(
+    return exchange.with_schema(agg.reduce_by_key(
         ds, "snap", {"keep_key": "min", "n": "sum"},
         finish=tokenize("snap", "snap_token", ["keep_key", "n"]),
         prepare=partial,
-    )
+    ), SNAP_DEDUP)
 
 
 def h3_tile_counts(
@@ -203,12 +203,12 @@ def h3_tile_counts(
         uniq, counts = np.unique(cells, return_counts=True)
         return pa.table({"h3_cell": uniq, "n_partial": counts.astype(np.int64)})
 
-    return agg.reduce_by_key(
+    return exchange.with_schema(agg.reduce_by_key(
         ds, "h3_cell", ["n_partial"],
         finish=tokenize("h3_cell", "h3_token", {"n_partial": "n"},
                         decode=lambda k: k.view(np.uint64)),
         prepare=partial, batch_size=131072,
-    )
+    ), H3_TILE_COUNTS)
 
 
 def cell_encode_table(

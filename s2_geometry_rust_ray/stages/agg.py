@@ -29,12 +29,14 @@ is a computed dataset (`exchange.as_dataset`) whose consumption starts no
 executor, so a grouped query is one Ray Data execution over a lazy input
 and none over a computed one.
 
-Zero-row rule: `prepare` and `combine` never see a zero-row table;
-`finish` does.  A zero-block input, an all-filtered input or an empty hash
-partition reaches `finish` as a zero-row table that may lack columns or
-carry null-typed key columns, and every finish returns its typed empty
-table (use `column`), so an empty input keeps the documented output
-schema.
+Zero rows: the exchange runs no partition task for an empty partition
+and calls no map_fn on an empty block (stages/exchange.py), so `combine`
+and `finish` never see a zero-row table; `_group` skips `combine` for a
+block that `prepare` empties.  An op whose input has no rows returns one
+empty block of its schema (`exchange.with_schema`): the key and value
+types Ray reports for the input without running it, or, for a
+`prepare` or `finish` whose output types `_group` cannot know, the
+schema its caller declares the same way.
 
 Skew note: the map-side combine bounds a hot key's contribution to one row
 (n rows for top-N) per input block, so the exchange never sees the skew.
@@ -76,15 +78,6 @@ def _reduce_block(keys: list[str], spec: dict[str, str]):
     return fn
 
 
-def column(t: pa.Table, name: str, default: pa.DataType = pa.int64()):
-    """Column `name` of `t`, or an empty `default`-typed array where a
-    zero-row table lacks it or holds it null-typed — the two shapes in
-    which an empty input reaches a finish."""
-    if name in t.column_names and not pa.types.is_null(t.schema.field(name).type):
-        return t[name]
-    return pa.array([], default)
-
-
 def _group(ds, keys: list[str], combine, finish=None, prepare=None,
            batch_size: int | None = None):
     """The one grouped plan: `exchange.hash_exchange_apply` on the full
@@ -94,28 +87,36 @@ def _group(ds, keys: list[str], combine, finish=None, prepare=None,
 
     `prepare` (optional) maps the input rows to `combine`'s input inside
     the map-side step, over `batch_size`-row slices (a bound on its
-    temporaries); the step then combines the block's prepared slices.
-
-    `prepare` and `combine` never see a zero-row table (it passes
-    through); `finish` gets every partition table, zero-row ones
-    included, and returns its typed empty table for those."""
+    temporaries); the step then combines the block's prepared slices,
+    unless they hold no rows."""
     from . import exchange
 
     prepared = None if prepare is None else exchange.in_slices(prepare, batch_size)
 
     def first(t: pa.Table) -> pa.Table:
-        if prepared is not None and t.num_rows:
+        if prepared is not None:
             t = prepared(t)
         return combine(t) if t.num_rows else t
 
     def last(t: pa.Table) -> pa.Table:
-        if t.num_rows:
-            t = combine(t)
+        t = combine(t)
         return t if finish is None else finish(t)
 
     return exchange.hash_exchange_apply(
         ds, keys, exchange.default_num_parts(), last, map_fn=first
     )
+
+
+def _typed(ds, out, fields) -> "ray.data.Dataset":
+    """`out` with the schema `fields` give over the input's schema as Ray
+    reports it (`exchange.known_schema`): column names keep their input
+    type, ``(name, type)`` pairs are fixed.  An unknown input schema
+    leaves `out` untyped."""
+    from . import exchange
+
+    sch = exchange.known_schema(ds)
+    return exchange.with_schema(out, None if sch is None else pa.schema(
+        [f if isinstance(f, tuple) else sch.field(f) for f in fields]))
 
 
 def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
@@ -129,21 +130,19 @@ def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
     of in a trailing map_batches, and `prepare` (input rows -> keys and
     spec columns, per `batch_size`-row slice) maps the input inside the
     map-side combine instead of in a leading one; both follow `_group`'s
-    zero-row rule.  Without a finish, an empty input gives the zero-row
-    (keys, spec columns) table, int64 where the input carried no type.
+    zero-row rule.  Without either, an empty input gives the zero-row
+    (keys, spec columns) table of the input's types; with one, the
+    caller declares its output schema (`exchange.with_schema`).
 
     `final` is accepted and ignored: there is one grouped plan, and the
     benchmark harness still passes the old ``final="hash"``."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     if isinstance(spec, list):
         spec = {c: "sum" for c in spec}
-    if finish is None:
-        def finish(t: pa.Table) -> pa.Table:
-            if t.num_rows:
-                return t
-            return pa.table({c: column(t, c) for c in [*keys, *spec]})
-    return _group(ds, keys, _reduce_block(keys, spec), finish, prepare,
-                  batch_size)
+    out = _group(ds, keys, _reduce_block(keys, spec), finish, prepare, batch_size)
+    if finish is None and prepare is None:
+        return _typed(ds, out, [*keys, *spec])
+    return out
 
 
 # plain aliases: perfbench/layers.py calls these names
@@ -183,12 +182,12 @@ def grouped_topk(ds, key_col: str, val_col: str, id_col: str, n: int):
         return pa.table({key_col: k[keep], val_col: v[keep], id_col: i[keep]})
 
     def add_rank(batch: pa.Table) -> pa.Table:
-        cols = {c: column(batch, c) for c in (key_col, val_col, id_col)}
-        k = cols[key_col].to_numpy(zero_copy_only=False)
-        cols["rank"] = pa.array(_rank_in_group(k) + 1, pa.int64())
-        return pa.table(cols)
+        k = batch[key_col].to_numpy(zero_copy_only=False)
+        return batch.append_column(
+            "rank", pa.array(_rank_in_group(k) + 1, pa.int64()))
 
-    return _group(ds, [key_col], local_topn, finish=add_rank)
+    return _typed(ds, _group(ds, [key_col], local_topn, finish=add_rank),
+                  [*dict.fromkeys([key_col, val_col, id_col]), ("rank", pa.int64())])
 
 
 def distinct_count_by_key(ds, key_col: str, distinct_col: str,
@@ -212,6 +211,8 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
 
     import pyarrow.compute as pc
 
+    from . import exchange
+
     # resolve the value type ONCE driver-side: a block whose values are all
     # null carries arrow type `null` (no filler constructible, and emitted
     # partials would disagree on schema); cast such blocks to the dataset
@@ -221,23 +222,13 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
     # input once here and read it from the snapshot (no fetch: a snapshot
     # without one holds no typed block either); `_group` then combines the
     # computed blocks instead of re-running a partial plan for the schema.
-    sch = ds.schema(fetch_if_missing=False)
+    sch = exchange.known_schema(ds)
     if sch is None:
         ds = ds.materialize()
-        sch = ds.schema(fetch_if_missing=False)
-    arrow_sch = getattr(sch, "base_schema", sch)
-    if arrow_sch is None:  # zero-block input: no value ever needs a type
-        vtype = pa.null()
-    elif hasattr(arrow_sch, "field"):
-        vtype = arrow_sch.field(distinct_col).type
-    else:  # PandasBlockSchema: parallel name/dtype lists (may be pandas
-        # extension dtypes like StringDtype — infer via an empty Series)
-        import pandas as pd
-
-        np_dtype = dict(zip(arrow_sch.names, arrow_sch.types))[distinct_col]
-        vtype = pa.Array.from_pandas(pd.Series([], dtype=np_dtype)).type
+        sch = exchange.known_schema(ds)
+    vtype = pa.null() if sch is None else sch.field(distinct_col).type
     if pa.types.is_null(vtype):
-        vtype = pa.int64()  # the whole column is null: any type works
+        vtype = pa.int64()  # no rows, or all of them null: any type works
 
     def _filler(t: pa.DataType):
         if pa.types.is_string(t) or pa.types.is_large_string(t):
@@ -267,11 +258,12 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
                          "v_ok": pa.array(ok[keep], pa.bool_())})
 
     def count_pairs(batch: pa.Table) -> pa.Table:
-        kc = column(batch, key_col)
-        ok = column(batch, "v_ok", pa.bool_()).to_numpy(zero_copy_only=False)
+        kc = batch[key_col]
+        ok = batch["v_ok"].to_numpy(zero_copy_only=False)
         uk, inv = np.unique(kc.to_numpy(zero_copy_only=False),
                             return_inverse=True)
         counts = np.bincount(inv, weights=ok).astype(np.int64)
         return pa.table({key_col: pa.array(uk, kc.type), out_col: counts})
 
-    return _group(ds, [key_col], pair_dedup, finish=count_pairs)
+    return _typed(ds, _group(ds, [key_col], pair_dedup, finish=count_pairs),
+                  [key_col, (out_col, pa.int64())])

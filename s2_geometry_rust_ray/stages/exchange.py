@@ -49,13 +49,23 @@ Driver discipline (the 100 TB rules):
   * ALL split tasks are submitted before any result is awaited — the map
     side of the shuffle is fully parallel (static num_returns=P, so
     submission itself never blocks on task completion).
-  * The driver never `ray.get`s a partition payload.  Partition tasks
-    return ``(table_ref, nrows_ref)`` via ``num_returns=2``; only the tiny
-    int refs are fetched, to drop empty partitions.
-  * Every shard — including empty ones — widens back to the full input
-    schema (shards cross narrowed, see `co_partition`), and a zero-block
-    side contributes one schema-ful empty table, so partition fns and
-    `as_dataset` never see inconsistent schemas.
+  * The driver never `ray.get`s a payload, only row counts: each split
+    task returns its shards' counts (num_returns=P + 1), to skip empty
+    partitions, and each partition task ``(table_ref, nrows_ref)``, to
+    drop empty outputs.
+  * Every shard widens back to the full input schema (shards cross
+    narrowed, see `co_partition`), so partition fns and `as_dataset`
+    never see inconsistent schemas.
+
+Zero-row rule, kept here and nowhere else: `block_refs` yields only a
+dataset's non-empty blocks, `co_partition` runs a partition task only
+where every side has rows and drops empty outputs, so a result with
+nothing in it has no blocks.  No split `map_fn`, partition fn, grouped
+combine/finish, top-k merge or `map_blocks` fn is ever called on a
+zero-row or column-less table.  Each public operator declares its output
+schema and returns through `with_schema`, which turns an empty result
+into one `schema.empty_table()` block: the documented schema, and a fetch
+that starts no executor.
 
 Key hashing is `functions/hashing.key_hash`, read from the Arrow buffers:
 splitmix64 for integers (so a coarse S2 cell id, whose low bits are all
@@ -74,6 +84,7 @@ a hot LSH bucket into chunks paired in separate tasks.
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import NamedTuple
 
@@ -101,8 +112,7 @@ def default_num_parts(min_parts: int = 8, per_cpu: int = 2) -> int:
 def in_slices(fn, batch_size: int | None):
     """`fn` over consecutive `batch_size`-row slices of a table (the whole
     table when batch_size is None or covers it), outputs concatenated in
-    order: a bound on `fn`'s temporaries.  Only a zero-row table reaches
-    `fn` with zero rows, whole."""
+    order: a bound on `fn`'s temporaries."""
     def apply(t: pa.Table) -> pa.Table:
         if batch_size is None or t.num_rows <= batch_size:
             return fn(t)
@@ -113,6 +123,14 @@ def in_slices(fn, batch_size: int | None):
     return apply
 
 
+def _arrow(block) -> pa.Table:
+    """A block as an Arrow table (an in-memory pandas source keeps pandas
+    blocks)."""
+    from ray.data.block import BlockAccessor
+
+    return block if isinstance(block, pa.Table) else BlockAccessor.for_block(block).to_arrow()
+
+
 def map_blocks(ds, fn, batch_size: int | None = None):
     """The row-local map at the Ray Data boundary: ``fn(pa.Table) ->
     pa.Table`` over `batch_size`-row slices, keeping the state of its
@@ -120,18 +138,17 @@ def map_blocks(ds, fn, batch_size: int | None = None):
 
     A computed input (`MaterializedDataset`: a `materialize()` result, an
     in-memory source materialized, every `as_dataset`) runs as one raw
-    Ray task per block: `fn` is put in the object store once, each task
-    applies it to its block's slices (`in_slices`; never to a zero-row
-    slice: a zero-row block maps to a zero-row, column-less table, as
-    under `map_batches`) and concatenates the outputs, and the result is
-    `as_dataset` of the task refs in block order.  No executor starts, now
-    or when the result is consumed.
+    Ray task per non-empty block (`block_refs`): `fn` is put in the
+    object store once, each task applies it to its block's slices
+    (`in_slices`) and concatenates the outputs, and the result is
+    `as_dataset` of the task refs in block order.  No executor starts,
+    now or when the result is consumed.
 
     A lazy input returns ``ds.map_batches(fn, batch_format="pyarrow",
     batch_size=batch_size)``, so a read still fuses with the map and
-    streams through one executor when a consumer runs it."""
+    streams through one executor when a consumer runs it (Ray 2.49 never
+    calls `fn` on a zero-row block either)."""
     import ray
-    from ray.data.block import BlockAccessor
     from ray.data.dataset import MaterializedDataset
 
     if not isinstance(ds, MaterializedDataset):
@@ -139,18 +156,10 @@ def map_blocks(ds, fn, batch_size: int | None = None):
 
     @ray.remote
     def run(fn, block):
-        if not isinstance(block, pa.Table):
-            block = BlockAccessor.for_block(block).to_arrow()
-        if block.num_rows == 0:
-            return pa.table({})
-        return in_slices(fn, batch_size)(block)
+        return in_slices(fn, batch_size)(_arrow(block))
 
     fn_ref = ray.put(fn)
-    # the snapshot's block refs, read without `to_arrow_refs`' schema
-    # lookup (it runs a plan when every block is column-less)
-    blocks = [ref for bundle in ds.iter_internal_ref_bundles()
-              for ref, _ in bundle.blocks]
-    return as_dataset([run.remote(fn_ref, b) for b in blocks])
+    return as_dataset([run.remote(fn_ref, b) for b in block_refs(ds)])
 
 
 def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_size=None):
@@ -229,10 +238,6 @@ def _placement(table: pa.Table, key, num_parts: int) -> list[pa.Array]:
 
 def _hash_part(table: pa.Table, key, num_parts: int) -> list[pa.Table]:
     """Split `table` into num_parts tables by a partitioner (`_placement`)."""
-    if table.num_rows == 0:
-        # empty blocks may even lack columns (e.g. a filter that dropped
-        # everything); emit schema-preserving empty slices
-        return [table.slice(0, 0)] * num_parts
     # one take PER PARTITION, not one take + zero-copy slices: pickling a
     # pa.Table slice serializes the slice's FULL parent buffers (measured:
     # a 1/16 slice of a 48 MB table pickles to 48 MB), so returning slices
@@ -326,10 +331,13 @@ def _split(block: pa.Table, key, num_parts: int, map_fn=None) -> list[pa.Table]:
 
 
 def block_refs(ds) -> list:
-    """Arrow block refs of `ds`, running its plan at most once: no
-    executor for a computed dataset, one for a lazy plan (see the module
-    docstring for why not a bare `to_arrow_refs()`)."""
-    return ds.materialize().to_arrow_refs()
+    """Refs of the non-empty blocks of `ds`, running its plan at most
+    once: no executor for a computed dataset, one for a lazy plan.  Read
+    from the snapshot's block metadata, not with `to_arrow_refs()`, which
+    runs a `limit(1)` plan to look for a schema (see the module
+    docstring) when no block carries one."""
+    return [ref for bundle in ds.materialize().iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
 
 
 def as_dataset(refs_or_table):
@@ -343,37 +351,100 @@ def as_dataset(refs_or_table):
     return ray.data.from_arrow_refs(refs_or_table).materialize()
 
 
-def _empty_exchange_table(ds, key, map_fn=None) -> pa.Table:
-    """Schema-ful empty table for a zero-block dataset's exchange.  The
-    schema is the one Ray infers without running the plan: a zero-block
-    run has no block to read one from either."""
-    schema = ds.schema(fetch_if_missing=False)
-    arrow_schema = getattr(schema, "base_schema", None) if schema else None
-    if arrow_schema is None:
-        arrow_schema = pa.schema([(c, pa.null()) for c in _key_cols(key)])
-    tbl = arrow_schema.empty_table()
-    if map_fn is not None:
-        tbl = map_fn(tbl)
-    return tbl
+def known_schema(ds) -> pa.Schema | None:
+    """The Arrow schema Ray reports for `ds` without running anything, or
+    None where it cannot (a map's output before the map runs, a computed
+    dataset without blocks)."""
+    s = ds.schema(fetch_if_missing=False)
+    s = getattr(s, "base_schema", s)
+    if s is None or isinstance(s, pa.Schema):
+        return s
+    import pandas as pd  # PandasBlockSchema: parallel name / dtype lists
+
+    return pa.Schema.from_pandas(pd.DataFrame(
+        {n: pd.Series([], dtype=t) for n, t in zip(s.names, s.types)}),
+        preserve_index=False)
+
+
+def with_schema(ds, schema: pa.Schema | None):
+    """An operator's result with its declared `schema`: the computed `ds`
+    itself when it holds rows, else ONE `schema.empty_table()` block, so
+    an empty result keeps the documented schema and fetching it starts no
+    executor.  A lazy `ds` (its map runs when consumed) and an unknown
+    (None) schema leave `ds` as it is."""
+    from ray.data.dataset import MaterializedDataset
+
+    if schema is None or not isinstance(ds, MaterializedDataset) or block_refs(ds):
+        return ds
+    return as_dataset(schema.empty_table())
+
+
+class _Split(list):
+    """A side split once (`split`): per partition, the refs of its shards
+    that hold rows."""
+
+
+def _submit_split(side, num_parts: int):
+    """One split task per non-empty block of a side ``(ds, key, map_fn)``,
+    each returning num_parts shards and their row counts.  A lazy side's
+    map_fn fuses into its plan; a computed side's runs in the split
+    task."""
+    import ray
+    from ray.data.dataset import MaterializedDataset
+
+    ds, key, map_fn = side
+    if map_fn is not None and not isinstance(ds, MaterializedDataset):
+        ds, map_fn = map_blocks(ds, map_fn), None
+
+    @ray.remote(num_returns=num_parts + 1)
+    def task(block):
+        parts = _split(_arrow(block), key, num_parts, map_fn)
+        return (*parts, [t.num_rows for t in parts])
+
+    # static num_returns: submission returns refs immediately, so every
+    # split task is in flight before any result is awaited
+    return [task.remote(b) for b in block_refs(ds)]
+
+
+def _gather(tasks, num_parts: int) -> _Split:
+    """The `_Split` of submitted split tasks; fetches only their counts."""
+    import ray
+
+    counts = ray.get([t[-1] for t in tasks])
+    return _Split([t[p] for t, n in zip(tasks, counts) if n[p]]
+                  for p in range(num_parts))
+
+
+def split(ds, key, num_parts: int, map_fn=None) -> _Split:
+    """A `co_partition` side ``(ds, key, map_fn)`` split once, for a
+    static table met again and again (joined every round): pass it in
+    `sides` in place of the tuple.  Its partitions line up with every
+    side split by the same partitioner into num_parts."""
+    return _gather(_submit_split((ds, key, map_fn), num_parts), num_parts)
 
 
 def co_partition(sides, num_parts: int, fn, pinned=None):
     """Co-partitioned exchange: split every side by its partitioner into
     num_parts, then run ONE task per partition: ``fn(*tables) -> pa.Table``.
 
-    `sides`: list of ``(Dataset, key, map_fn or None)``; key is a column
-    name or a list of names (composite key, hash-partitioned) or a
-    `Ranges`, and map_fn (a projection, a map-side combine) is a
-    row-local block map: it fuses into a lazy side's plan (`map_blocks`)
-    and runs in the split task of a computed side.  Hashed
-    sides co-locate equal keys only if their key columns hash alike: the
-    same arity, and per column integers of any width or the same other
-    type (`functions/hashing.key_hash`).  `tables` are
+    `sides`: list of ``(Dataset, key, map_fn or None)`` or `split`
+    results; key is a column name or a list of names (composite key,
+    hash-partitioned) or a `Ranges`, and map_fn (a projection, a
+    map-side combine) is a row-local block map: it fuses into a lazy
+    side's plan (`map_blocks`) and runs in the split task of a computed
+    side.  Hashed sides co-locate equal keys only if their key columns
+    hash alike: the same arity, and per column integers of any width or
+    the same other type (`functions/hashing.key_hash`).  `tables` are
     each side's partition, in `sides` order, then ``pinned[p]`` if
-    `pinned` (num_parts ObjectRefs, e.g. a static table partitioned once
-    and reused every round) is given.  A zero-block side contributes one
-    schema-ful empty table (its input schema's, after map_fn) to every
-    partition.
+    `pinned` (num_parts ObjectRefs, e.g. one region sub-layer per range)
+    is given.
+
+    Zero rows: a partition task runs only where EVERY side has rows
+    (every multi-side fn here is a join), so `fn` never sees a zero-row
+    or column-less table, and a side without rows empties the result.
+    Empty outputs are dropped by their count refs: an exchange with
+    nothing in it returns a dataset without blocks (`with_schema` types
+    an operator's).
 
     Shards cross narrowed: the split task places each row by its original
     values, then takes each shard from the block with its null-free
@@ -389,24 +460,16 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
     (16 B/row wide, 168-180 KB at 8 partitions, 105-113 KB narrowed) fall
     under 100 KiB from 14 partitions up (7 slots).
 
-    Each side's plan runs once (`block_refs`).  Returns a computed
-    Dataset of the non-empty outputs in partition order (empties dropped
-    by their count refs; one empty output is kept if all are)."""
+    Each side's plan runs once (`block_refs`); the driver fetches only
+    row counts.  Returns a computed Dataset of the non-empty outputs in
+    partition order."""
     import ray
-    from ray.data.dataset import MaterializedDataset
 
-    # a lazy side's map_fn fuses into its plan; a computed side's runs in
-    # the split task
-    fused = [map_fn is not None and not isinstance(ds, MaterializedDataset)
-             for ds, _, map_fn in sides]
-    specs = [(key, None if f else map_fn)
-             for (_, key, map_fn), f in zip(sides, fused)]
-
-    @ray.remote
-    def split(side: int, block: pa.Table):
-        key, map_fn = specs[side]
-        parts = _split(block, key, num_parts, map_fn)
-        return parts[0] if num_parts == 1 else tuple(parts)
+    # every side's split tasks are submitted before any count is awaited
+    submitted = [s if isinstance(s, _Split) else _submit_split(s, num_parts)
+                 for s in sides]
+    splits = [s if isinstance(s, _Split) else _gather(s, num_parts)
+              for s in submitted]
 
     @ray.remote(num_returns=2)
     def run(sizes, *refs):
@@ -418,30 +481,11 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
         out = fn(*tables, *refs[i:])
         return out, out.num_rows
 
-    # static num_returns: submission returns refs immediately — no blocking,
-    # all split tasks in flight before the first partition task is scheduled
-    split_n = split.options(num_returns=num_parts) if num_parts > 1 else split
-    per_side = []  # per side: per-partition shard lists
-    for side, (ds, key, map_fn) in enumerate(sides):
-        blocks = block_refs(map_blocks(ds, map_fn) if fused[side] else ds)
-        if not blocks:
-            empty = ray.put(_empty_exchange_table(ds, key, map_fn))
-            per_side.append([[empty]] * num_parts)
-            continue
-        shard_lists = [split_n.remote(side, b) for b in blocks]
-        if num_parts == 1:
-            shard_lists = [[r] for r in shard_lists]
-        per_side.append([[sl[p] for sl in shard_lists] for p in range(num_parts)])
-
-    pairs = []
-    for p in range(num_parts):
-        shards = [s for side in per_side for s in side[p]]
-        extra = [] if pinned is None else [pinned[p]]
-        pairs.append(run.remote([len(side[p]) for side in per_side],
-                                *shards, *extra))
+    pairs = [run.remote([len(s[p]) for s in splits], *(r for s in splits for r in s[p]),
+                        *([] if pinned is None else [pinned[p]]))
+             for p in range(num_parts) if all(s[p] for s in splits)]
     counts = ray.get([n for _, n in pairs])
-    refs = [t for (t, _), n in zip(pairs, counts) if n > 0] or [pairs[0][0]]
-    return as_dataset(refs)
+    return as_dataset([t for (t, _), n in zip(pairs, counts) if n > 0])
 
 
 def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int,
@@ -510,7 +554,8 @@ def broadcast_join(ds, right_tbl: pa.Table, key_col: str,
     store once and indexed once per map task; each batch does one
     vectorized searchsorted.  Right keys must be UNIQUE (dimension key).
     `columns` prunes the attached right columns.  This is the
-    never-shuffle-the-big-side path; for two large sides use hash_join."""
+    never-shuffle-the-big-side path; two large sides meet in a
+    `co_partition`."""
     import ray
 
     rk = right_on or key_col
@@ -522,52 +567,6 @@ def broadcast_join(ds, right_tbl: pa.Table, key_col: str,
         fn_constructor_kwargs={
             "right": ray.put(right_tbl), "key_col": key_col, "right_on": rk,
         },
-    )
-
-
-def _type_empty_key(tbl: pa.Table, key: str, other: pa.Table,
-                    other_key: str) -> pa.Table:
-    """An empty side's key may be null-typed (a zero-block side has no
-    schema to read) or missing (a filter that dropped every row leaves
-    column-less blocks); type it from the other side's key — int64 when
-    that is untyped too — so the pyarrow join is valid."""
-    def has_type(t: pa.Table, k: str) -> bool:
-        return k in t.column_names and not pa.types.is_null(t[k].type)
-
-    if tbl.num_rows or has_type(tbl, key):
-        return tbl
-    col = pa.array([], other[other_key].type if has_type(other, other_key)
-                   else pa.int64())
-    if key in tbl.column_names:
-        return tbl.set_column(tbl.schema.get_field_index(key), key, col)
-    return tbl.append_column(key, col)
-
-
-def _join(lt: pa.Table, rt: pa.Table, key_col: str, rk: str,
-          join_type: str) -> pa.Table:
-    """pyarrow equi-join of one partition's two sides, empty sides typed."""
-    lt = _type_empty_key(lt, key_col, rt, rk)
-    rt = _type_empty_key(rt, rk, lt, key_col)
-    return lt.join(rt, keys=key_col, right_keys=rk, join_type=join_type)
-
-
-def hash_join(left_ds, right_ds, key_col: str, num_parts: int = 32,
-              how: str = "inner", right_on: str | None = None):
-    """Hash-partitioned equi-join of two Datasets -> Dataset.
-
-    Joins left.key_col == right.(right_on or key_col): a two-side
-    `co_partition` whose partition fn is a pyarrow join.  Empty partitions
-    still produce the full joined schema (pyarrow joins of schema-ful
-    empty tables), so every output block is schema-identical, and a
-    zero-block side joins as a typed empty table (left-outer keeps every
-    left row, joined to nulls).  For broadcast-sized right sides prefer
-    broadcast_join — this is the both-sides-large path."""
-    rk = right_on or key_col
-    join_type = {"inner": "inner", "left": "left outer"}.get(how, how)
-
-    return co_partition(
-        [(left_ds, key_col, None), (right_ds, rk, None)], num_parts,
-        lambda lt, rt: _join(lt, rt, key_col, rk, join_type),
     )
 
 
@@ -630,22 +629,20 @@ def _pairs(ids, i: np.ndarray, j: np.ndarray, a_col: str, b_col: str):
     return _distinct(pa.table({a_col: ids.take(i), b_col: ids.take(j)}))
 
 
-def _candidate_sides(bands_ds, id_col: str, bucket_col: str, num_parts: int,
-                     a_col: str, b_col: str, hot_bucket_cap: int,
-                     map_fn=None) -> list:
+def _candidates(bands_ds, id_col: str, bucket_col: str, num_parts: int,
+                a_col: str, b_col: str, hot_bucket_cap: int,
+                map_fn=None) -> _Split:
     """The within-bucket pairs (a < b in Arrow sort order) of a bands
-    relation (id_col, bucket_col), as `co_partition` sides keyed by a_col:
-    the small-bucket pairs, emitted in the split task of a prepped side,
-    and, when a bucket holds more than `hot_bucket_cap` ids, the hot
-    buckets' chunk pairs.  `map_fn` maps input blocks to the bands
-    relation in the band exchange's split task.  A pair emitted by
+    relation (id_col, bucket_col), as one `co_partition` side split by
+    a_col: the small-bucket pairs, emitted in the split task of the
+    prepped bands, and, when a bucket holds more than `hot_bucket_cap`
+    ids, the hot buckets' chunk pairs.  `map_fn` maps input blocks to the
+    bands relation in the band exchange's split task.  A pair emitted by
     several buckets or chunks meets its copies in one partition, since
     they share their `a` id."""
     def prep(tbl: pa.Table) -> pa.Table:
         # one partition's distinct (bucket, id) rows sorted by (bucket,
         # id): both emission passes read a bucket as one sorted segment
-        if tbl.num_rows == 0:
-            return pa.table({})
         t = tbl.select([bucket_col, id_col])
         if pa.types.is_integer(t.schema.field(id_col).type):
             t = t.set_column(1, id_col, t[id_col].cast(pa.int64()))
@@ -658,8 +655,6 @@ def _candidate_sides(bands_ds, id_col: str, bucket_col: str, num_parts: int,
         return _segments_of_sorted(tbl[bucket_col].to_numpy(zero_copy_only=False))
 
     def small_pairs(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({})
         starts, lens = segments(tbl)
         small = lens <= hot_bucket_cap
         i, j = _segment_triu_pairs(np.arange(tbl.num_rows), starts[small],
@@ -686,16 +681,7 @@ def _candidate_sides(bands_ds, id_col: str, bucket_col: str, num_parts: int,
         return tbl.take(rows).append_column(
             "lo", pa.array(lo_ch[row_ch], pa.int64()))
 
-    sides = [(prepped, a_col, small_pairs)]
-    spill = map_blocks(prepped, spill_rows)
-    # no hot bucket anywhere (the common case): skip the chunk round
-    # entirely — the skew insurance costs nothing when unused
-    if spill.count() == 0:
-        return sides
-
     def chunk_pairs(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({})
         # a chunk's members ascend by id (prep sorted each bucket), so the
         # sort restores the order _left_cross_pairs takes its lefts from
         t = tbl.sort_by([(bucket_col, "ascending"), ("lo", "ascending"),
@@ -713,9 +699,12 @@ def _candidate_sides(bands_ds, id_col: str, bucket_col: str, num_parts: int,
         return _pairs(t[id_col], np.concatenate([i for i, _ in ij]),
                       np.concatenate([j for _, j in ij]), a_col, b_col)
 
-    chunks = co_partition([(spill, [bucket_col, "lo"], None)], num_parts,
-                          chunk_pairs)
-    return sides + [(chunks, a_col, None)]
+    # no hot bucket anywhere (the common case): the spill has no rows, so
+    # the chunk exchange runs no task and the skew insurance costs nothing
+    chunks = co_partition([(map_blocks(prepped, spill_rows), [bucket_col, "lo"],
+                            None)], num_parts, chunk_pairs)
+    return _Split(map(operator.add, split(prepped, a_col, num_parts, small_pairs),
+                      split(chunks, a_col, num_parts)))
 
 
 def lsh_candidate_pairs(bands_ds, id_col: str, bucket_col: str,
@@ -739,18 +728,15 @@ def lsh_candidate_pairs(bands_ds, id_col: str, bucket_col: str,
     output set, no single-task funnel.  All emission paths are vectorized
     (triu_indices per segment-length class / repeat+gather per chunk).
 
-    An empty input (zero blocks, or blocks a filter left column-less)
-    returns 0 rows typed (a_col: int64, b_col: int64)."""
-    def dedup(*tables: pa.Table) -> pa.Table:
-        t = pa.concat_tables(tables, promote_options="default")
-        if t.num_rows == 0:
-            return pa.table({a_col: pa.array([], pa.int64()),
-                             b_col: pa.array([], pa.int64())})
-        return _distinct(t)
-
-    return co_partition(
-        _candidate_sides(bands_ds, id_col, bucket_col, num_parts, a_col,
-                         b_col, hot_bucket_cap), num_parts, dedup)
+    The pair columns take the id type Ray reports for the input (int64
+    for integer ids), so an empty result keeps it (`with_schema`)."""
+    ids = known_schema(bands_ds)
+    schema = None if ids is None else pa.schema(
+        [(c, pa.int64() if pa.types.is_integer(ids.field(id_col).type)
+          else ids.field(id_col).type) for c in (a_col, b_col)])
+    return with_schema(co_partition(
+        [_candidates(bands_ds, id_col, bucket_col, num_parts, a_col, b_col,
+                     hot_bucket_cap)], num_parts, _distinct), schema)
 
 
 def near_dup(ds, id_col: str, bands, payload, verify, schema: pa.Schema,
@@ -764,17 +750,18 @@ def near_dup(ds, id_col: str, bands, payload, verify, schema: pa.Schema,
       that can near-dup and their (len(ids), n_bands) int64 buckets; run
       in the band exchange's split task.
     * ``payload(block) -> pa.Table``: (id_col, the values `verify`
-      compares); run once per block (`map_blocks`).
+      compares) for every id `bands` gives; run once per block
+      (`map_blocks`).
     * ``verify(pairs) -> columns in schema order``: `pairs` is (a, b, the
       payload columns suffixed ``_a``, then ``_b``); run in the second
-      payload join's partition task, never on zero rows (such a partition
-      returns `schema.empty_table()`).
+      payload join's partition task, on the pairs of that partition.
 
     The input runs once; its bands cross the band exchange by bucket;
-    the candidate pairs (`lsh_candidate_pairs`' sides) meet the payload in
-    one exchange by `a`, which runs the pair DISTINCT and the first join
-    (copies of a pair share their `a`); the exchange by `b` runs the
-    second join and `verify`.  Over a computed input no Ray Data executor
+    the candidate pairs (`_candidates`) meet the payload in one exchange
+    by `a`, which runs the pair DISTINCT and the first join (copies of a
+    pair share their `a`); the exchange by `b` runs the second join and
+    `verify`.  No pairs: the typed empty result, from exchanges that run
+    no partition task.  Over a computed input no Ray Data executor
     starts."""
     if num_parts is None:
         num_parts = default_num_parts()
@@ -782,48 +769,38 @@ def near_dup(ds, id_col: str, bands, payload, verify, schema: pa.Schema,
     ds = ds.materialize()
 
     def band_rows(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return pa.table({})
         ids, buckets = bands(block)
         rows = np.repeat(np.arange(len(ids)), buckets.shape[1])
         return pa.table({id_col: ids.take(rows), "bucket": buckets.ravel()})
 
     src = map_blocks(ds, payload)
 
-    def suffixed(t: pa.Table, suffix: str) -> pa.Table:
-        return t.rename_columns([c if c == id_col else f"{c}_{suffix}"
-                                 for c in t.column_names])
-
-    def dedup_join_a(*tables: pa.Table) -> pa.Table:
-        *cands, rt = tables
-        pairs = pa.concat_tables(cands, promote_options="default")
-        if pairs.num_rows == 0:
-            return pa.table({})
-        return _join(_distinct(pairs), suffixed(rt, "a"), a_col, id_col, "inner")
+    def join(pairs: pa.Table, payloads: pa.Table, key: str, suffix: str):
+        payloads = payloads.rename_columns(
+            [c if c == id_col else f"{c}_{suffix}" for c in payloads.column_names])
+        return pairs.join(payloads, keys=key, right_keys=id_col, join_type="inner")
 
     def join_b_verify(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        t = lt if lt.num_rows == 0 else _join(lt, suffixed(rt, "b"), b_col,
-                                              id_col, "inner")
-        if t.num_rows == 0:
-            return schema.empty_table()
-        return pa.table(list(verify(t)), schema=schema)
+        return pa.table(list(verify(join(lt, rt, b_col, "b"))), schema=schema)
 
-    sides = _candidate_sides(ds, id_col, "bucket", num_parts, a_col, b_col,
-                             hot_bucket_cap, band_rows)
-    with_a = co_partition(sides + [(src, id_col, None)], num_parts, dedup_join_a)
-    return co_partition([(with_a, b_col, None), (src, id_col, None)],
-                        num_parts, join_b_verify)
+    cands = _candidates(ds, id_col, "bucket", num_parts, a_col, b_col,
+                        hot_bucket_cap, band_rows)
+    with_a = co_partition(
+        [cands, (src, id_col, None)], num_parts,
+        lambda pairs, rt: join(_distinct(pairs), rt, a_col, "a"))
+    return with_schema(co_partition(
+        [(with_a, b_col, None), (src, id_col, None)], num_parts, join_b_verify),
+        schema)
 
 
 def topk_merge_partials(partials, merge_fn, merge: str = "single",
                         key_col: str | list[str] = "query_id"):
     """Shared top-k merge tail for the kNN/ANN pipelines.
 
-    merge='single': one raw task over the partials' blocks (every partial
-    is already top-k-truncated, so the input is blocks * Q * k rows).
-    Where no partial has rows, `merge_fn` runs over the first one that
-    carries columns (its typed empty result), and a column-less partial
-    passes through as it is.
+    merge='single': one raw task over the partials' non-empty blocks
+    (every partial is already top-k-truncated, so the input is blocks * Q
+    * k rows); none gives a dataset without blocks, which the caller
+    types (`with_schema`).
     merge='distributed': hash-exchange by `key_col` + per-partition final
     merge — the large-Q path with no repartition(1); a key's rows all meet
     in exactly one partition, so the per-partition merge is final."""
@@ -832,9 +809,7 @@ def topk_merge_partials(partials, merge_fn, merge: str = "single",
 
         @ray.remote
         def merge_all(*tbls: pa.Table) -> pa.Table:
-            live = ([t for t in tbls if t.num_rows]
-                    or [t for t in tbls if t.num_columns][:1])
-            return merge_fn(pa.concat_tables(live)) if live else tbls[0]
+            return merge_fn(pa.concat_tables(tbls))
 
         refs = block_refs(partials)
         return as_dataset([merge_all.remote(*refs)] if refs else [])

@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pyarrow as pa
 
-from .exchange import actor_map as _actor_map, as_dataset, topk_merge_partials
+from .exchange import (actor_map as _actor_map, as_dataset, topk_merge_partials,
+                       with_schema)
 from .knn import local_topk
 
 
@@ -204,9 +205,16 @@ def _scan_topk(ds, queries, query_ids, k, merge, arith, ivf=None):
                                "k": k, "arith": arith, "ivf": ivf},
         batch_size=65536,
     )
-    return topk_merge_partials(
+    return with_schema(topk_merge_partials(
         partials, lambda b: merge_topk(b, k, arith.col), merge
-    )
+    ), _topk_schema(arith))
+
+
+def _topk_schema(arith: Arith) -> pa.Schema:
+    """The top-k output of `arith`, also when empty."""
+    return pa.schema([("query_id", pa.int64()), ("vec_id", pa.int64()),
+                      (arith.col, pa.from_numpy_dtype(arith.dtype)),
+                      ("rank", pa.int64())])
 
 
 def ann_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int = 10,
@@ -323,12 +331,7 @@ def ann_topk_ivf_indexed(index_dir: str, queries: np.ndarray,
                 if f.endswith(".parquet")
             ))
     if not paths:
-        return as_dataset(pa.table(
-            {"query_id": pa.array([], pa.int64()),
-             "vec_id": pa.array([], pa.int64()),
-             "cosine": pa.array([], pa.float64()),
-             "rank": pa.array([], pa.int64())}
-        ))
+        return as_dataset(_topk_schema(COSINE).empty_table())
     ds = ray.data.read_parquet(paths, columns=["vec_id", "embedding"])
     return _scan_topk(ds, queries, query_ids, k, merge, COSINE, ivf)
 
