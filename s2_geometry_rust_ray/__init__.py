@@ -9,7 +9,8 @@ point-in-polygon joins, per-cell tile assignment, kNN, dedup, raster<->vector.
 Layout:
   functions/  pure vectorized kernels (coords, cellid, angles, geo, h3, text)
   geometry/   region types, coverer, loops/polygons, cell unions
-  stages/     map_batches callables (stateless fns + actor-pool classes)
+  stages/     row-local kernels and the raw-Ray operators; every row-local
+              map is exchange.map_blocks or a grouped reduce's `prepare`
   sources/    readers / synthetic table generation
   pipelines/  end-to-end composed pipelines
   state/      lineage manifests / resumable writes

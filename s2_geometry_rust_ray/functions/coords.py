@@ -3,7 +3,7 @@
 Canonical semantics (quadratic projection + Hilbert traversal tables) per the
 reference's coords module (/root/reference/src/math.rs:54-430) and its ported
 Google C++ tests (/root/reference/tests/test_s2coords_port.rs).  These are the
-stateless substrate of every `map_batches` kernel in the engine: all functions
+stateless substrate of every row-local kernel in the engine: all functions
 take and return NumPy arrays (float64 / int64 / uint64) and contain no Python
 row loops.
 

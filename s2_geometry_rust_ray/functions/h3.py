@@ -4,7 +4,7 @@ Implements the *algorithmic structure* of the public H3 spec (h3geo.org:
 gnomonic projection onto icosahedron faces, aperture-7 hex lattice with the
 asin(sqrt(3/28)) ~= 19.1066 deg per-resolution rotation, cube-coordinate
 rounding, 64-bit packed index, center-child hierarchy): latlng->cell at
-res 0-15, parent/child, k-ring, polyfill.  The API and the `map_batches` /
+res 0-15, parent/child, k-ring, polyfill.  The API and the row-local map /
 groupby shapes match the S2 path keyed by `h3_cell:uint64` (SURVEY.md
 §2.10).
 

@@ -6,7 +6,7 @@ add_edge/add_loop -> snap each vertex -> dedupe into a Graph -> Layer
 assembles output; snap policies at src/builder/snap_functions.rs; graph
 cleanup options at src/builder/graph.rs:47-573 — remove degenerate edges,
 duplicate edges, sibling pairs).  This is the geometry-INGEST normalization
-stage: per-geometry and in-memory, run inside a small map_batches over the
+stage: per-geometry and in-memory, run inside a small row-local map over the
 polygon-layer table, never over the point table.
 """
 

@@ -12,8 +12,9 @@ always covers the region; interior coverings contain only cells fully
 inside.
 
 Runs per-region as a plain Python function: the polygon layer has 10^1..10^5
-rows vs 10^12 points, so coverings are computed in a small `map_batches`
-over the layer table, never per point.
+rows vs 10^12 points, so coverings are computed once per region, never per
+point: `stages/pip.prepare_layer` runs one Ray task per region (memoized per
+process by layer content).
 """
 
 from __future__ import annotations

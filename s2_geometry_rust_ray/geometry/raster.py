@@ -11,7 +11,7 @@ exact: face_uv_to_xyz produces bit-identical corner coordinates from both
 adjacent faces, so corners key exactly with no tolerance.
 
 Distributed variant: for giant rasters the boundary-edge extraction
-(cell -> 4 neighbors, membership via sorted search) is a map_batches over
+(cell -> 4 neighbors, membership via sorted search) is a row-local map over
 the cell table + a groupby on corner keys; the final loop-walk runs on the
 (boundary-sized, not area-sized) edge set.
 """

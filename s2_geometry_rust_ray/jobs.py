@@ -43,6 +43,8 @@ def main(argv=None):
 
     import ray.data
 
+    from .stages import exchange
+
     def lineitem_keys():
         import pyarrow.compute as pc
 
@@ -55,7 +57,7 @@ def main(argv=None):
                        pc.cast(batch["l_linenumber"], batch["l_orderkey"].type))
             return batch.append_column("k", k).select(["k"])
 
-        return ds.map_batches(add_key, batch_format="pyarrow")
+        return exchange.map_blocks(ds, add_key)
 
     from .pipelines import knn, pip, textops, tiling
 

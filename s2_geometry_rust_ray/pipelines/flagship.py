@@ -2,9 +2,10 @@
 
   read images (COLUMN-PRUNED: geometry stages read only image_id/lat/lng;
   the wide `bytes` payload never enters the object store for them)
-    -> leaf S2 cell encode + tile parents        (stateless map_batches)
+    -> leaf S2 cell encode + tile parents        (stateless: the reduce's
+                                                  `prepare`, or map_blocks)
     -> (a) tile assignment groupby               (hash-partitioned reduce)
-    -> (b) PIP join vs the polygon layer         (broadcast task-pool map)
+    -> (b) PIP join vs the polygon layer         (broadcast actor_map)
     -> (c) indexed pass-through write            (payload + derived cols,
            partitioned by coarse tile, resumable via state/manifest)
 
@@ -21,7 +22,7 @@ import pyarrow as pa
 
 from ..functions import cellid
 from ..stages.encode import encode_cells
-from ..stages.exchange import actor_map as _actor_map, with_schema
+from ..stages.exchange import actor_map as _actor_map, map_blocks, with_schema
 from . import tiling
 
 
@@ -68,11 +69,8 @@ def indexed_passthrough(images_dir: str, out_dir: str, tile_level: int = 5,
     from ..state.manifest import resumable_shard_write
 
     def pipeline(ds):
-        return ds.map_batches(
-            lambda b: encode_cells(b, levels=(tile_level,)),
-            batch_format="pyarrow",
-            batch_size=8192,  # wide payload rows: keep batches small
-        )
+        # wide payload rows: keep batches small
+        return map_blocks(ds, lambda b: encode_cells(b, levels=(tile_level,)), 8192)
 
     files = sorted(glob.glob(f"{images_dir}/*.parquet"))
     return resumable_shard_write(files, out_dir, pipeline, max_shards=max_shards)

@@ -12,7 +12,8 @@ from ..geometry.cap import Cap
 from ..geometry.rect import LatLngRect
 from ..stages import distance as dist_stages
 from ..stages import pip as pip_stages
-from ..stages.exchange import actor_map as _actor_map, known_schema, with_schema
+from ..stages.exchange import (actor_map as _actor_map, known_schema, map_blocks,
+                               typed, with_schema)
 from ..stages.encode import derive_geotags
 
 
@@ -114,7 +115,7 @@ class _GeotagEncodeJoin(pip_stages.PIPJoin):
     """Pipeline-layer fusion: geotag + encode + region join in ONE call —
     one wrapper layer fewer per batch than a separate geotag stage (~25%
     faster end-to-end at sf0.1; Ray fuses chained stages into one
-    operator either way, but each extra map_batches wrapper re-slices and
+    operator either way, but each extra map wrapper re-slices and
     re-wraps every batch).  The geotag and encode run inside PIPJoin's
     tile loop, one tile at a time, so their temporaries are bounded by
     the tile; the semi/anti pass-through modes filter the input batch,
@@ -255,20 +256,24 @@ def within_distance_join(ds, key_col: str, layer=None, radius_deg: float = 1.5):
         layer=dist_stages.buffered(prepared, math.radians(radius_deg)))
 
 
+_REGION_ID = ("region_id", pa.string())
+
+
 def cap_join(ds, key_col: str, caps=None):
+    """(key_col, region_id) rows of the points inside each Cap: geotag
+    and join fused in one stateless `map_blocks` fn."""
     if caps is None:
         caps = standard_caps()
-    # geotag + join fused in one wrapper (task pool: stateless fn)
-    return ds.map_batches(
-        lambda b: pip_stages.cap_join(derive_geotags(b, key_col), caps, key_col),
-        batch_format="pyarrow",
-    )
+    return typed(ds, map_blocks(
+        ds, lambda b: pip_stages.cap_join(derive_geotags(b, key_col), caps, key_col)),
+        [key_col, _REGION_ID])
 
 
 def rect_join(ds, key_col: str, rects=None):
+    """(key_col, region_id) rows of the points inside each LatLngRect, as
+    `cap_join`."""
     if rects is None:
         rects = standard_rects()
-    return ds.map_batches(
-        lambda b: pip_stages.rect_join(derive_geotags(b, key_col), rects, key_col),
-        batch_format="pyarrow",
-    )
+    return typed(ds, map_blocks(
+        ds, lambda b: pip_stages.rect_join(derive_geotags(b, key_col), rects, key_col)),
+        [key_col, _REGION_ID])

@@ -103,7 +103,7 @@ def shuffle_pip_join(ds, key_col: str, layer, num_parts: int | None = None,
         keep = _ranges_contain(*covered, batch["cell_id"].to_numpy(zero_copy_only=False))
         return batch.select([key_col, "lat", "lng", "cell_id"]).filter(pa.array(keep))
 
-    points = ds.map_batches(candidates, batch_format="pyarrow").materialize()
+    points = exchange.map_blocks(ds, candidates).materialize()
     if num_parts is None:
         num_parts = exchange.default_num_parts()
     order_stats = ray.remote(_order_stats)

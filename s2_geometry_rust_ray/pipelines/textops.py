@@ -3,8 +3,11 @@ token stats, quality/lang scoring, exact dedup, MinHash-LSH near-dup,
 fingerprinting, window aggregation, and the per-user event ops
 (sessionize, as-of join, range join).
 
-Each row-local op is one map kernel; an op that needs a shuffle is a
-grouped reduce from stages/agg.py or a hash exchange.
+Each row-local op is one map kernel run by `exchange.map_blocks` (raw
+tasks over a computed input, a `map_batches` fused with a lazy read), and
+returns its declared schema; an op that needs a shuffle is a grouped
+reduce from stages/agg.py, its row map the reduce's `prepare`, or a hash
+exchange.
 The three per-user event ops share ONE exchange, `_by_user`: a projection
 in the split task, one lexsort per partition and a small numpy finish,
 with no per-partition pandas.  The near-dup ops are `exchange.near_dup`
@@ -30,9 +33,9 @@ def _texts(batch: pa.Table) -> pd.Series:
     """ONLY the text column crosses into pandas-object land (the `.str`
     kernels in functions/text.py need Python-`re` semantics — the
     stopword regex has lookarounds RE2 can't run); every other column
-    stays zero-copy Arrow.  The stages below all take/emit
-    batch_format='pyarrow' so string ids, int keys and payloads never
-    round-trip through pandas objects (r4 verdict finding #2)."""
+    stays zero-copy Arrow.  The stages below all take and emit Arrow
+    tables, so string ids, int keys and payloads never round-trip
+    through pandas objects (r4 verdict finding #2)."""
     return batch.column("text").to_pandas()
 
 
@@ -51,7 +54,9 @@ def token_stats(ds):
             }
         )
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return exchange.typed(ds, exchange.map_blocks(ds, fn), [
+        "doc_id", ("n_chars", pa.int64()), ("n_tokens", pa.int64()),
+        ("n_bpe_tokens", pa.int64())])
 
 
 def quality(ds):
@@ -67,7 +72,8 @@ def quality(ds):
             }
         )
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return exchange.typed(ds, exchange.map_blocks(ds, fn), [
+        "doc_id", ("lang_guess", pa.string()), ("quality", pa.float64())])
 
 
 def exact_dedup(ds):
@@ -92,10 +98,9 @@ def exact_dedup(ds):
             }
         )
 
-    hashed = ds.map_batches(hash_stage, batch_format="pyarrow")
     return exchange.with_schema(agg.reduce_by_key(
-        hashed, "content_hash", {"keep_id": "min", "n_dups": "sum"}
-    ), _EXACT_DEDUP)
+        ds, "content_hash", {"keep_id": "min", "n_dups": "sum"},
+        prepare=hash_stage), _EXACT_DEDUP)
 
 
 _EXACT_DEDUP = pa.schema([("content_hash", pa.string()), ("keep_id", pa.int64()),
@@ -257,7 +262,8 @@ def simhash_table(ds):
             {"doc_id": batch["doc_id"], "simhash": sig.view(np.int64)}
         )
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return exchange.typed(ds, exchange.map_blocks(ds, fn),
+                          ["doc_id", ("simhash", pa.int64())])
 
 
 def simhash_near_dup(ds, max_hamming: int = 7, num_parts: int | None = None,
@@ -287,7 +293,8 @@ def fingerprints(ds):
              "fingerprint": T.fingerprint(_texts(batch))}
         )
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return exchange.typed(ds, exchange.map_blocks(ds, fn),
+                          ["doc_id", ("fingerprint", pa.int64())])
 
 
 def term_counts(ds, top_n: int = 100):
@@ -347,8 +354,6 @@ def _by_user(ds, num_parts: int | None, project, schema: pa.Schema, finish):
     their order, and `finish(*sorted numpy columns)` returns the output
     columns in `schema` order; an empty result is one empty block of
     `schema`."""
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
 
     def per_partition(tbl: pa.Table) -> pa.Table:
         cols = [c.to_numpy() for c in tbl.columns]
@@ -448,9 +453,9 @@ def sliding_window_counts(ds, window_minutes: int = 60, hop_minutes: int = 15):
     division), so the SQL twin (cross join over the hop offsets) is
     bit-exact.
 
-    Physical plan: vectorized n_hops-fold row replication inside
-    map_batches (the fan-out happens AFTER the projection to 3 narrow
-    columns), then the map-side-combine + grouped reduce.
+    Physical plan: vectorized n_hops-fold row replication in the grouped
+    reduce's `prepare` (the fan-out happens AFTER the projection to 3
+    narrow columns), then the map-side combine + grouped reduce.
     window_counts (tumbling) is the n_hops=1 special case and delegates
     here.
 
@@ -582,10 +587,8 @@ def quantiles_by_key(ds, key_col: str = "event_type", val_col: str = "value",
             }
         )
 
-    pairs = ds.map_batches(to_pairs, batch_format="pyarrow")
-    counts = agg.reduce_by_key(
-        pairs, [key_col, val_col], {"cnt": "sum"}
-    )
+    counts = agg.reduce_by_key(ds, [key_col, val_col], {"cnt": "sum"},
+                               prepare=to_pairs)
 
     def finish(tbl: pa.Table) -> pa.Table:
         k = np.asarray(tbl[key_col].to_numpy(zero_copy_only=False))
@@ -613,7 +616,7 @@ def quantiles_by_key(ds, key_col: str = "event_type", val_col: str = "value",
 
     # tiny second exchange: co-locate each key's distinct values
     return exchange.with_schema(exchange.hash_exchange_apply(
-        counts, key_col, exchange.default_num_parts(), finish
+        counts, key_col, None, finish
     ), pa.schema([(key_col, pa.string()), ("n", pa.int64())]
                  + [(f"p{q}", pa.float64()) for q in qs]))
 
@@ -670,10 +673,8 @@ def hll_rho_hist(ds, key_col: str = "event_type", val_col: str = "user_id",
              "n_buckets": np.ones(batch.num_rows, dtype=np.int64)}
         )
 
-    regs = agg.reduce_by_key(
-        ds.map_batches(to_regs, batch_format="pyarrow"),
-        [key_col, "bucket"], {"rho": "max"}, finish=to_hist,
-    )
+    regs = agg.reduce_by_key(ds, [key_col, "bucket"], {"rho": "max"},
+                             finish=to_hist, prepare=to_regs)
     return exchange.with_schema(
         agg.reduce_by_key(regs, [key_col, "rho"], {"n_buckets": "sum"}),
         pa.schema([(key_col, pa.string()), ("rho", pa.int64()),
@@ -743,4 +744,5 @@ def sample_by_hash(ds, key_col: str, frac: float, num: int | None = None,
             )
         return batch.filter(pa.array(key_hash(k) < thr))
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return exchange.with_schema(exchange.map_blocks(ds, fn),
+                                exchange.known_schema(ds))

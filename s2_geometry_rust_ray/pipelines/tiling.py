@@ -127,8 +127,6 @@ def cap_bounds(ds: "ray.data.Dataset", key_col: str, level: int = 5,
              "x": x, "y": y, "z": z}
         )
 
-    if num_parts is None:
-        num_parts = exchange.default_num_parts()
     to_token = tokenize("tile", "tile_token", ["keep_key", "n", "r2"])
 
     def per_partition(tbl: pa.Table) -> pa.Table:
@@ -229,4 +227,9 @@ def cell_encode_table(
             }
         )
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    sch = exchange.known_schema(ds)
+    if sch is not None:
+        sch = pa.schema([(key_name, sch.field(key_col).type), ("lat", pa.float64()),
+                         ("lng", pa.float64()), ("face", pa.int64()),
+                         ("cell_token", pa.string())])
+    return exchange.with_schema(exchange.map_blocks(ds, fn), sch)

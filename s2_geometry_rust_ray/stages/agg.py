@@ -47,6 +47,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import exchange
+
 _UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
@@ -89,8 +91,6 @@ def _group(ds, keys: list[str], combine, finish=None, prepare=None,
     the map-side step, over `batch_size`-row slices (a bound on its
     temporaries); the step then combines the block's prepared slices,
     unless they hold no rows."""
-    from . import exchange
-
     prepared = None if prepare is None else exchange.in_slices(prepare, batch_size)
 
     def first(t: pa.Table) -> pa.Table:
@@ -102,21 +102,7 @@ def _group(ds, keys: list[str], combine, finish=None, prepare=None,
         t = combine(t)
         return t if finish is None else finish(t)
 
-    return exchange.hash_exchange_apply(
-        ds, keys, exchange.default_num_parts(), last, map_fn=first
-    )
-
-
-def _typed(ds, out, fields) -> "ray.data.Dataset":
-    """`out` with the schema `fields` give over the input's schema as Ray
-    reports it (`exchange.known_schema`): column names keep their input
-    type, ``(name, type)`` pairs are fixed.  An unknown input schema
-    leaves `out` untyped."""
-    from . import exchange
-
-    sch = exchange.known_schema(ds)
-    return exchange.with_schema(out, None if sch is None else pa.schema(
-        [f if isinstance(f, tuple) else sch.field(f) for f in fields]))
+    return exchange.hash_exchange_apply(ds, keys, None, last, map_fn=first)
 
 
 def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
@@ -127,8 +113,8 @@ def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
     ops are re-reducible, so the combine -> per-partition re-combine is
     exact and returns exactly one row per key.  `finish` (table -> table)
     maps each partition's reduced table inside its partition task instead
-    of in a trailing map_batches, and `prepare` (input rows -> keys and
-    spec columns, per `batch_size`-row slice) maps the input inside the
+    of in a trailing map, and `prepare` (input rows -> keys and spec
+    columns, per `batch_size`-row slice) maps the input inside the
     map-side combine instead of in a leading one; both follow `_group`'s
     zero-row rule.  Without either, an empty input gives the zero-row
     (keys, spec columns) table of the input's types; with one, the
@@ -141,7 +127,7 @@ def reduce_by_key(ds, keys: str | list[str], spec: dict[str, str] | list[str],
         spec = {c: "sum" for c in spec}
     out = _group(ds, keys, _reduce_block(keys, spec), finish, prepare, batch_size)
     if finish is None and prepare is None:
-        return _typed(ds, out, [*keys, *spec])
+        return exchange.typed(ds, out, [*keys, *spec])
     return out
 
 
@@ -186,7 +172,7 @@ def grouped_topk(ds, key_col: str, val_col: str, id_col: str, n: int):
         return batch.append_column(
             "rank", pa.array(_rank_in_group(k) + 1, pa.int64()))
 
-    return _typed(ds, _group(ds, [key_col], local_topn, finish=add_rank),
+    return exchange.typed(ds, _group(ds, [key_col], local_topn, finish=add_rank),
                   [*dict.fromkeys([key_col, val_col, id_col]), ("rank", pa.int64())])
 
 
@@ -210,8 +196,6 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
     counts only v_ok rows."""
 
     import pyarrow.compute as pc
-
-    from . import exchange
 
     # resolve the value type ONCE driver-side: a block whose values are all
     # null carries arrow type `null` (no filler constructible, and emitted
@@ -265,5 +249,5 @@ def distinct_count_by_key(ds, key_col: str, distinct_col: str,
         counts = np.bincount(inv, weights=ok).astype(np.int64)
         return pa.table({key_col: pa.array(uk, kc.type), out_col: counts})
 
-    return _typed(ds, _group(ds, [key_col], pair_dedup, finish=count_pairs),
+    return exchange.typed(ds, _group(ds, [key_col], pair_dedup, finish=count_pairs),
                   [key_col, (out_col, pa.int64())])

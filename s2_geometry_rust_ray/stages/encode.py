@@ -1,8 +1,9 @@
-"""Stateless map_batches stages: geotag derivation + S2 cell encoding.
+"""Stateless row-local stages (run by `exchange.map_blocks` or as a grouped
+reduce's `prepare`): geotag derivation + S2 cell encoding.
 
 These are plain functions over pyarrow batches (zero-copy from the object
 store); all math is NumPy-vectorized (functions/coords.py, functions/cellid.py).
-No actor pool needed — there is no per-worker state (the Hilbert lookup tables
+No stateful stage needed — there is no per-worker state (the Hilbert lookup tables
 are module-level constants materialized at import in every worker).
 
 Scale notes (100 TB / 10^12 rows):

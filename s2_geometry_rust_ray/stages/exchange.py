@@ -38,12 +38,14 @@ no execution cost, and it maps a computed input row-locally in raw tasks
     `ExecutionPlan.execute()`'s source-operator shortcut: no executor now
     or when the result is consumed, and a query that is raw Ray from end
     to end never starts that actor.
-  * Row-local maps over computed inputs are raw tasks, one per block
-    (`map_blocks`, and `actor_map` and the grouped map-side combine over
-    it), because ANY executor's shutdown starts that ~124 MB actor: a
-    `map_batches` over a computed input would start one for nothing the
-    raw task does not do.  A lazy input keeps `map_batches`, so a read
-    still fuses with the map.
+  * Every row-local map in the package is `map_blocks` (`actor_map`
+    for a stateful one), or the `prepare` / `map_fn` of a grouped reduce
+    or exchange, which runs inside the split task of a computed input.
+    `map_blocks` holds the package's one `map_batches` call: a computed
+    input runs as raw tasks, one per block, because ANY executor's
+    shutdown starts that ~124 MB actor, and a `map_batches` over it would
+    start one for nothing the raw task does not do.  A lazy input keeps
+    `map_batches`, so a read still fuses with the map.
 
 Driver discipline (the 100 TB rules):
   * ALL split tasks are submitted before any result is awaited — the map
@@ -94,19 +96,24 @@ import pyarrow as pa
 from ..functions.hashing import key_hash
 
 
-def default_num_parts(min_parts: int = 8, per_cpu: int = 2) -> int:
-    """Exchange partition count scaled to the cluster: ~`per_cpu` reduce
-    tasks per CPU slot (the cluster's when Ray is up, the host's
+# exchange partitions per CPU slot, and their floor (`default_num_parts`)
+PARTS_PER_CPU = 2
+MIN_PARTS = 8
+
+
+def default_num_parts() -> int:
+    """Exchange partition count scaled to the cluster: PARTS_PER_CPU
+    reduce tasks per CPU slot (the cluster's when Ray is up, the host's
     otherwise — enough parallelism to keep every slot busy through
-    stragglers) with a floor of `min_parts`.  Pipelines that accept
-    ``num_parts=None`` resolve it here at call time, so the same code runs
-    right on a 4-cpu test session and a 1024-cpu cluster — fixed defaults
-    were the round-2 scaling gap (VERDICT r2 #6)."""
+    stragglers) with a floor of MIN_PARTS.  `co_partition` and
+    `hash_exchange_apply` resolve ``num_parts=None`` here at call time, so
+    the same code runs right on a 4-cpu test session and a 1024-cpu
+    cluster."""
     import ray
 
     cpus = (int(ray.cluster_resources().get("CPU", 4))
             if ray.is_initialized() else os.cpu_count() or 4)
-    return max(min_parts, per_cpu * cpus)
+    return max(MIN_PARTS, PARTS_PER_CPU * cpus)
 
 
 def in_slices(fn, batch_size: int | None):
@@ -379,6 +386,16 @@ def with_schema(ds, schema: pa.Schema | None):
     return as_dataset(schema.empty_table())
 
 
+def typed(ds, out, fields):
+    """`out` through `with_schema`, its schema given by `fields` over the
+    input `ds`'s schema as Ray reports it (`known_schema`): a column name
+    keeps its input column's type, a ``(name, type)`` pair is fixed.  An
+    unknown input schema leaves `out` as it is."""
+    sch = known_schema(ds)
+    return with_schema(out, None if sch is None else pa.schema(
+        [f if isinstance(f, tuple) else (f, sch.field(f).type) for f in fields]))
+
+
 class _Split(list):
     """A side split once (`split`): per partition, the refs of its shards
     that hold rows."""
@@ -423,9 +440,10 @@ def split(ds, key, num_parts: int, map_fn=None) -> _Split:
     return _gather(_submit_split((ds, key, map_fn), num_parts), num_parts)
 
 
-def co_partition(sides, num_parts: int, fn, pinned=None):
+def co_partition(sides, num_parts: int | None, fn, pinned=None):
     """Co-partitioned exchange: split every side by its partitioner into
-    num_parts, then run ONE task per partition: ``fn(*tables) -> pa.Table``.
+    num_parts (None: `default_num_parts`), then run ONE task per
+    partition: ``fn(*tables) -> pa.Table``.
 
     `sides`: list of ``(Dataset, key, map_fn or None)`` or `split`
     results; key is a column name or a list of names (composite key,
@@ -465,6 +483,8 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
     partition order."""
     import ray
 
+    if num_parts is None:
+        num_parts = default_num_parts()
     # every side's split tasks are submitted before any count is awaited
     submitted = [s if isinstance(s, _Split) else _submit_split(s, num_parts)
                  for s in sides]
@@ -488,12 +508,13 @@ def co_partition(sides, num_parts: int, fn, pinned=None):
     return as_dataset([t for (t, _), n in zip(pairs, counts) if n > 0])
 
 
-def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int,
+def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int | None,
                         reduce_fn, map_fn=None):
-    """Single-side `co_partition`: `map_fn` (the projection) fused into the
-    input's plan or run in the split task, `reduce_fn` on each whole
-    partition.  vs a projection stage plus a materialized partition this
-    saves TWO object-store round-trips of the payload: ~2x for a slim
+    """Single-side `co_partition` into num_parts (None:
+    `default_num_parts`): `map_fn` (the projection) fused into the input's
+    plan or run in the split task, `reduce_fn` on each whole partition.
+    vs a projection stage plus a materialized partition this saves TWO
+    object-store round-trips of the payload: ~2x for a slim
     exchange, where plasma traffic IS the job (sessions family, 16 B/row
     before shard narrowing: 102M rows 12.0 -> 20+M rows/s at 8 slots;
     narrowed, sessionize's shards carry ~10 B/row)."""
@@ -813,6 +834,4 @@ def topk_merge_partials(partials, merge_fn, merge: str = "single",
 
         refs = block_refs(partials)
         return as_dataset([merge_all.remote(*refs)] if refs else [])
-    return hash_exchange_apply(
-        partials, key_col, default_num_parts(), merge_fn
-    )
+    return hash_exchange_apply(partials, key_col, None, merge_fn)

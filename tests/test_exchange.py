@@ -8,7 +8,7 @@ from s2_geometry_rust_ray.functions import cellid, geo
 from s2_geometry_rust_ray.pipelines import dedup_clusters as dc
 from s2_geometry_rust_ray.pipelines import flagship, knn
 from s2_geometry_rust_ray.pipelines import pip as ppip
-from s2_geometry_rust_ray.pipelines import textops, tiling
+from s2_geometry_rust_ray.pipelines import pip_shuffle, textops, tiling
 from s2_geometry_rust_ray.stages import agg, exchange, simsearch
 
 
@@ -384,6 +384,7 @@ def _events_table(n: int = 300) -> pa.Table:
         "user_id": rng.integers(0, 20, n),
         "ts": pa.array(rng.integers(0, 10**10, n), pa.timestamp("us")),
         "event_type": pa.array(kinds[rng.integers(0, 3, n)]),
+        "value": rng.integers(0, 50, n) / 4,
     })
 
 
@@ -476,7 +477,29 @@ _EXECUTOR_COUNTS = {
         i["docs"], i["pairs"], num_parts=4), 0),
     "knn_brute_single_merge": (lambda i: knn.knn_brute(
         i["keys"], "k", n_queries=5), 0),
+    # the row-local maps (`map_blocks`) and the maps that are a grouped
+    # reduce's `prepare`
+    "token_stats": (lambda i: textops.token_stats(i["docs"]), 0),
+    "quality": (lambda i: textops.quality(i["docs"]), 0),
+    "simhash_table": (lambda i: textops.simhash_table(i["docs"]), 0),
+    "fingerprints": (lambda i: textops.fingerprints(i["docs"]), 0),
+    "sample_by_hash": (lambda i: textops.sample_by_hash(i["keys"], "k", 0.5), 0),
+    "cell_encode_table": (lambda i: tiling.cell_encode_table(i["keys"], "k", "key"), 0),
+    "cap_join": (lambda i: ppip.cap_join(i["keys"], "k"), 0),
+    "rect_join": (lambda i: ppip.rect_join(i["keys"], "k"), 0),
+    "shuffle_pip_join": (lambda i: pip_shuffle.shuffle_pip_join(
+        i["keys"], "k", _urban_layer(), num_parts=2), 0),
+    "exact_dedup": (lambda i: textops.exact_dedup(i["docs"]), 0),
+    "quantiles_by_key": (lambda i: textops.quantiles_by_key(i["events"]), 0),
+    "hll_rho_hist": (lambda i: textops.hll_rho_hist(i["events"]), 0),
 }
+
+# the `_EXECUTOR_COUNTS` ops whose row-local map `map_blocks` runs, or
+# whose map is a grouped reduce's `prepare`
+_ROW_MAPS = ["token_stats", "quality", "simhash_table", "fingerprints",
+             "sample_by_hash", "cell_encode_table", "cap_join", "rect_join",
+             "shuffle_pip_join", "exact_dedup", "quantiles_by_key",
+             "hll_rho_hist"]
 
 
 @pytest.mark.parametrize("op", sorted(_EXECUTOR_COUNTS))
@@ -505,6 +528,43 @@ def test_empty_input_gives_declared_schema(ray_session, executors, op):
     assert executors.started - before == want
     assert len(tables) == 1 and tables[0].num_rows == 0
     assert tables[0].schema.equals(schema), (tables[0].schema, schema)
+
+
+@pytest.mark.parametrize("op", _ROW_MAPS)
+def test_row_map_over_lazy_input_fuses_with_it(ray_session, executors, op):
+    """Over a lazy input each row map stays fused with the input's plan:
+    running the result starts at most one executor, and it has the rows
+    of the same op over the computed input."""
+    query, _ = _EXECUTOR_COUNTS[op]
+    inputs = _inputs()
+    want = sum(t.num_rows for t in ray_session.get(query(inputs).to_arrow_refs()))
+    lazy = {name: _lazy(ds) for name, ds in inputs.items()}
+    before = executors.started
+    assert query(lazy).materialize().count() == want
+    assert executors.started - before <= 1
+
+
+def test_map_batches_is_called_only_in_map_blocks():
+    """Every row-local map in the package runs through `exchange.map_blocks`
+    (or is a grouped reduce's `prepare`): an AST scan of the package finds
+    one `.map_batches(` call, the one inside `map_blocks`."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(exchange.__file__).parents[1]
+    calls, allowed = [], set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node.name == "map_blocks"
+                    and path.name == "exchange.py"):
+                allowed |= {id(n) for n in ast.walk(node)}
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_batches"):
+                calls.append((node, f"{path.relative_to(root)}:{node.lineno}"))
+    outside = [where for node, where in calls if id(node) not in allowed]
+    assert not outside, outside
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode,rows", [("inner", 40), ("semi", 40), ("anti", 360)])

@@ -92,3 +92,30 @@ def test_empty_and_unsupported():
         assert len(key_hash(pa.chunked_array([], t))) == 0
     with pytest.raises(TypeError, match="bool"):
         key_hash(pa.array([True, False]))
+
+
+def test_one_long_key_hashes_like_the_reference_and_fast():
+    """100,000 two-byte keys plus one 1 MB key: every hash equals the
+    per-row reference fold, and the long key folds in scalar steps, not
+    one numpy step per word position (~40 us each, ~5 s in all)."""
+    import time
+
+    rng = np.random.default_rng(0)
+    keys = [bytes(b).decode() for b in rng.integers(97, 123, (100_000, 2), dtype=np.uint8)]
+    keys.insert(5000, bytes(rng.integers(97, 123, 1 << 20, dtype=np.uint8)).decode())
+    col = pa.array(keys, pa.string())
+    t = time.perf_counter()
+    h = key_hash(col)
+    elapsed = time.perf_counter() - t
+    assert [int(x) for x in h] == [_bytes_ref(k.encode()) for k in keys]
+    assert elapsed < 2.0, elapsed
+
+
+def test_string_hash_of_every_length_mix():
+    """Rows finishing their fold at every word position, in blocks of
+    every size around the scalar cut-over, hash as the reference."""
+    keys = ["".join(chr(97 + (i * 7 + j) % 26) for j in range(i % 81))
+            for i in range(600)]
+    for n in (1, 3, 16, 17, 40, 600):
+        got = key_hash(pa.array(keys[:n], pa.string()))
+        assert [int(x) for x in got] == [_bytes_ref(k.encode()) for k in keys[:n]]
