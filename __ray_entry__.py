@@ -175,16 +175,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ds = _read(sf_dir, "events", columns=["event_id", "event_type", "value"])
 
         def proj(batch):
-            fv = pc.cast(pc.floor(batch["value"]), "int64")
-            return batch.select(["event_id", "event_type"]).append_column(
-                "floor_value", fv
-            )
+            return pa.table({
+                "event_type": batch["event_type"],
+                "floor_value": pc.cast(pc.floor(batch["value"]), "int64"),
+                "event_id": batch["event_id"]})
 
-        # over a lazy map Ray reports no input schema, so the query
-        # declares its own (an empty result keeps it)
+        # the projection is the top-k's `prepare`, so the query declares
+        # its output schema (an empty result keeps it)
         return exchange.with_schema(agg.grouped_topk(
-            ds.map_batches(proj, batch_format="pyarrow"),
-            "event_type", "floor_value", "event_id", 3,
+            ds, ["event_type"], [("floor_value", "descending"),
+                                 ("event_id", "ascending")], 3, prepare=proj,
         ), pa.schema([("event_type", pa.string()), ("floor_value", pa.int64()),
                       ("event_id", pa.int64()), ("rank", pa.int64())]))
 

@@ -1,7 +1,11 @@
-"""kNN pipelines: broadcast queries -> per-partition top-k -> merge.
+"""kNN pipelines: broadcast queries -> per-block top-k scan -> merge.
 
-Merge strategy: each partition emits at most Q*k rows, so the exchange is
-tiny regardless of input size; the final reduce sorts by query_id and ranks.
+Merge: both paths are one `agg.grouped_topk` by query_id, ranked by
+(d2, neighbor).  The geotag + scan (`stages/knn.KnnScan`) is its
+`prepare`, so it runs inside the exchange's split task (fused into a
+lazy read), and a block sends at most Q*k rows to the exchange whatever
+its size; each query's partials meet in one partition, which keeps the
+first k and numbers them.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ import pyarrow as pa
 
 from ..functions import geo
 from ..functions.coords import latlng_deg_to_xyz
+from ..stages import agg
 from ..stages import knn as knn_stages
-from ..stages.exchange import (actor_map as _actor_map, topk_merge_partials,
-                               with_schema)
 from ..stages.encode import derive_geotags
+from ..stages.exchange import with_schema
 
 QUERY_KEY_BASE = 900_000_000  # query keys live far above any row key
 # both kNN paths' output, also when empty
@@ -31,38 +35,21 @@ def make_queries(n_queries: int = 50):
     return {"query_id": qid, "x": x, "y": y, "z": z, "lat": lat, "lng": lng}
 
 
-class _GeotagKnn:
-    """Pipeline-layer fusion: geotag + kNN partial top-k in one call (same
-    wrapper-count argument as pip._GeotagEncodeJoin)."""
-
-    def __init__(self, stage_cls, key_col: str, **stage_kwargs):
-        self.inner = stage_cls(key_col=key_col, **stage_kwargs)
-        self.key_col = key_col
-
-    def __call__(self, batch):
-        return self.inner(derive_geotags(batch, self.key_col))
-
-
-def knn_brute(ds, key_col: str, k: int = 5, n_queries: int = 50,
-              merge: str = "single"):
-    """Exact kNN: (query_id, neighbor, d2, rank) — brute-force baseline."""
-    queries = make_queries(n_queries)
-    partials = _actor_map(
-        ds,
-        _GeotagKnn,
-        fn_constructor_kwargs={"stage_cls": knn_stages.BruteKnn,
-                               "key_col": key_col, "queries": queries, "k": k},
-        batch_size=262144,
-    )
-    # each partition emits <= Q*k rows, so the single-task merge input is
-    # tiny (B_blocks * Q * k); merge='distributed' for very large Q
-    return with_schema(topk_merge_partials(
-        partials, lambda b: knn_stages.merge_topk(b, k), merge
+def _knn(ds, key_col: str, k: int, scan: knn_stages.KnnScan):
+    """Geotag each 262144-row slice, `scan` it, and merge the partials."""
+    return with_schema(agg.grouped_topk(
+        ds, ["query_id"], [("d2", "ascending"), ("neighbor", "ascending")], k,
+        prepare=lambda b: scan(derive_geotags(b, key_col)), batch_size=262144,
     ), KNN)
 
 
+def knn_brute(ds, key_col: str, k: int = 5, n_queries: int = 50):
+    """Exact kNN: (query_id, neighbor, d2, rank) — brute-force baseline."""
+    return _knn(ds, key_col, k, knn_stages.KnnScan(make_queries(n_queries), k, key_col))
+
+
 def knn_cell(ds, key_col: str, k: int = 5, n_queries: int = 50,
-             n_estimate: int | None = None, merge: str = "single"):
+             n_estimate: int | None = None):
     """Exact kNN via cell-range pruning — the 10^12-row path.  Identical
     output to knn_brute; per-batch work is O(candidates) instead of O(N).
 
@@ -75,15 +62,4 @@ def knn_cell(ds, key_col: str, k: int = 5, n_queries: int = 50,
     if n_estimate is None:
         n_estimate = ds.count()
     rings = knn_stages.build_query_rings(queries, k, n_estimate)
-    partials = _actor_map(
-        ds,
-        _GeotagKnn,
-        fn_constructor_kwargs={
-            "stage_cls": knn_stages.CellPrunedKnn, "key_col": key_col,
-            "queries": queries, "k": k, "rings": rings,
-        },
-        batch_size=262144,
-    )
-    return with_schema(topk_merge_partials(
-        partials, lambda b: knn_stages.merge_topk(b, k), merge
-    ), KNN)
+    return _knn(ds, key_col, k, knn_stages.KnnScan(queries, k, key_col, rings))

@@ -231,13 +231,9 @@ def hamming_near_dup(ds, id_col: str, signature, schema: pa.Schema,
     for max_hamming <= 7 (k+1 bands guarantee radius k).  Verification is
     exact popcount(xor)."""
     def bands(batch: pa.Table):
-        ids, sig = signature(batch)
+        sig = batch["sig"].to_numpy(zero_copy_only=False)
         byte = (sig.view(np.uint64)[:, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
-        return ids, np.arange(8, dtype=np.int64) * 256 + byte.astype(np.int64)
-
-    def payload(batch: pa.Table) -> pa.Table:
-        ids, sig = signature(batch)
-        return pa.table({id_col: ids, "sig": sig})
+        return batch[id_col], np.arange(8, dtype=np.int64) * 256 + byte.astype(np.int64)
 
     def verify(batch: pa.Table):
         ham = T.hamming64(
@@ -247,8 +243,14 @@ def hamming_near_dup(ds, id_col: str, signature, schema: pa.Schema,
         mask = pa.array(keep)
         return batch.column(0).filter(mask), batch.column(1).filter(mask), ham[keep]
 
-    return exchange.near_dup(ds, id_col, bands, payload, verify, schema,
-                             num_parts, hot_bucket_cap)
+    def signatures(batch: pa.Table) -> pa.Table:
+        ids, sig = signature(batch)
+        return pa.table({id_col: ids, "sig": sig})
+
+    # each signature once: bands and payload both read the (id, sig) table
+    return exchange.near_dup(exchange.map_blocks(ds, signatures), id_col, bands,
+                             lambda b: b, verify, schema, num_parts,
+                             hot_bucket_cap)
 
 
 def simhash_table(ds):
@@ -305,14 +307,13 @@ def term_counts(ds, top_n: int = 100):
     Physical plan: per-batch token explode + LOCAL combine (one row per
     distinct term per batch — the map-side combine that keeps the exchange
     proportional to vocabulary, not corpus size), the hash-partitioned
-    reduce (stages/agg) whose finish cuts each partition to its own top
-    `top_n`, then ONE top-k merge task over those cuts
-    (`exchange.topk_merge_partials`) that takes the global top `top_n`
-    and ranks it.  Exact: a term lives in exactly one partition, so every
-    global top-N term is in its partition's top-N.  The merge input is at
-    most partitions * top_n rows.  At 100 TB the vocabulary is the
-    shuffle payload; Zipf skew is absorbed by the map-side combine (a hot
-    term contributes one row per block)."""
+    reduce (stages/agg), then the one top-k (`agg.grouped_topk`) on the
+    empty key: its map-side kernel cuts each partition's counts to their
+    top `top_n` in the split task, and one partition task takes the
+    global top `top_n` and ranks it.  Exact: a term lives in exactly one
+    partition, so every global top-N term is in its partition's top-N.
+    At 100 TB the vocabulary is the shuffle payload; Zipf skew is absorbed
+    by the map-side combine (a hot term contributes one row per block)."""
     def explode_count(batch: pa.Table) -> pa.Table:
         tokens = _texts(batch).str.lower().str.findall(T.TOKEN_RE)
         flat = tokens.explode().dropna()
@@ -322,22 +323,10 @@ def term_counts(ds, top_n: int = 100):
              "n": vc.to_numpy(dtype=np.int64)}
         )
 
-    def truncate(batch: pa.Table) -> pa.Table:
-        term = batch["term"].to_numpy(zero_copy_only=False)
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((term, -n))[:top_n]
-        return pa.table({"term": pa.array(term[order], pa.string()),
-                         "n": pa.array(n[order], pa.int64())})
-
-    def top_n_ranked(batch: pa.Table) -> pa.Table:
-        top = truncate(batch)
-        return top.append_column(
-            "rank", pa.array(np.arange(1, top.num_rows + 1), pa.int64()))
-
-    cuts = agg.reduce_by_key(ds, "term", {"n": "sum"}, finish=truncate,
-                             prepare=explode_count)
-    return exchange.with_schema(exchange.topk_merge_partials(cuts, top_n_ranked),
-                                _TERM_COUNTS)
+    counts = agg.reduce_by_key(ds, "term", {"n": "sum"}, prepare=explode_count)
+    return exchange.with_schema(agg.grouped_topk(
+        counts, [], [("n", "descending"), ("term", "ascending")], top_n),
+        _TERM_COUNTS)
 
 
 def _ts_us(batch: pa.Table) -> np.ndarray:

@@ -3,31 +3,33 @@
 Measured on this Ray build (2.49): ``Dataset.groupby().aggregate()`` runs its
 combine in a single task at ~20k rows/s — 20-100x slower than a vectorized
 per-block NumPy reduce.  So every grouped operator here (sum/min/max,
-DISTINCT, per-group top-N, COUNT(DISTINCT)) is one `_group` call, and
-`_group` is one `exchange.hash_exchange_apply` on the full key tuple:
+DISTINCT, COUNT(DISTINCT), and top-k: the kNN/ANN merges per query,
+per-group top-N and `textops.term_counts`' global top-N) is one `_group`
+call, and `_group` is one `exchange.hash_exchange_apply` on the full key
+tuple (the empty key puts every row in one partition):
 
   1. a map-side combine per block (one row per key per block for the
-     reducers; at most n rows per key for top-N), with the caller's
-     row-local `prepare` (encode, explode) fused in front of it, as the
-     exchange's `map_fn`: it runs inside the split task over a computed
-     input, so its partials are never objects of their own, and fuses
-     into a lazy input's plan, which runs ONCE (`exchange.block_refs`).
-     The partials cross as narrowed shards where those stay over Ray's
-     inline limit (a count column as uint8/uint16 offsets;
-     `exchange.co_partition`);
+     reducers; at most k rows per key for top-k), with the caller's
+     row-local `prepare` (encode, explode, a kNN/ANN scan) fused in front
+     of it, as the exchange's `map_fn`: it runs inside the split task
+     over a computed input, so its partials are never objects of their
+     own, and fuses into a lazy input's plan, which runs ONCE
+     (`exchange.block_refs`).  The partials cross as narrowed shards
+     where those stay over Ray's inline limit (a count column as
+     uint8/uint16 offsets; `exchange.co_partition`);
   2. one task per hash partition that re-runs the same combine over the
      partition's partials (every combine is re-reducible, and every key
-     lands in exactly one partition, so the result has one row per key),
-     then an optional `finish` (tokenize, rank, truncate) inside that
-     task, so a caller's output projection costs no extra Ray Data
-     execution.
+     lands in exactly one partition, so the result has one row per key,
+     or at most k for top-k),
+     then an optional `finish` (tokenize, rank) inside that task, so a
+     caller's output projection costs no extra Ray Data execution.
 
 The result stays distributed over the partitions, in no global key order
-(a consumer that needs one sorts; a finish that needs a global view, such
-as `textops.term_counts`' top-N, re-reduces the partitions' outputs).  It
-is a computed dataset (`exchange.as_dataset`) whose consumption starts no
-executor, so a grouped query is one Ray Data execution over a lazy input
-and none over a computed one.
+(a consumer that needs one sorts; a step that needs a global view, such
+as `textops.term_counts`' top-N, is a top-k on the empty key over the
+partitions' outputs).  It is a computed dataset (`exchange.as_dataset`)
+whose consumption starts no executor, so a grouped query is one Ray Data
+execution over a lazy input and none over a computed one.
 
 Zero rows: the exchange runs no partition task for an empty partition
 and calls no map_fn on an empty block (stages/exchange.py), so `combine`
@@ -39,7 +41,7 @@ types Ray reports for the input without running it, or, for a
 schema its caller declares the same way.
 
 Skew note: the map-side combine bounds a hot key's contribution to one row
-(n rows for top-N) per input block, so the exchange never sees the skew.
+(k rows for top-k) per input block, so the exchange never sees the skew.
 """
 
 from __future__ import annotations
@@ -141,39 +143,74 @@ def distinct_keys(ds, key_col: str):
     return reduce_by_key(ds, key_col, {})
 
 
-def _rank_in_group(k: np.ndarray) -> np.ndarray:
-    """0-based position of each row within its run of equal keys."""
-    is_new = np.ones(len(k), dtype=bool)
-    is_new[1:] = k[1:] != k[:-1]
+def _rank_in_group(ks: list[np.ndarray], n: int) -> np.ndarray:
+    """0-based position of each of `n` sorted rows within its run of equal
+    key tuples `ks` (no keys: the whole table is one run)."""
+    is_new = np.zeros(n, dtype=bool)
+    is_new[:1] = True
+    for k in ks:
+        is_new[1:] |= k[1:] != k[:-1]
     starts = np.nonzero(is_new)[0]
-    return np.arange(len(k)) - np.repeat(starts, np.diff(np.append(starts, len(k))))
+    return np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
 
 
-def grouped_topk(ds, key_col: str, val_col: str, id_col: str, n: int):
-    """Per-group top-N: for each key the n rows with largest (val desc,
-    id asc) — the grouped companion of the kNN/ANN top-k merges.
+def _topk_block(keys: list[str], order: list[tuple[str, str]], k: int):
+    """The one top-k kernel: lexsort on `keys`, then on `order`, and keep
+    the first `k` rows of each run of equal keys, sorted, with the table's
+    columns as they are.  A descending column sorts by its negation, so
+    it must be numeric.  Re-reducible: the top k of a key's top-k
+    partials is its top k."""
+    for c, direction in order:
+        if direction not in ("ascending", "descending"):
+            raise ValueError(f"unknown sort direction {direction!r} for column {c!r}")
 
-    The combine is a LOCAL top-n per key (a block emits at most n rows per
-    distinct key it contains, so the merge payload is bounded by
-    distinct_keys * n, independent of row count); the finish numbers the
-    survivors.  Ties break by id ascending — the SQL row_number contract."""
+    def fn(batch: pa.Table) -> pa.Table:
+        ks = [batch[c].to_numpy(zero_copy_only=False) for c in keys]
+        by = []
+        for c, direction in order:
+            v = batch[c].to_numpy(zero_copy_only=False)
+            by.append(v if direction == "ascending" else -v)
+        idx = np.lexsort([*by[::-1], *ks[::-1]])  # keys[0] is primary
+        return batch.take(idx[_rank_in_group([v[idx] for v in ks], len(idx)) < k])
 
-    def local_topn(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        v = batch[val_col].to_numpy(zero_copy_only=False)
-        i = batch[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((i, -v, k))
-        k, v, i = k[order], v[order], i[order]
-        keep = _rank_in_group(k) < n
-        return pa.table({key_col: k[keep], val_col: v[keep], id_col: i[keep]})
+    return fn
 
-    def add_rank(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "rank", pa.array(_rank_in_group(k) + 1, pa.int64()))
 
-    return exchange.typed(ds, _group(ds, [key_col], local_topn, finish=add_rank),
-                  [*dict.fromkeys([key_col, val_col, id_col]), ("rank", pa.int64())])
+def grouped_topk(ds, keys: list[str], order: list[tuple[str, str]],
+                 k: int, prepare=None, batch_size: int | None = None):
+    """The engine's one top-k: per key tuple, the `k` first rows by
+    `order` (``(column, "ascending" | "descending")`` pairs, the later
+    ones breaking the ties of the earlier), numbered 1..k in a ``rank``
+    column.  kNN and ANN (per query), per-group top-N and
+    `textops.term_counts` (``keys=[]``: the global top-N, every row
+    hashing to one partition) all run it.
+
+    The kernel (`_topk_block`) is both the map-side combine (a block
+    sends at most k rows per key to the exchange, whatever its row count)
+    and the re-combine of each partition's partials; the finish numbers
+    the survivors.  `prepare` maps input rows to the kernel's input
+    (a kNN/ANN scan, a projection) inside the split task, over
+    `batch_size`-row slices, and its caller declares the output schema
+    (`exchange.with_schema`).  Without it, the kernel's input is the
+    input's key and order columns, in the input's order, and an empty
+    input gives their zero-row table with ``rank``."""
+    def add_rank(t: pa.Table) -> pa.Table:
+        ks = [t[c].to_numpy(zero_copy_only=False) for c in keys]
+        return t.append_column(
+            "rank", pa.array(_rank_in_group(ks, t.num_rows) + 1, pa.int64()))
+
+    kernel = _topk_block(keys, order, k)
+    if prepare is not None:
+        return _group(ds, keys, kernel, add_rank, prepare, batch_size)
+    cols = {*keys, *(c for c, _ in order)}
+
+    def project(t: pa.Table) -> pa.Table:
+        return t.select([c for c in t.column_names if c in cols])
+
+    out = _group(ds, keys, kernel, add_rank, project, batch_size)
+    sch = exchange.known_schema(ds)
+    return exchange.with_schema(out, None if sch is None else pa.schema(
+        [*(f for f in sch if f.name in cols), ("rank", pa.int64())]))
 
 
 def distinct_count_by_key(ds, key_col: str, distinct_col: str,

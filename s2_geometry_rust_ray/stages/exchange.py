@@ -63,8 +63,8 @@ Zero-row rule, kept here and nowhere else: `block_refs` yields only a
 dataset's non-empty blocks, `co_partition` runs a partition task only
 where every side has rows and drops empty outputs, so a result with
 nothing in it has no blocks.  No split `map_fn`, partition fn, grouped
-combine/finish, top-k merge or `map_blocks` fn is ever called on a
-zero-row or column-less table.  Each public operator declares its output
+combine/finish (every top-k's kernel included) or `map_blocks` fn is
+ever called on a zero-row or column-less table.  Each public operator declares its output
 schema and returns through `with_schema`, which turns an empty result
 into one `schema.empty_table()` block: the documented schema, and a fetch
 that starts no executor.
@@ -513,6 +513,8 @@ def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int | None,
     """Single-side `co_partition` into num_parts (None:
     `default_num_parts`): `map_fn` (the projection) fused into the input's
     plan or run in the split task, `reduce_fn` on each whole partition.
+    The empty key ``[]`` hashes every row alike, so every row meets in one
+    partition task (a global top-N, `agg.grouped_topk`).
     vs a projection stage plus a materialized partition this saves TWO
     object-store round-trips of the payload: ~2x for a slim
     exchange, where plasma traffic IS the job (sessions family, 16 B/row
@@ -812,26 +814,3 @@ def near_dup(ds, id_col: str, bands, payload, verify, schema: pa.Schema,
     return with_schema(co_partition(
         [(with_a, b_col, None), (src, id_col, None)], num_parts, join_b_verify),
         schema)
-
-
-def topk_merge_partials(partials, merge_fn, merge: str = "single",
-                        key_col: str | list[str] = "query_id"):
-    """Shared top-k merge tail for the kNN/ANN pipelines.
-
-    merge='single': one raw task over the partials' non-empty blocks
-    (every partial is already top-k-truncated, so the input is blocks * Q
-    * k rows); none gives a dataset without blocks, which the caller
-    types (`with_schema`).
-    merge='distributed': hash-exchange by `key_col` + per-partition final
-    merge — the large-Q path with no repartition(1); a key's rows all meet
-    in exactly one partition, so the per-partition merge is final."""
-    if merge == "single":
-        import ray
-
-        @ray.remote
-        def merge_all(*tbls: pa.Table) -> pa.Table:
-            return merge_fn(pa.concat_tables(tbls))
-
-        refs = block_refs(partials)
-        return as_dataset([merge_all.remote(*refs)] if refs else [])
-    return hash_exchange_apply(partials, key_col, None, merge_fn)

@@ -8,14 +8,16 @@ angle, no trig), computed with pure arithmetic so the DuckDB brute-force
 oracle reproduces every candidate distance bit-exactly; ties broken by
 ascending target key (deterministic total order).
 
-Two paths:
-- brute: every partition scans all its points for all queries (vectorized,
-  O(Q*N/P) per partition), then a tiny per-query merge.  The correctness
-  baseline, and optimal when Q*N is small.
-- cell-pruned (pipelines/knn.py): partitions hold their points sorted by
-  cell_id; each query examines only candidate cell ranges from a growing cap
-  covering, doubling the radius until the k-th distance is <= the covered
-  radius.  The 10^12-row path.
+One scan, `KnnScan`, per batch and query keeps the batch's tie-safe top-k
+(`local_topk`); `agg.grouped_topk` merges the partials per query_id.
+- brute (no rings): every batch is scanned in full for every query
+  (vectorized, O(Q*N/P) per block).  The correctness baseline, and
+  optimal when Q*N is small.
+- cell-pruned (rings from `build_query_rings`): the batch is sorted by
+  cell_id once; each query examines only candidate cell ranges from a
+  growing cap covering, doubling the radius until the k-th distance is
+  <= the covered radius, and falls back to the full scan when the
+  schedule runs out.  The 10^12-row path.
 """
 
 from __future__ import annotations
@@ -34,70 +36,14 @@ def chord2_point_to_points(qx, qy, qz, x, y, z):
     return (dx * dx + dy * dy) + dz * dz
 
 
-class BruteKnn:
-    """Actor stage: local top-k per query within each batch.
-
-    queries: dict with arrays query_id(int64), x, y, z; broadcast once per
-    actor via fn_constructor_kwargs (ObjectRef or plain dict).
-    """
-
-    def __init__(self, queries, k: int, key_col: str = "k"):
-        import ray
-
-        if isinstance(queries, ray.ObjectRef):
-            queries = ray.get(queries)
-        self.qid = np.asarray(queries["query_id"], dtype=np.int64)
-        self.qx = np.asarray(queries["x"], dtype=np.float64)
-        self.qy = np.asarray(queries["y"], dtype=np.float64)
-        self.qz = np.asarray(queries["z"], dtype=np.float64)
-        self.k = int(k)
-        self.key_col = key_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        lng = batch["lng"].to_numpy(zero_copy_only=False)
-        x, y, z = latlng_deg_to_xyz(lat, lng)
-        keys = batch[self.key_col].to_numpy(zero_copy_only=False)
-        out_q, out_key, out_d2 = [], [], []
-        # Deliberately ONE query per numpy pass: each pass is already
-        # fully vectorized over the long (N) axis with N-sized f64 temps
-        # that stay cache/L3-resident across the Q iterations.  A
-        # broadcast (q_chunk, N) variant was measured 1.2-2x SLOWER
-        # single-threaded at every (N, Q, chunk) tried — N=262144/Q=25
-        # and N=4096..32768/Q=200 — and ~6x slower under 27-way task
-        # concurrency on a DRAM-bandwidth-limited host (bench knn_brute
-        # 1.25 s -> 7.2 s), because q_chunk x N temporaries are pure
-        # DRAM traffic.  The Python loop costs Q numpy dispatches, which
-        # is noise.  (A 2-2*dot matmul is also out: it changes the
-        # floating-point expression and breaks oracle hash parity.)
-        for qi in range(len(self.qid)):
-            d2 = chord2_point_to_points(self.qx[qi], self.qy[qi], self.qz[qi], x, y, z)
-            sel = local_topk(d2, keys, self.k)
-            out_q.append(np.full(sel.size, self.qid[qi], dtype=np.int64))
-            out_key.append(keys[sel])
-            out_d2.append(d2[sel])
-        if not out_q:  # zero queries: typed empty partial, not a crash
-            return pa.table(
-                {"query_id": pa.array([], pa.int64()),
-                 "neighbor": pa.array(
-                     [], batch.schema.field(self.key_col).type),
-                 "d2": pa.array([], pa.float64())}
-            )
-        return pa.table(
-            {
-                "query_id": np.concatenate(out_q),
-                "neighbor": np.concatenate(out_key),
-                "d2": np.concatenate(out_d2),
-            }
-        )
-
-
 def local_topk(d2: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest by (d2, key) — tie-safe: selects by d2
     threshold first, then lexsorts the candidate set."""
     n = d2.shape[0]
     if n <= k:
         return np.lexsort((keys, d2))
+    if k <= 0:
+        return np.array([], np.int64)
     part = np.argpartition(d2, k - 1)[:k]
     thresh = d2[part].max()
     cand = np.nonzero(d2 <= thresh)[0]
@@ -108,8 +54,8 @@ def local_topk(d2: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
 def build_query_rings(queries: dict, k: int, n_estimate: int, max_rounds: int = 12):
     """Driver-side precomputation for the cell-pruned path: for each query
     and each radius in a doubling schedule, a conservative cell covering of
-    the cap as sorted (range_min, range_max) leaf ranges.  Shipped to actors
-    once.
+    the cap as sorted (range_min, range_max) leaf ranges, shipped with the
+    `KnnScan`.
 
     Covering = the 3x3 block (cell + AppendAllNeighbors) at the coarsest
     level whose kMinWidth (2*sqrt(2)/3 / 2^L, C++ s2metrics) still exceeds
@@ -161,23 +107,20 @@ def build_query_rings(queries: dict, k: int, n_estimate: int, max_rounds: int = 
     return rings
 
 
-class CellPrunedKnn:
-    """Actor stage: exact per-batch top-k via cell-range pruning.
+class KnnScan:
+    """Stage: exact per-batch top-k of every query, as (query_id,
+    neighbor, d2) partial rows, neighbor typed like the key column.
 
-    Each batch is sorted by leaf cell once; per query, candidate rows come
-    from searchsorted over the precomputed cap-covering ranges, with the
-    radius doubled until the local k-th distance is covered (<= chord^2 of
-    the ring radius) or the whole batch is scanned.  Local exactness =>
-    global exactness after the merge (same guarantee as brute force,
-    S2ClosestPointQuery's conservative-radius termination rule)."""
+    queries: dict with arrays query_id(int64), x, y, z.  Without `rings`
+    every query scans the whole batch.  With them (`build_query_rings`)
+    the batch is sorted by leaf cell once, and per query the candidate
+    rows come from searchsorted over the precomputed cap-covering ranges,
+    with the radius doubled until the local k-th distance is covered (<=
+    chord^2 of the ring radius) or the whole batch is scanned, else the
+    full scan.  Local exactness => global exactness after the merge
+    (S2ClosestPointQuery's conservative-radius termination rule)."""
 
-    def __init__(self, queries, k: int, rings, key_col: str = "k"):
-        import ray
-
-        if isinstance(queries, ray.ObjectRef):
-            queries = ray.get(queries)
-        if isinstance(rings, ray.ObjectRef):
-            rings = ray.get(rings)
+    def __init__(self, queries, k: int, key_col: str, rings=None):
         self.qid = np.asarray(queries["query_id"], dtype=np.int64)
         self.qx = np.asarray(queries["x"], dtype=np.float64)
         self.qy = np.asarray(queries["y"], dtype=np.float64)
@@ -187,20 +130,34 @@ class CellPrunedKnn:
         self.key_col = key_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions import cellid as cid
-
         lat = batch["lat"].to_numpy(zero_copy_only=False)
         lng = batch["lng"].to_numpy(zero_copy_only=False)
         x, y, z = latlng_deg_to_xyz(lat, lng)
         keys = batch[self.key_col].to_numpy(zero_copy_only=False)
-        cells = cid.from_latlng_deg(lat, lng)
-        order = np.argsort(cells, kind="stable")
-        cells_s = cells[order]
-        out_q, out_key, out_d2 = [], [], []
+        if self.rings is not None:
+            from ..functions import cellid as cid
+
+            cells = cid.from_latlng_deg(lat, lng)
+            order = np.argsort(cells, kind="stable")
+            cells_s = cells[order]
+        out_q = [np.array([], np.int64)]  # typed when there are no queries
+        out_idx = [np.array([], np.int64)]
+        out_d2 = [np.array([], np.float64)]
         n = len(keys)
+        # Deliberately ONE query per numpy pass: each pass is already
+        # fully vectorized over the long (N) axis with N-sized f64 temps
+        # that stay cache/L3-resident across the Q iterations.  A
+        # broadcast (q_chunk, N) variant was measured 1.2-2x SLOWER
+        # single-threaded at every (N, Q, chunk) tried — N=262144/Q=25
+        # and N=4096..32768/Q=200 — and ~6x slower under 27-way task
+        # concurrency on a DRAM-bandwidth-limited host (bench knn_brute
+        # 1.25 s -> 7.2 s), because q_chunk x N temporaries are pure
+        # DRAM traffic.  The Python loop costs Q numpy dispatches, which
+        # is noise.  (A 2-2*dot matmul is also out: it changes the
+        # floating-point expression and breaks oracle hash parity.)
         for qi in range(len(self.qid)):
             found = None
-            for r2, rmin, rmax in self.rings[qi]:
+            for r2, rmin, rmax in ([] if self.rings is None else self.rings[qi]):
                 lo = np.searchsorted(cells_s, rmin, side="left")
                 hi = np.searchsorted(cells_s, rmax, side="right")
                 if (hi - lo).sum() == 0:
@@ -211,45 +168,19 @@ class CellPrunedKnn:
                 )
                 sel = local_topk(d2, keys[idx], self.k)
                 covered_all = (hi - lo).sum() >= n
-                if covered_all or (len(sel) >= min(self.k, n) and d2[sel].max() <= r2):
+                if covered_all or (len(sel) >= min(self.k, n) and (d2[sel] <= r2).all()):
                     found = (idx[sel], d2[sel])
                     break
-            if found is None:
-                # fall back to full scan (ring schedule exhausted)
+            if found is None:  # no rings, or the schedule ran out: full scan
                 d2 = chord2_point_to_points(self.qx[qi], self.qy[qi], self.qz[qi], x, y, z)
                 sel = local_topk(d2, keys, self.k)
                 found = (sel, d2[sel])
             sel_idx, sel_d2 = found
             out_q.append(np.full(len(sel_idx), self.qid[qi], dtype=np.int64))
-            out_key.append(keys[sel_idx])
+            out_idx.append(sel_idx)
             out_d2.append(sel_d2)
-        return pa.table(
-            {
-                "query_id": np.concatenate(out_q),
-                "neighbor": np.concatenate(out_key),
-                "d2": np.concatenate(out_d2),
-            }
-        )
-
-
-def merge_topk(batch: pa.Table, k: int) -> pa.Table:
-    """Reduce partial top-k rows (query_id, neighbor, d2) -> final top-k per
-    query with rank.  Used per-block after sorting by query_id; tie order is
-    (d2, neighbor)."""
-    qid = batch["query_id"].to_numpy(zero_copy_only=False)
-    nb = batch["neighbor"].to_numpy(zero_copy_only=False)
-    d2 = batch["d2"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((nb, d2, qid))
-    qid, nb, d2 = qid[order], nb[order], d2[order]
-    # rank within query
-    uq, starts = np.unique(qid, return_index=True)
-    rank = np.arange(len(qid)) - np.repeat(starts, np.diff(np.append(starts, len(qid))))
-    keep = rank < k
-    return pa.table(
-        {
-            "query_id": qid[keep],
-            "neighbor": nb[keep],
-            "d2": d2[keep],
-            "rank": (rank[keep] + 1).astype(np.int64),
-        }
-    )
+        return pa.table({
+            "query_id": np.concatenate(out_q),
+            "neighbor": batch[self.key_col].take(pa.array(np.concatenate(out_idx))),
+            "d2": np.concatenate(out_d2),
+        })

@@ -5,9 +5,10 @@ arithmetic lives in one `Arith` object, `COSINE` or `Q15`; the pipelines
 are written once and take it as `arith`.
 
 - Top-k (`ann_topk`): one stage, `TopKScan`, scans each batch against
-  broadcast queries (one `(n, Q)` matmul), keeps a tie-safe partial
-  top-k per query (knn.local_topk), and a tiny merge ranks them — the same
-  plan shape as geo kNN.
+  broadcast queries (one `(n, Q)` matmul) and keeps a tie-safe partial
+  top-k per query (knn.local_topk); it is the `prepare` of the engine's
+  one top-k, `agg.grouped_topk` by query_id ranked by (score desc,
+  vec_id asc) — the same plan as geo kNN.
 - IVF (`ann_topk_ivf`, scale path): rows are bucketed to their nearest of
   K centroids (deterministic seeded k-means-lite on a sample); a query
   scans only its nprobe buckets.  `build_ivf_index` makes the bucket the
@@ -25,8 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pyarrow as pa
 
-from .exchange import (actor_map as _actor_map, as_dataset, topk_merge_partials,
-                       with_schema)
+from . import agg
+from .exchange import actor_map as _actor_map, as_dataset, with_schema
 from .knn import local_topk
 
 
@@ -179,35 +180,12 @@ class TopKScan:
         )
 
 
-def merge_topk(batch: pa.Table, k: int, val_col: str = "cosine") -> pa.Table:
-    """Final top-k merge ranked by (val desc, vec_id asc) within each
-    query — the ONE merge kernel for both arithmetics (the tie-break order
-    IS the oracle contract)."""
-    qid = batch["query_id"].to_numpy(zero_copy_only=False)
-    vid = batch["vec_id"].to_numpy(zero_copy_only=False)
-    s = batch[val_col].to_numpy(zero_copy_only=False)
-    order = np.lexsort((vid, -s, qid))
-    qid, vid, s = qid[order], vid[order], s[order]
-    uq, starts = np.unique(qid, return_index=True)
-    rank = np.arange(len(qid)) - np.repeat(starts, np.diff(np.append(starts, len(qid))))
-    keep = rank < k
-    return pa.table(
-        {"query_id": qid[keep], "vec_id": vid[keep],
-         val_col: s[keep], "rank": (rank[keep] + 1).astype(np.int64)}
-    )
-
-
-def _scan_topk(ds, queries, query_ids, k, merge, arith, ivf=None):
-    partials = _actor_map(
-        ds,
-        TopKScan,
-        fn_constructor_kwargs={"queries": queries, "query_ids": query_ids,
-                               "k": k, "arith": arith, "ivf": ivf},
-        batch_size=65536,
-    )
-    return with_schema(topk_merge_partials(
-        partials, lambda b: merge_topk(b, k, arith.col), merge
-    ), _topk_schema(arith))
+def _scan_topk(ds, queries, query_ids, k, arith, ivf=None):
+    """`TopKScan` over 65536-row slices, merged by the one top-k."""
+    scan = TopKScan(queries, query_ids, k, arith, ivf)
+    return with_schema(agg.grouped_topk(
+        ds, ["query_id"], [(arith.col, "descending"), ("vec_id", "ascending")],
+        k, prepare=scan, batch_size=65536), _topk_schema(arith))
 
 
 def _topk_schema(arith: Arith) -> pa.Schema:
@@ -218,11 +196,11 @@ def _topk_schema(arith: Arith) -> pa.Schema:
 
 
 def ann_topk(ds, queries: np.ndarray, query_ids: np.ndarray, k: int = 10,
-             merge: str = "single", arith: Arith = COSINE):
+             arith: Arith = COSINE):
     """Brute-force top-k of every query over (vec_id, embedding) rows:
     (query_id, vec_id, cosine | dot_q15, rank).  With arith=Q15 the
     result is hash-exact (integer dots are order-free sums)."""
-    return _scan_topk(ds, queries, query_ids, k, merge, arith)
+    return _scan_topk(ds, queries, query_ids, k, arith)
 
 
 def train_centroids(sample: np.ndarray, n_centroids: int, iters: int = 8,
@@ -272,14 +250,14 @@ def _ivf_probe(queries: np.ndarray, centroids, nprobe: int):
 
 
 def ann_topk_ivf(ds, queries: np.ndarray, query_ids: np.ndarray, centroids,
-                 k: int = 10, nprobe: int = 4, merge: str = "single"):
+                 k: int = 10, nprobe: int = 4):
     """IVF-pruned cosine top-k: scan only batches' rows whose bucket is in
     each query's nprobe nearest buckets.  Approximate (standard IVF recall
     tradeoff).  This form prunes COMPUTE only — at scale, build the
     bucket-partitioned index once (build_ivf_index) and query it with
     ann_topk_ivf_indexed, which prunes the READ to the probed bucket
     directories (the same vec ids, see there)."""
-    return _scan_topk(ds, queries, query_ids, k, merge, COSINE,
+    return _scan_topk(ds, queries, query_ids, k, COSINE,
                       _ivf_probe(queries, centroids, nprobe))
 
 
@@ -301,7 +279,7 @@ def build_ivf_index(ds, centroids, out_dir: str):
 
 def ann_topk_ivf_indexed(index_dir: str, queries: np.ndarray,
                          query_ids: np.ndarray, centroids, k: int = 10,
-                         nprobe: int = 4, merge: str = "single"):
+                         nprobe: int = 4):
     """IVF top-k over a build_ivf_index directory: I/O pruning, not just
     compute pruning.  The union of every query's nprobe nearest buckets
     selects which partition DIRECTORIES are read at all; the per-query
@@ -333,7 +311,7 @@ def ann_topk_ivf_indexed(index_dir: str, queries: np.ndarray,
     if not paths:
         return as_dataset(_topk_schema(COSINE).empty_table())
     ds = ray.data.read_parquet(paths, columns=["vec_id", "embedding"])
-    return _scan_topk(ds, queries, query_ids, k, merge, COSINE, ivf)
+    return _scan_topk(ds, queries, query_ids, k, COSINE, ivf)
 
 
 def embedding_near_dup(ds, threshold: float, num_planes: int = 16,

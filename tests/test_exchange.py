@@ -428,6 +428,9 @@ def _inputs(rows: bool = True) -> dict:
             for n, t in tables.items()}
 
 
+# the ANN queries over the `_inputs` vectors
+_VECTOR_QUERIES = np.random.default_rng(5).normal(size=(3, 8)).astype(np.float32)
+
 # query over the computed `_inputs` -> executors it starts, built and
 # fetched: a query that is raw Ray from its input to its output starts
 # none (row-local maps over computed inputs are raw tasks,
@@ -458,7 +461,7 @@ _EXECUTOR_COUNTS = {
     "within_distance_join": (lambda i: ppip.within_distance_join(
         i["keys"], "k", layer=_urban_layer(), radius_deg=1.0), 0),
     "grouped_topk": (lambda i: agg.grouped_topk(
-        i["events"], "user_id", "event_id", "event_id", 2), 0),
+        i["events"], ["user_id"], [("event_id", "descending")], 2), 0),
     "reduce_by_key": (lambda i: agg.reduce_by_key(
         i["events"], "user_id", ["event_id"]), 0),
     # the bare exchange declares no schema: its caller does
@@ -475,8 +478,15 @@ _EXECUTOR_COUNTS = {
         i["vectors"], threshold=1, num_parts=4, arith=simsearch.Q15), 0),
     "dedup_clusters": (lambda i: dc.dedup_clusters(
         i["docs"], i["pairs"], num_parts=4), 0),
-    "knn_brute_single_merge": (lambda i: knn.knn_brute(
-        i["keys"], "k", n_queries=5), 0),
+    # the top-k ops: each is `agg.grouped_topk`, its scan the `prepare`
+    "knn_brute": (lambda i: knn.knn_brute(i["keys"], "k", n_queries=5), 0),
+    "knn_cell": (lambda i: knn.knn_cell(i["keys"], "k", n_queries=5), 0),
+    "ann_topk": (lambda i: simsearch.ann_topk(
+        i["vectors"], _VECTOR_QUERIES, np.arange(3), k=4), 0),
+    "ann_topk_q15": (lambda i: simsearch.ann_topk(
+        i["vectors"], _VECTOR_QUERIES, np.arange(3), k=4,
+        arith=simsearch.Q15), 0),
+    "term_counts": (lambda i: textops.term_counts(i["docs"], top_n=5), 0),
     # the row-local maps (`map_blocks`) and the maps that are a grouped
     # reduce's `prepare`
     "token_stats": (lambda i: textops.token_stats(i["docs"]), 0),
@@ -924,7 +934,8 @@ def test_reduce_by_key_matches_pandas(ray_session):
 _AGG_OPS = {
     "reduce_by_key": lambda ds, **kw: agg.reduce_by_key(ds, "k", ["x"], **kw),
     "distinct_keys": lambda ds, **kw: agg.distinct_keys(ds, "k", **kw),
-    "grouped_topk": lambda ds, **kw: agg.grouped_topk(ds, "k", "x", "i", 2, **kw),
+    "grouped_topk": lambda ds, **kw: agg.grouped_topk(
+        ds, ["k"], [("x", "descending"), ("i", "ascending")], 2, **kw),
     "distinct_count_by_key": lambda ds, **kw: agg.distinct_count_by_key(
         ds, "k", "x", **kw),
 }
@@ -1351,3 +1362,50 @@ def test_near_dup_runs_source_once(ray_session, executors):
                   if band[x] == band[y])
     got = sorted(zip(*(out[c].to_pylist() for c in out.column_names)))
     assert got == want
+
+
+_KNN_SCHEMA = pa.schema([("query_id", _I64), ("neighbor", _I64), ("d2", _F64),
+                         ("rank", _I64)])
+# degenerate top-k arguments over rows -> the schema of their empty result
+_DEGENERATE_TOPK = {
+    "knn_cell_no_queries": (lambda i: knn.knn_cell(i["keys"], "k", n_queries=0),
+                            _KNN_SCHEMA),
+    "knn_brute_k0": (lambda i: knn.knn_brute(i["keys"], "k", k=0), _KNN_SCHEMA),
+    "knn_cell_k0": (lambda i: knn.knn_cell(i["keys"], "k", k=0), _KNN_SCHEMA),
+    "ann_topk_k0": (lambda i: simsearch.ann_topk(
+        i["vectors"], _VECTOR_QUERIES, np.arange(3), k=0),
+        pa.schema([("query_id", _I64), ("vec_id", _I64), ("cosine", _F64),
+                   ("rank", _I64)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEGENERATE_TOPK))
+def test_degenerate_topk_arguments_give_declared_schema(ray_session, executors,
+                                                        case):
+    """No queries, or k=0, over computed inputs with rows: one empty block
+    of the op's declared schema, and no executor."""
+    query, schema = _DEGENERATE_TOPK[case]
+    inputs = _inputs()
+    before = executors.started
+    _assert_typed_empty(executors.fetch(query(inputs)), schema)
+    assert executors.started == before
+
+
+def test_hamming_near_dup_signs_each_block_once(ray_session, tmp_path):
+    """`hamming_near_dup` maps each non-empty block to its signatures
+    once, for the bands and the payload alike: a signature that leaves a
+    marker file per call runs once per block."""
+    import uuid
+
+    docs = _inputs()["docs"]
+
+    def signature(batch: pa.Table):
+        (tmp_path / uuid.uuid4().hex).touch()
+        ids = batch["doc_id"].to_numpy()
+        return batch["doc_id"], (ids % 10).astype(np.int64)
+
+    out = textops.hamming_near_dup(docs, "doc_id", signature, textops._SIMHASH_PAIRS,
+                                   0, 4, 1024)
+    assert len(list(tmp_path.iterdir())) == docs.num_blocks() == 3
+    # the 40 ids in 10 groups of 4 equal signatures: 6 pairs per group
+    assert out.count() == 60

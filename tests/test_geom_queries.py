@@ -289,16 +289,17 @@ def test_edge_crosser_chain_matches_pairwise():
 
 def test_brute_knn_zero_queries_string_key_schema():
     """Zero queries over a string key column yield the documented partial
-    schema (query_id int64, neighbor typed like the key, d2 float64)."""
+    schema (query_id int64, neighbor typed like the key, d2 float64) from
+    the kNN scan without rings (brute force)."""
     import pyarrow as pa
 
-    from s2_geometry_rust_ray.stages.knn import BruteKnn
+    from s2_geometry_rust_ray.stages.knn import KnnScan
 
     empty = {c: np.array([], dtype=np.float64) for c in ("x", "y", "z")}
     empty["query_id"] = np.array([], dtype=np.int64)
     batch = pa.table({"name": pa.array(["a", "b"]),
                       "lat": [1.0, 2.0], "lng": [3.0, 4.0]})
-    out = BruteKnn(empty, k=3, key_col="name")(batch)
+    out = KnnScan(empty, 3, "name")(batch)
     assert out.num_rows == 0
     assert out.schema == pa.schema([("query_id", pa.int64()),
                                     ("neighbor", pa.string()),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -74,6 +75,18 @@ def test_exact_dedup_counts(ray_session, docs):
     assert sorted(got["keep_id"]) == sorted(truth["keep_id"])
 
 
+def _topk_in_process(partials: pa.Table, score: str, k: int):
+    """The one top-k kernel (`agg.grouped_topk`'s) run once over scan
+    partials, ranked: per query the k rows by (score desc, vec_id asc),
+    or by (d2, neighbor) for kNN partials."""
+    from s2_geometry_rust_ray.stages import agg
+
+    order = ([("d2", "ascending"), ("neighbor", "ascending")] if score == "d2"
+             else [(score, "descending"), ("vec_id", "ascending")])
+    out = agg._topk_block(["query_id"], order, k)(partials).to_pandas()
+    return out.assign(rank=out.groupby("query_id").cumcount() + 1)
+
+
 def test_ann_topk_matches_brute(ray_session):
     import ray.data
 
@@ -83,10 +96,10 @@ def test_ann_topk_matches_brute(ray_session):
     rng = np.random.default_rng(42)
     q = rng.normal(size=(10, 64)).astype("float32")
     got = simsearch.ann_topk(ds, q, np.arange(10), k=10).to_pandas()
-    # brute force: single batch through the same kernel
+    # brute force: single batch through the same scan and top-k kernel
     tbl = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
     stage = simsearch.TopKScan(q, np.arange(10), 10)
-    brute = simsearch.merge_topk(stage(tbl), 10).to_pandas()
+    brute = _topk_in_process(stage(tbl), "cosine", 10)
     a = got.sort_values(["query_id", "rank"]).reset_index(drop=True)
     b = brute.sort_values(["query_id", "rank"]).reset_index(drop=True)
     assert np.array_equal(a["vec_id"].values, b["vec_id"].values)
@@ -105,9 +118,8 @@ def test_ann_ivf_recall(ray_session):
     q = rng.normal(size=(5, 64)).astype("float32")
     ds = ray.data.read_parquet(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
     ivf = simsearch.ann_topk_ivf(ds, q, np.arange(5), cent, k=10, nprobe=6).to_pandas()
-    brute = simsearch.merge_topk(
-        simsearch.TopKScan(q, np.arange(5), 10)(tbl), 10
-    ).to_pandas()
+    brute = _topk_in_process(simsearch.TopKScan(q, np.arange(5), 10)(tbl),
+                             "cosine", 10)
     # recall@10 of IVF with nprobe=6/16 should be decent
     rec = []
     for qi in range(5):
@@ -326,36 +338,54 @@ def test_fingerprint_sql_twin_non_ascii():
     assert np.array_equal(got, want["fingerprint"].to_numpy())
 
 
-def test_distributed_topk_merge_matches_single(ray_session):
-    """merge='distributed' (hash-exchange by query_id, no repartition(1))
-    must equal merge='single' for both the ANN and kNN pipelines."""
+def test_topk_pipelines_match_kernel_in_process(ray_session):
+    """knn_brute, knn_cell and ann_topk (COSINE and Q15) over a 4-block
+    computed input, whose queries' partials meet in several partitions of
+    `agg.grouped_topk`, equal the kernel run once in-process over the
+    concatenated per-block scan output: exactly for kNN and Q15, with
+    equal vec ids and close cosines for COSINE."""
     import ray.data
 
-    from s2_geometry_rust_ray.stages import simsearch
     from s2_geometry_rust_ray.pipelines import knn as pknn
+    from s2_geometry_rust_ray.stages import simsearch
+    from s2_geometry_rust_ray.stages.encode import derive_geotags
+    from s2_geometry_rust_ray.stages.knn import KnnScan
 
-    ds = ray.data.read_parquet(
-        f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).repartition(4)
-    rng = np.random.default_rng(1)
-    q = rng.normal(size=(6, 64)).astype("float32")
-    a = simsearch.ann_topk(ds, q, np.arange(6), k=5).to_pandas()
-    b = simsearch.ann_topk(ds, q, np.arange(6), k=5,
-                           merge="distributed").to_pandas()
-    cols = ["query_id", "rank", "vec_id"]
-    a = a.sort_values(cols).reset_index(drop=True)
-    b = b.sort_values(cols).reset_index(drop=True)
-    assert a[cols].equals(b[cols])
+    def four_blocks(t: pa.Table):
+        step = -(-t.num_rows // 4)
+        blocks = [t.slice(i, step) for i in range(0, t.num_rows, step)]
+        return blocks, ray.data.from_arrow(blocks).materialize()
 
-    docs = ray.data.read_parquet(f"{SF}/documents.parquet",
-                                 columns=["doc_id"]).repartition(4)
-    ka = pknn.knn_brute(docs, "doc_id", k=3, n_queries=8).to_pandas()
-    kb = pknn.knn_brute(docs, "doc_id", k=3, n_queries=8,
-                        merge="distributed").to_pandas()
-    cols = ["query_id", "rank", "neighbor"]
-    ka = ka.sort_values(cols).reset_index(drop=True)
-    kb = kb.sort_values(cols).reset_index(drop=True)
-    assert ka[cols].equals(kb[cols])
+    def check(out, want, inexact_col):
+        assert out.num_blocks() > 1  # one block per partition with rows
+        got = out.to_pandas()
+        cols = ["query_id", "rank"]
+        got = got.sort_values(cols).reset_index(drop=True)
+        want = want.sort_values(cols).reset_index(drop=True)[got.columns]
+        if inexact_col is None:
+            assert got.equals(want)
+        else:
+            assert got.drop(columns=inexact_col).equals(
+                want.drop(columns=inexact_col))
+            assert np.allclose(got[inexact_col], want[inexact_col], atol=1e-6)
+
+    blocks, docs = four_blocks(pq.read_table(f"{SF}/documents.parquet",
+                                             columns=["doc_id"]))
+    scan = KnnScan(pknn.make_queries(16), 3, "doc_id")
+    want = _topk_in_process(pa.concat_tables(
+        [scan(derive_geotags(b, "doc_id")) for b in blocks]), "d2", 3)
+    check(pknn.knn_brute(docs, "doc_id", k=3, n_queries=16), want, None)
+    check(pknn.knn_cell(docs, "doc_id", k=3, n_queries=16), want, None)
+
+    blocks, vecs = four_blocks(pq.read_table(f"{SF}/embeddings.parquet",
+                                             columns=["vec_id", "embedding"]))
+    q = np.random.default_rng(1).normal(size=(16, 64)).astype("float32")
+    for arith, inexact in ((simsearch.COSINE, "cosine"), (simsearch.Q15, None)):
+        scan = simsearch.TopKScan(q, np.arange(16), 5, arith)
+        want = _topk_in_process(pa.concat_tables([scan(b) for b in blocks]),
+                                arith.col, 5)
+        check(simsearch.ann_topk(vecs, q, np.arange(16), k=5, arith=arith),
+              want, inexact)
 
 
 def test_quality_sql_twin_adversarial():
@@ -456,7 +486,8 @@ def test_grouped_aggregates_hash_final_matches_tree(ray_session):
     })
     ds = ray.data.from_pandas(df).repartition(6)
     cols = ["k", "v", "i", "rank"]
-    a = agg.grouped_topk(ds, "k", "v", "i", 3).to_pandas()
+    a = agg.grouped_topk(ds, ["k"], [("v", "descending"), ("i", "ascending")],
+                         3).to_pandas()
     a = a[cols].sort_values(cols).reset_index(drop=True)
     # brute-force oracle: exact rows, not just the count
     want = (
