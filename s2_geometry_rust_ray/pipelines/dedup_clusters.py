@@ -42,6 +42,11 @@ import numpy as np
 import pyarrow as pa
 
 
+def _label_sum(t: pa.Table) -> int:
+    """A raw task: the sum of a labels block's labels."""
+    return int(np.sum(t["label"].to_numpy()))
+
+
 def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
                    a_col: str = "doc_a", b_col: str = "doc_b",
                    num_parts: int | None = None, max_iters: int = 50):
@@ -80,12 +85,8 @@ def dedup_clusters(ids_ds, pairs_ds, id_col: str = "doc_id",
     # slice of the corpus — and plasma spills it if it outgrows memory.
     labels = exchange.map_blocks(ids_ds, init_labels).materialize()
 
-    @ray.remote
-    def block_sum(t: pa.Table) -> int:
-        return int(np.sum(t["label"].to_numpy()))
-
     def label_sum(ds) -> int:
-        return sum(ray.get([block_sum.remote(b)
+        return sum(ray.get([exchange.task(_label_sum).remote(b)
                             for b in exchange.block_refs(ds)]))
 
     def join_part(lt: pa.Table, et: pa.Table) -> pa.Table:

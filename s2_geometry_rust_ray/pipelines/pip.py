@@ -82,14 +82,8 @@ def shape_index_pip_join(ds, key_col: str, layer=None):
                 }
             )
 
-    import ray
-
-    return _actor_map(
-        ds,
-        ShapeIndexPIP,
-        fn_constructor_kwargs={"layer": ray.put(layer) if ray.is_initialized() else layer},
-        batch_size=131072,
-    )
+    return _actor_map(ds, ShapeIndexPIP, fn_constructor_kwargs={"layer": layer},
+                      batch_size=131072)
 
 
 def standard_caps() -> dict[str, Cap]:

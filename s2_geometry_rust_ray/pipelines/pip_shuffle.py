@@ -106,10 +106,9 @@ def shuffle_pip_join(ds, key_col: str, layer, num_parts: int | None = None,
     points = exchange.map_blocks(ds, candidates).materialize()
     if num_parts is None:
         num_parts = exchange.default_num_parts()
-    order_stats = ray.remote(_order_stats)
-    bounds = _range_bounds(
-        ray.get([order_stats.remote(b) for b in exchange.block_refs(points)]),
-        num_parts)
+    bounds = _range_bounds(ray.get([exchange.task(_order_stats).remote(b)
+                                    for b in exchange.block_refs(points)]),
+                           num_parts)
     pinned = [ray.put(sub) for sub in _sub_layers(prepared, bounds, num_parts)]
 
     def join(pts: pa.Table, sub: PreparedLayer) -> pa.Table:

@@ -249,7 +249,7 @@ def hamming_near_dup(ds, id_col: str, signature, schema: pa.Schema,
 
     # each signature once: bands and payload both read the (id, sig) table
     return exchange.near_dup(exchange.map_blocks(ds, signatures), id_col, bands,
-                             lambda b: b, verify, schema, num_parts,
+                             None, verify, schema, num_parts,
                              hot_bucket_cap)
 
 

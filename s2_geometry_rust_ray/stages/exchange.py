@@ -48,6 +48,9 @@ no execution cost, and it maps a computed input row-locally in raw tasks
     `map_batches`, so a read still fuses with the map.
 
 Driver discipline (the 100 TB rules):
+  * Every raw task is defined once per process (`task`), and a job's
+    callables cross by one `ray.put` per call, never inside a function
+    export: Ray keeps each export in its GCS function table for good.
   * ALL split tasks are submitted before any result is awaited — the map
     side of the shuffle is fully parallel (static num_returns=P, so
     submission itself never blocks on task completion).
@@ -86,6 +89,7 @@ a hot LSH bucket into chunks paired in separate tasks.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 from typing import NamedTuple
@@ -116,6 +120,16 @@ def default_num_parts() -> int:
     return max(MIN_PARTS, PARTS_PER_CPU * cpus)
 
 
+@functools.cache
+def task(body):
+    """A module-level `body` as a Ray task, defined once per process (Ray
+    keeps every function it exports in its GCS table): a task never
+    closes over a job's values, they are its arguments."""
+    import ray
+
+    return ray.remote(body)
+
+
 def in_slices(fn, batch_size: int | None):
     """`fn` over consecutive `batch_size`-row slices of a table (the whole
     table when batch_size is None or covers it), outputs concatenated in
@@ -138,6 +152,11 @@ def _arrow(block) -> pa.Table:
     return block if isinstance(block, pa.Table) else BlockAccessor.for_block(block).to_arrow()
 
 
+def _map_block(fn, block):
+    """A raw map task: `fn` over the block (`map_blocks`)."""
+    return fn(_arrow(block))
+
+
 def map_blocks(ds, fn, batch_size: int | None = None):
     """The row-local map at the Ray Data boundary: ``fn(pa.Table) ->
     pa.Table`` over `batch_size`-row slices, keeping the state of its
@@ -145,11 +164,11 @@ def map_blocks(ds, fn, batch_size: int | None = None):
 
     A computed input (`MaterializedDataset`: a `materialize()` result, an
     in-memory source materialized, every `as_dataset`) runs as one raw
-    Ray task per non-empty block (`block_refs`): `fn` is put in the
-    object store once, each task applies it to its block's slices
-    (`in_slices`) and concatenates the outputs, and the result is
-    `as_dataset` of the task refs in block order.  No executor starts,
-    now or when the result is consumed.
+    Ray task per non-empty block (`block_refs`): `fn`, with everything it
+    closes over, is put in the object store once per call, each task
+    applies it to its block's slices (`in_slices`) and concatenates the
+    outputs, and the result is `as_dataset` of the task refs in block
+    order.  No executor starts, now or when the result is consumed.
 
     A lazy input returns ``ds.map_batches(fn, batch_format="pyarrow",
     batch_size=batch_size)``, so a read still fuses with the map and
@@ -160,13 +179,8 @@ def map_blocks(ds, fn, batch_size: int | None = None):
 
     if not isinstance(ds, MaterializedDataset):
         return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
-
-    @ray.remote
-    def run(fn, block):
-        return in_slices(fn, batch_size)(_arrow(block))
-
-    fn_ref = ray.put(fn)
-    return as_dataset([run.remote(fn_ref, b) for b in block_refs(ds)])
+    fn_ref = ray.put(in_slices(fn, batch_size))
+    return as_dataset([task(_map_block).remote(fn_ref, b) for b in block_refs(ds)])
 
 
 def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_size=None):
@@ -174,8 +188,9 @@ def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_size=None):
     built on first use and reused for every later slice, once per task on
     the raw path (a computed input) and once per worker on Ray Data's
     task-pool map (a lazy input: the deserialized fn, `cache` included,
-    persists in the worker's function table).  ObjectRef kwargs are
-    `ray.get` at construction (the broadcast pattern).
+    persists in the worker's function table).  The kwargs ride inside the
+    callable, put in the object store once per call (`map_blocks`; Ray
+    Data puts a lazy map's transformer once): a broadcast needs no put.
 
     Not an actor pool: Ray's ActorPoolMapOperator turns every batch into
     an actor call (RPC + object-store arg/result round trip) and never
@@ -183,19 +198,12 @@ def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_size=None):
     for the same broadcast PIP join at 4 slots / batch_size 131072 (r4),
     and a full-width fixed pool starves the un-fused source operator (r3
     ADVICE; fatal at 1 cpu)."""
-    import ray
-
     kw = dict(fn_constructor_kwargs or {})
     cache: dict = {}
 
     def fn(batch):
         if "inst" not in cache:
-            cache["inst"] = cls(
-                **{
-                    k: (ray.get(v) if isinstance(v, ray.ObjectRef) else v)
-                    for k, v in kw.items()
-                }
-            )
+            cache["inst"] = cls(**kw)
         return cache["inst"](batch)
 
     return map_blocks(ds, fn, batch_size)
@@ -401,6 +409,13 @@ class _Split(list):
     that hold rows."""
 
 
+def _split_block(spec, block):
+    """A split task: a block's num_parts shards, then their row counts."""
+    key, num_parts, map_fn = spec
+    parts = _split(_arrow(block), key, num_parts, map_fn)
+    return (*parts, [t.num_rows for t in parts])
+
+
 def _submit_split(side, num_parts: int):
     """One split task per non-empty block of a side ``(ds, key, map_fn)``,
     each returning num_parts shards and their row counts.  A lazy side's
@@ -412,15 +427,11 @@ def _submit_split(side, num_parts: int):
     ds, key, map_fn = side
     if map_fn is not None and not isinstance(ds, MaterializedDataset):
         ds, map_fn = map_blocks(ds, map_fn), None
-
-    @ray.remote(num_returns=num_parts + 1)
-    def task(block):
-        parts = _split(_arrow(block), key, num_parts, map_fn)
-        return (*parts, [t.num_rows for t in parts])
-
+    spec = ray.put((key, num_parts, map_fn))
+    run = task(_split_block).options(num_returns=num_parts + 1)
     # static num_returns: submission returns refs immediately, so every
     # split task is in flight before any result is awaited
-    return [task.remote(b) for b in block_refs(ds)]
+    return [run.remote(spec, b) for b in block_refs(ds)]
 
 
 def _gather(tasks, num_parts: int) -> _Split:
@@ -438,6 +449,18 @@ def split(ds, key, num_parts: int, map_fn=None) -> _Split:
     `sides` in place of the tuple.  Its partitions line up with every
     side split by the same partitioner into num_parts."""
     return _gather(_submit_split((ds, key, map_fn), num_parts), num_parts)
+
+
+def _partition(fn, sizes, *refs):
+    """A partition task: `fn` over each side's `sizes` shards, widened and
+    concatenated, and the pinned refs; returns its output and row count."""
+    tables, i = [], 0
+    for n in sizes:
+        tables.append(pa.concat_tables([_widen(t) for t in refs[i:i + n]],
+                                       promote_options="default"))
+        i += n
+    out = fn(*tables, *refs[i:])
+    return out, out.num_rows
 
 
 def co_partition(sides, num_parts: int | None, fn, pinned=None):
@@ -491,17 +514,10 @@ def co_partition(sides, num_parts: int | None, fn, pinned=None):
     splits = [s if isinstance(s, _Split) else _gather(s, num_parts)
               for s in submitted]
 
-    @ray.remote(num_returns=2)
-    def run(sizes, *refs):
-        tables, i = [], 0
-        for n in sizes:
-            tables.append(pa.concat_tables([_widen(t) for t in refs[i:i + n]],
-                                           promote_options="default"))
-            i += n
-        out = fn(*tables, *refs[i:])
-        return out, out.num_rows
-
-    pairs = [run.remote([len(s[p]) for s in splits], *(r for s in splits for r in s[p]),
+    fn_ref = ray.put(fn)
+    run = task(_partition).options(num_returns=2)
+    pairs = [run.remote(fn_ref, [len(s[p]) for s in splits],
+                        *(r for s in splits for r in s[p]),
                         *([] if pinned is None else [pinned[p]]))
              for p in range(num_parts) if all(s[p] for s in splits)]
     counts = ray.get([n for _, n in pairs])
@@ -524,9 +540,9 @@ def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int | None,
 
 
 class _BroadcastJoiner:
-    """Per-task state for broadcast_join: the right table is ray.put
-    ONCE; each map task (each worker, over a lazy input) deserializes it
-    once (actor_map closure cache) and builds a sorted-key index once.
+    """Per-task state for broadcast_join: the right table rides the
+    object store ONCE with the map's callable (`actor_map`); each map task
+    (each worker, over a lazy input) builds a sorted-key index once.
     Lookup per batch is one vectorized searchsorted — no shuffle of the
     big side ever happens."""
 
@@ -573,24 +589,18 @@ class _BroadcastJoiner:
 def broadcast_join(ds, right_tbl: pa.Table, key_col: str,
                    right_on: str | None = None, columns=None):
     """Map-side INNER equi-join of a Dataset against a BROADCAST small
-    table (dimension-table pattern): the right side is put in the object
-    store once and indexed once per map task; each batch does one
-    vectorized searchsorted.  Right keys must be UNIQUE (dimension key).
+    table (dimension-table pattern): the right side rides the object
+    store once with the map (`actor_map`) and is indexed once per map
+    task; each batch does one vectorized searchsorted.  Right keys must
+    be UNIQUE (dimension key).
     `columns` prunes the attached right columns.  This is the
     never-shuffle-the-big-side path; two large sides meet in a
     `co_partition`."""
-    import ray
-
     rk = right_on or key_col
     if columns is not None:
         right_tbl = right_tbl.select([rk] + [c for c in columns if c != rk])
-    return actor_map(
-        ds,
-        _BroadcastJoiner,
-        fn_constructor_kwargs={
-            "right": ray.put(right_tbl), "key_col": key_col, "right_on": rk,
-        },
-    )
+    return actor_map(ds, _BroadcastJoiner, fn_constructor_kwargs={
+        "right": right_tbl, "key_col": key_col, "right_on": rk})
 
 
 def _segments_of_sorted(b_s: np.ndarray):
@@ -774,7 +784,7 @@ def near_dup(ds, id_col: str, bands, payload, verify, schema: pa.Schema,
       in the band exchange's split task.
     * ``payload(block) -> pa.Table``: (id_col, the values `verify`
       compares) for every id `bands` gives; run once per block
-      (`map_blocks`).
+      (`map_blocks`).  None: the input's blocks are the payload.
     * ``verify(pairs) -> columns in schema order``: `pairs` is (a, b, the
       payload columns suffixed ``_a``, then ``_b``); run in the second
       payload join's partition task, on the pairs of that partition.
@@ -796,7 +806,7 @@ def near_dup(ds, id_col: str, bands, payload, verify, schema: pa.Schema,
         rows = np.repeat(np.arange(len(ids)), buckets.shape[1])
         return pa.table({id_col: ids.take(rows), "bucket": buckets.ravel()})
 
-    src = map_blocks(ds, payload)
+    src = ds if payload is None else map_blocks(ds, payload)
 
     def join(pairs: pa.Table, payloads: pa.Table, key: str, suffix: str):
         payloads = payloads.rename_columns(

@@ -3,9 +3,9 @@
 Broadcast path (this module): the region layer is tiny relative to the
 point table (10^1..10^5 regions vs 10^12 points), so it is prepared ONCE
 where the plan is built (`prepare_layer`: coverings memoized per process)
-and shipped with the stage; `exchange.actor_map` constructs `PIPJoin`
-once per raw map task over a computed input (once per worker over a
-lazy one) and caches the instance.  No shuffle at all.  (SURVEY.md §2.10 "Joins/lookups".)
+and rides the object store once per job inside the stage's callable;
+`exchange.actor_map` constructs `PIPJoin` once per raw map task over a
+computed input (once per worker over a lazy one).  No shuffle (SURVEY.md §2.10).
 
 `PIPJoin` runs a batch in tiles of TILE_ROWS rows.  Per tile and
 region, the region's covering picks the candidates, then `refine`: the
@@ -39,6 +39,7 @@ from ..functions import cellid as _cellid
 from ..functions.coords import latlng_deg_to_xyz
 from ..geometry.loop import Polygon
 from ..geometry.polyline import Polyline
+from .exchange import task
 
 # Rows per tile of a PIPJoin batch.  It bounds the per-tile temporaries
 # (encode, covering masks, exact-refine points) to ~1 MB.  At 16384 a
@@ -148,18 +149,12 @@ def prepare_layer(layer: dict, covering_max_cells: int = 48,
     def build():
         import ray
 
-        items = list(layer.items())
-        if ray.is_initialized() and len(items) > 2:
-            prep = ray.remote(_prepare_one)
-            results = ray.get([
-                prep.remote(pid, shape, covering_max_cells, covering_max_level)
-                for pid, shape in items
-            ])
+        args = [(pid, shape, covering_max_cells, covering_max_level)
+                for pid, shape in layer.items()]
+        if ray.is_initialized() and len(args) > 2:
+            results = ray.get([task(_prepare_one).remote(*a) for a in args])
         else:
-            results = [
-                _prepare_one(pid, shape, covering_max_cells, covering_max_level)
-                for pid, shape in items
-            ]
+            results = [_prepare_one(*a) for a in args]
         regions, coverings, interiors = {}, {}, {}
         for pid, region, cov, icov in results:
             regions[pid] = region

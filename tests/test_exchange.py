@@ -577,6 +577,87 @@ def test_map_batches_is_called_only_in_map_blocks():
     assert len(calls) == 1
 
 
+def test_ray_remote_is_called_only_in_task():
+    """Every raw Ray task is defined once per process: an AST scan of the
+    package finds `ray.remote` only inside `exchange.task`."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(exchange.__file__).parents[1]
+    refs, allowed = [], set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node.name == "task"
+                    and path.name == "exchange.py"):
+                allowed |= {id(n) for n in ast.walk(node)}
+            if (isinstance(node, ast.Attribute) and node.attr == "remote"
+                    and isinstance(node.value, ast.Name) and node.value.id == "ray"):
+                refs.append((node, f"{path.relative_to(root)}:{node.lineno}"))
+    outside = [where for node, where in refs if id(node) not in allowed]
+    assert not outside, outside
+    assert len(refs) == 1
+
+
+def _exported_functions() -> dict:
+    """Ray's exported remote functions: key -> (module, size in bytes)."""
+    import pickle
+
+    from ray.experimental import internal_kv as kv
+
+    out = {}
+    for k in kv._internal_kv_list(b"RemoteFunction", namespace="fun"):
+        v = kv._internal_kv_get(k, namespace="fun")
+        out[k] = (pickle.loads(v)["module"], len(v))
+    return out
+
+
+@pytest.mark.parametrize("op", sorted(_EXECUTOR_COUNTS))
+def test_repeated_job_exports_no_function(ray_session, op):
+    """A job's code reaches its tasks as arguments, not as new remote
+    functions: the second run of an op over the same computed input adds
+    no function to Ray's GCS function table.  A lazy input's plan runs in
+    a Ray Data executor, which exports its own map task once per run."""
+    query, executors = _EXECUTOR_COUNTS[op]
+    inputs = _inputs()
+    query(inputs).materialize()
+    before = _exported_functions()
+    query(inputs).materialize()
+    new = [m for k, (m, _) in _exported_functions().items() if k not in before]
+    assert [m for m in new if not (executors and m.startswith("ray.data."))] == []
+
+
+def test_large_callable_rides_the_object_store(ray_session):
+    """An ANN scan holding 40,000 queries crosses to its split tasks
+    through the object store: after the job no function Ray has exported
+    is larger than 64 KB."""
+    queries = np.random.default_rng(6).normal(size=(40_000, 8)).astype(np.float32)
+    out = simsearch.ann_topk(_inputs()["vectors"], queries, np.arange(40_000), k=4)
+    assert out.count() == 160_000
+    sizes = list(_exported_functions().values())
+    assert sizes and all(n <= 64 * 1024 for _, n in sizes), sizes
+
+
+def test_hamming_near_dup_carries_its_signatures_as_payload(ray_session,
+                                                            monkeypatch):
+    """SimHash's (id, sig) blocks are its near-dup payload as they are:
+    one `simhash_near_dup` job makes two `map_blocks` calls (the
+    signatures and the hot-bucket spill), not a third identity map."""
+    calls = []
+    map_blocks = exchange.map_blocks
+
+    def counting(ds, fn, batch_size=None):
+        calls.append(fn)
+        return map_blocks(ds, fn, batch_size)
+
+    inputs = _inputs()
+    want = textops.simhash_near_dup(inputs["docs"], num_parts=4).to_pandas()
+    monkeypatch.setattr(exchange, "map_blocks", counting)
+    got = textops.simhash_near_dup(inputs["docs"], num_parts=4).to_pandas()
+    assert len(calls) == 2
+    assert len(got) > 0 and got.equals(want)
+
+
 @pytest.mark.parametrize("mode,rows", [("inner", 40), ("semi", 40), ("anti", 360)])
 def test_pip_join_over_lazy_input_fuses_with_it(ray_session, executors, mode,
                                                 rows):
@@ -690,6 +771,35 @@ def test_co_partition_lost_worker_is_deterministic(ray_session, tmp_path):
     crashed = run(True)
     assert os.path.exists(map_marker) and os.path.exists(fn_marker)
     assert crashed == clean
+
+
+@pytest.mark.parametrize("where", ["split", "partition"])
+def test_co_partition_lost_worker_in_one_task_is_deterministic(ray_session,
+                                                               tmp_path, where):
+    """Only a split task (in map_fn) or only a partition task (in fn)
+    loses its worker once, over a 4-block computed input; Ray's default
+    retry reruns it and the output is byte-identical to a clean run."""
+    import os
+
+    src = _in_blocks(pa.table({"k": np.arange(2000, dtype=np.int64) % 50,
+                               "v": np.arange(2000, dtype=np.int64)}), 4)
+    marker = str(tmp_path / where)
+
+    def run(crash: bool) -> list[bytes]:
+        def step(t, here):
+            if crash and here == where:
+                _crash_once(marker)
+            return t
+
+        return _ipc_blobs(exchange.co_partition(
+            [(src, "k", lambda t: step(t, "split"))], 4,
+            lambda t: step(t, "partition").sort_by([("k", "ascending"),
+                                                    ("v", "ascending")])))
+
+    clean = run(False)
+    crashed = run(True)
+    assert os.path.exists(marker)
+    assert len(clean) == 4 and crashed == clean
 
 
 def _ipc_blobs(ds) -> list[bytes]:
