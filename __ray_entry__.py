@@ -49,6 +49,8 @@ def _lineitem_keys(sf_dir: str):
     """lineitem with a unique integer key (l_orderkey*8 + l_linenumber)."""
     import pyarrow.compute as pc
 
+    from s2_geometry_rust_ray.stages import exchange
+
     ds = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
 
     def add_key(batch):
@@ -58,7 +60,7 @@ def _lineitem_keys(sf_dir: str):
         )
         return batch.append_column("k", k).select(["k"])
 
-    return ds.map_batches(add_key, batch_format="pyarrow")
+    return exchange.map_blocks(ds, add_key)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +231,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ).astype(np.int64),
             })
 
-        # a grouped reduce over a lazy map: the query declares its schema
+        # a grouped reduce with a `prepare`: the query declares its schema
         return exchange.with_schema(agg.reduce_by_key(
-            joined.map_batches(project, batch_format="pyarrow"),
-            "p_brand", {"n": "sum", "sum_qty": "sum"},
+            joined, "p_brand", {"n": "sum", "sum_qty": "sum"}, prepare=project,
         ), pa.schema([("p_brand", pa.string()), ("n", pa.int64()),
                       ("sum_qty", pa.int64())]))
 
@@ -307,6 +308,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # it; oracle/sql.q_emb_near_dup_q15 rebuilds it with the same offset.
         import pyarrow.compute as pc
 
+        from s2_geometry_rust_ray.stages import exchange
+
         ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
         def offset_ids(batch):
@@ -315,9 +318,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 pc.add(batch["vec_id"], 10_000_000),
             )
 
-        dup = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]).map_batches(
-            offset_ids, batch_format="pyarrow"
-        )
+        dup = exchange.map_blocks(
+            _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]), offset_ids)
         return ds.union(dup)
 
     def q_emb_near_dup(sf_dir: str):

@@ -6,7 +6,7 @@ s2closest_edge_query.h, s2contains_point_query.h, s2convex_hull_query.h).
 
 Point queries (S2ClosestPointQuery) are the distributed kNN pipelines
 (pipelines/knn.py); this module holds the edge/cell/hull queries that run
-against broadcast geometry inside actors.
+against broadcast geometry, built once where the plan is built.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@
     -> leaf S2 cell encode + tile parents        (stateless: the reduce's
                                                   `prepare`, or map_blocks)
     -> (a) tile assignment groupby               (hash-partitioned reduce)
-    -> (b) PIP join vs the polygon layer         (broadcast actor_map)
+    -> (b) PIP join vs the polygon layer         (broadcast stage, map_blocks)
     -> (c) indexed pass-through write            (payload + derived cols,
            partitioned by coarse tile, resumable via state/manifest)
 
@@ -22,7 +22,7 @@ import pyarrow as pa
 
 from ..functions import cellid
 from ..stages.encode import encode_cells
-from ..stages.exchange import actor_map as _actor_map, map_blocks, with_schema
+from ..stages.exchange import map_blocks, with_schema
 from . import tiling
 
 
@@ -47,19 +47,16 @@ def image_tile_counts(images_dir: str, level: int = 8):
 
 
 def image_pip_join(images_dir: str, layer=None, mode: str = "inner"):
+    """The broadcast PIP join of the images' (lat, lng) columns: one
+    `PIPJoin` built here, run by `stages/pip.run_join`."""
     from ..stages import pip as pip_stages
     from .pip import standard_polygon_layer
 
     if layer is None:
         layer = standard_polygon_layer()
-    prepared = pip_stages.prepare_layer(layer)
-    ds = geometry_view(images_dir)
-    return _actor_map(
-        ds,
-        pip_stages.PIPJoin,
-        fn_constructor_kwargs={"layer": prepared, "key_col": "image_id", "mode": mode},
-        batch_size=65536,
-    )
+    join = pip_stages.PIPJoin(pip_stages.prepare_layer(layer), key_col="image_id",
+                              mode=mode)
+    return pip_stages.run_join(geometry_view(images_dir), join, 65536)
 
 
 def indexed_passthrough(images_dir: str, out_dir: str, tile_level: int = 5,

@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..functions.coords import latlng_deg_to_xyz
 from ..geometry import fixtures
 from ..geometry.cap import Cap
 from ..geometry.rect import LatLngRect
 from ..stages import distance as dist_stages
 from ..stages import pip as pip_stages
-from ..stages.exchange import (actor_map as _actor_map, known_schema, map_blocks,
-                               typed, with_schema)
+from ..stages.exchange import map_blocks, typed
 from ..stages.encode import derive_geotags
 
 
@@ -28,6 +28,38 @@ def standard_polygon_layer():
     return layer
 
 
+class _ShapeIndexPIP:
+    """The shape-index point-location stage: the layer's MutableShapeIndex
+    (coverings, postings and seeds) is built once, where the plan is
+    built, never per task or batch."""
+
+    mode, id_col = "inner", "polygon_id"
+
+    def __init__(self, layer, key_col: str):
+        from ..geometry import shape_index as si
+        from ..geometry.loop import Polygon
+
+        self.key_col = key_col
+        self.index = si.MutableShapeIndex(max_cells_per_shape=32, max_level=12)
+        pids = sorted(layer)
+        for pid in pids:
+            poly = layer[pid]
+            if not isinstance(poly, Polygon):
+                poly = Polygon.from_loops_latlng_deg(poly)
+            self.index.add_shape(si.PolygonShape(poly))
+        self.index.build()
+        self.pid_array = pa.array(pids, pa.string())
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        batch = derive_geotags(batch, self.key_col)  # fused: no separate stage
+        lat = batch["lat"].to_numpy(zero_copy_only=False)
+        lng = batch["lng"].to_numpy(zero_copy_only=False)
+        pt_idx, sids = self.index.contains_points(
+            np.stack(latlng_deg_to_xyz(lat, lng), axis=-1))
+        return pa.table({self.key_col: batch[self.key_col].take(pt_idx),
+                         self.id_col: self.pid_array.take(sids)})
+
+
 def shape_index_pip_join(ds, key_col: str, layer=None):
     """PIP join computed through the MutableShapeIndex point-location path
     (geometry/shape_index.py) — a THIRD independent implementation of the
@@ -37,53 +69,10 @@ def shape_index_pip_join(ds, key_col: str, layer=None):
     whole batch, searchsorted ancestor probes per index level, vectorized
     crossing-parity per located cell with the scalar robust predicates
     only as the uncertain-pair fallback).  Output (key_col, polygon_id),
-    identical to pip_join."""
-    from ..functions.coords import latlng_deg_to_xyz as _to_xyz
-    from ..geometry import shape_index as si
-    from ..geometry.loop import Polygon as _Polygon
-    from ..stages.encode import derive_geotags
-
+    identical to pip_join, typed as `stages/pip.run_join` types it."""
     if layer is None:
         layer = standard_polygon_layer()
-
-    class ShapeIndexPIP:
-        def __init__(self, layer):
-            self.geotag = lambda b: derive_geotags(b, key_col)
-            # index (coverings + postings + seeds) built ONCE per map task
-            # or worker, never per batch
-            self.index = si.MutableShapeIndex(
-                max_cells_per_shape=32, max_level=12
-            )
-            self.pids: list = []
-            for pid, loops in sorted(layer.items()):
-                poly = (
-                    loops
-                    if isinstance(loops, _Polygon)
-                    else _Polygon.from_loops_latlng_deg(loops)
-                )
-                self.index.add_shape(si.PolygonShape(poly))
-                self.pids.append(pid)
-            self.index.build()
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            batch = self.geotag(batch)  # fused: no separate wrapper stage
-            lat = batch["lat"].to_numpy(zero_copy_only=False)
-            lng = batch["lng"].to_numpy(zero_copy_only=False)
-            x, y, z = _to_xyz(lat, lng)
-            pts = np.stack([x, y, z], axis=-1)
-            keys = batch[key_col].to_numpy(zero_copy_only=False)
-            pt_idx, sids = self.index.contains_points(pts)
-            pid_arr = np.asarray(self.pids, dtype=object)
-            return pa.table(
-                {
-                    key_col: pa.array(keys[pt_idx],
-                                      type=batch[key_col].type),
-                    "polygon_id": pa.array(pid_arr[sids], type=pa.string()),
-                }
-            )
-
-    return _actor_map(ds, ShapeIndexPIP, fn_constructor_kwargs={"layer": layer},
-                      batch_size=131072)
+    return pip_stages.run_join(ds, _ShapeIndexPIP(layer, key_col), 131072)
 
 
 def standard_caps() -> dict[str, Cap]:
@@ -128,35 +117,22 @@ class _GeotagEncodeJoin(pip_stages.PIPJoin):
 def _region_join(ds, key_col: str, **join_kwargs):
     """The one broadcast region join behind pip_join, within_distance_join
     and route_buffer_join (`join_kwargs` go to PIPJoin): a fused
-    geotag+encode+PIPJoin stage, run by `exchange.actor_map`: over a
-    computed input one raw task per block, which builds the instance
-    once, so the query starts no Ray Data executor; over a lazy input a
-    task-pool map fused with the read, which builds it once per worker.
-    The prepared layer rides the object store with the stage, once per
-    task or worker, never per batch.  The join runs each batch in row tiles
-    (stages/pip.TILE_ROWS), so a batch's memory is its columns and
-    matches plus a per-tile constant, whatever the candidate and edge
-    counts.
+    geotag+encode+PIPJoin stage, built once here with the prepared layer
+    and run by `stages/pip.run_join` (`exchange.map_blocks`): over a
+    computed input one raw task per block, so the query starts no Ray
+    Data executor; over a lazy input a map fused with the read.  The
+    stage rides the object store once per job, never per task or batch.
+    The join runs each batch in row tiles (stages/pip.TILE_ROWS), so a
+    batch's memory is its columns and matches plus a per-tile constant,
+    whatever the candidate and edge counts.
 
     batch_size 131072: each batch pays a fixed cost (slicing and wrapping
     the block, the per-tile passes), which 131072 rows amortize.
     The size was chosen when this stage was an actor pool (32768 -> 131072
     took a 4-slot run from 10.7 s to 5.9 s; 262144 regressed on cache
-    pressure) and is kept for the task maps.
-
-    Over a computed input whose schema Ray reports, an empty result is
-    one empty block: (key_col, the string id column) in inner mode, the
-    input's schema in semi and anti mode."""
-    schema = known_schema(ds)
-    if schema is not None and join_kwargs.get("mode", "inner") == "inner":
-        schema = pa.schema([schema.field(key_col),
-                            (join_kwargs.get("id_col", "polygon_id"), pa.string())])
-    return with_schema(_actor_map(
-        ds,
-        _GeotagEncodeJoin,
-        fn_constructor_kwargs={"key_col": key_col, **join_kwargs},
-        batch_size=131072,
-    ), schema)
+    pressure) and is kept for the task maps."""
+    return pip_stages.run_join(
+        ds, _GeotagEncodeJoin(key_col=key_col, **join_kwargs), 131072)
 
 
 def pip_join(ds, key_col: str, layer=None, mode: str = "inner"):
@@ -250,24 +226,35 @@ def within_distance_join(ds, key_col: str, layer=None, radius_deg: float = 1.5):
         layer=dist_stages.buffered(prepared, math.radians(radius_deg)))
 
 
-_REGION_ID = ("region_id", pa.string())
+def _mask_join(ds, key_col: str, masks):
+    """(key_col, region_id) rows of the points of `ds` inside each region:
+    geotag and `stages/pip.mask_join` fused in one stateless `map_blocks`
+    fn, `masks(lat, lng)` giving the (region id, row mask) pairs."""
+    def fn(b: pa.Table) -> pa.Table:
+        b = derive_geotags(b, key_col)
+        lat = b["lat"].to_numpy(zero_copy_only=False)
+        lng = b["lng"].to_numpy(zero_copy_only=False)
+        return pip_stages.mask_join(b, key_col, masks(lat, lng))
+
+    return typed(ds, map_blocks(ds, fn), [key_col, ("region_id", pa.string())])
 
 
 def cap_join(ds, key_col: str, caps=None):
-    """(key_col, region_id) rows of the points inside each Cap: geotag
-    and join fused in one stateless `map_blocks` fn."""
+    """(key_col, region_id) rows of the points inside each Cap."""
     if caps is None:
         caps = standard_caps()
-    return typed(ds, map_blocks(
-        ds, lambda b: pip_stages.cap_join(derive_geotags(b, key_col), caps, key_col)),
-        [key_col, _REGION_ID])
+
+    def masks(lat, lng):
+        xyz = latlng_deg_to_xyz(lat, lng)
+        return ((rid, cap.contains_xyz(*xyz)) for rid, cap in caps.items())
+
+    return _mask_join(ds, key_col, masks)
 
 
 def rect_join(ds, key_col: str, rects=None):
-    """(key_col, region_id) rows of the points inside each LatLngRect, as
-    `cap_join`."""
+    """(key_col, region_id) rows of the points inside each LatLngRect
+    (degree-space comparisons)."""
     if rects is None:
         rects = standard_rects()
-    return typed(ds, map_blocks(
-        ds, lambda b: pip_stages.rect_join(derive_geotags(b, key_col), rects, key_col)),
-        [key_col, _REGION_ID])
+    return _mask_join(ds, key_col, lambda lat, lng: (
+        (rid, rect.contains_latlng_deg(lat, lng)) for rid, rect in rects.items()))

@@ -38,9 +38,11 @@ no execution cost, and it maps a computed input row-locally in raw tasks
     `ExecutionPlan.execute()`'s source-operator shortcut: no executor now
     or when the result is consumed, and a query that is raw Ray from end
     to end never starts that actor.
-  * Every row-local map in the package is `map_blocks` (`actor_map`
-    for a stateful one), or the `prepare` / `map_fn` of a grouped reduce
-    or exchange, which runs inside the split task of a computed input.
+  * Every row-local map in the package is `map_blocks`, or the
+    `prepare` / `map_fn` of a grouped reduce or exchange, which runs
+    inside the split task of a computed input.  A stateful map (a
+    broadcast table's index, a PIP layer, a shape index) is a value: its
+    stage is built once where the plan is built and passed as the fn.
     `map_blocks` holds the package's one `map_batches` call: a computed
     input runs as raw tasks, one per block, because ANY executor's
     shutdown starts that ~124 MB actor, and a `map_batches` over it would
@@ -160,20 +162,23 @@ def _map_block(fn, block):
 def map_blocks(ds, fn, batch_size: int | None = None):
     """The row-local map at the Ray Data boundary: ``fn(pa.Table) ->
     pa.Table`` over `batch_size`-row slices, keeping the state of its
-    input.
+    input.  A stateful stage is passed built (a callable instance whose
+    state the caller constructed once, where the plan is built), so no
+    task or worker builds it again.
 
     A computed input (`MaterializedDataset`: a `materialize()` result, an
     in-memory source materialized, every `as_dataset`) runs as one raw
     Ray task per non-empty block (`block_refs`): `fn`, with everything it
-    closes over, is put in the object store once per call, each task
+    holds, is put in the object store once per call, each task
     applies it to its block's slices (`in_slices`) and concatenates the
     outputs, and the result is `as_dataset` of the task refs in block
     order.  No executor starts, now or when the result is consumed.
 
     A lazy input returns ``ds.map_batches(fn, batch_format="pyarrow",
     batch_size=batch_size)``, so a read still fuses with the map and
-    streams through one executor when a consumer runs it (Ray 2.49 never
-    calls `fn` on a zero-row block either)."""
+    streams through one executor when a consumer runs it (Ray Data puts
+    the map's fn once per plan, and Ray 2.49 never calls it on a zero-row
+    block)."""
     import ray
     from ray.data.dataset import MaterializedDataset
 
@@ -184,29 +189,9 @@ def map_blocks(ds, fn, batch_size: int | None = None):
 
 
 def actor_map(ds, cls, *, fn_constructor_kwargs=None, batch_size=None):
-    """`map_blocks` with a stateful callable class: ``cls(**kwargs)`` is
-    built on first use and reused for every later slice, once per task on
-    the raw path (a computed input) and once per worker on Ray Data's
-    task-pool map (a lazy input: the deserialized fn, `cache` included,
-    persists in the worker's function table).  The kwargs ride inside the
-    callable, put in the object store once per call (`map_blocks`; Ray
-    Data puts a lazy map's transformer once): a broadcast needs no put.
-
-    Not an actor pool: Ray's ActorPoolMapOperator turns every batch into
-    an actor call (RPC + object-store arg/result round trip) and never
-    fuses with the input: measured 10.4 s actor pool vs 5.9 s task pool
-    for the same broadcast PIP join at 4 slots / batch_size 131072 (r4),
-    and a full-width fixed pool starves the un-fused source operator (r3
-    ADVICE; fatal at 1 cpu)."""
-    kw = dict(fn_constructor_kwargs or {})
-    cache: dict = {}
-
-    def fn(batch):
-        if "inst" not in cache:
-            cache["inst"] = cls(**kw)
-        return cache["inst"](batch)
-
-    return map_blocks(ds, fn, batch_size)
+    """Alias of ``map_blocks(ds, cls(**fn_constructor_kwargs), batch_size)``
+    for the benchmark harness's traced `stages.pip` layer."""
+    return map_blocks(ds, cls(**(fn_constructor_kwargs or {})), batch_size)
 
 
 class Ranges(NamedTuple):
@@ -540,11 +525,11 @@ def hash_exchange_apply(ds, key_col: str | list[str], num_parts: int | None,
 
 
 class _BroadcastJoiner:
-    """Per-task state for broadcast_join: the right table rides the
-    object store ONCE with the map's callable (`actor_map`); each map task
-    (each worker, over a lazy input) builds a sorted-key index once.
-    Lookup per batch is one vectorized searchsorted — no shuffle of the
-    big side ever happens."""
+    """The broadcast_join stage, built once where the plan is built: the
+    right table's keys argsorted and checked unique, then the stage rides
+    the object store once with the map (`map_blocks`).  Lookup per batch
+    is one vectorized searchsorted — no shuffle of the big side ever
+    happens."""
 
     def __init__(self, right: pa.Table, key_col: str, right_on: str):
         self.key_col = key_col
@@ -561,6 +546,17 @@ class _BroadcastJoiner:
             )
         self.right = right.drop_columns([right_on])
 
+    def check_names(self, left_names):
+        """Raise if an attached right column shares a name with the left
+        side: pyarrow append_column permits duplicate names, and a shared
+        non-key column would silently yield an ambiguous table."""
+        clash = set(self.right.column_names) & set(left_names)
+        if clash:
+            raise ValueError(
+                f"broadcast_join column collision: {sorted(clash)} exist "
+                "on both sides — prune with columns=[...] or rename"
+            )
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         k = batch[self.key_col].to_numpy(zero_copy_only=False)
         if len(self.sorted_keys) == 0:
@@ -570,16 +566,9 @@ class _BroadcastJoiner:
             pos = np.searchsorted(self.sorted_keys, k)
             pos = np.clip(pos, 0, len(self.sorted_keys) - 1)
             hit = self.sorted_keys[pos] == k
+        self.check_names(batch.column_names)
         left = batch.take(pa.array(np.nonzero(hit)[0]))
         attach = self.right.take(pa.array(self.order[pos[hit]]))
-        clash = set(attach.column_names) & set(left.column_names)
-        if clash:
-            # pyarrow append_column permits duplicate names; a shared
-            # non-key column would silently yield an ambiguous table
-            raise ValueError(
-                f"broadcast_join column collision: {sorted(clash)} exist "
-                "on both sides — prune with columns=[...] or rename"
-            )
         out = left
         for name in attach.column_names:
             out = out.append_column(name, attach[name])
@@ -589,18 +578,25 @@ class _BroadcastJoiner:
 def broadcast_join(ds, right_tbl: pa.Table, key_col: str,
                    right_on: str | None = None, columns=None):
     """Map-side INNER equi-join of a Dataset against a BROADCAST small
-    table (dimension-table pattern): the right side rides the object
-    store once with the map (`actor_map`) and is indexed once per map
-    task; each batch does one vectorized searchsorted.  Right keys must
-    be UNIQUE (dimension key).
-    `columns` prunes the attached right columns.  This is the
-    never-shuffle-the-big-side path; two large sides meet in a
-    `co_partition`."""
+    table (dimension-table pattern): the right side is indexed once, here
+    (`_BroadcastJoiner`: a duplicate right key raises at this call), and
+    rides the object store once with the map (`map_blocks`); each batch
+    does one vectorized searchsorted.  Right keys must be UNIQUE
+    (dimension key).  `columns` prunes the attached right columns.  This
+    is the never-shuffle-the-big-side path; two large sides meet in a
+    `co_partition`.  Output: the input's columns, then the attached right
+    columns (a shared name raises, at this call where Ray reports the
+    input's schema); an empty computed result is one empty block of them."""
     rk = right_on or key_col
     if columns is not None:
         right_tbl = right_tbl.select([rk] + [c for c in columns if c != rk])
-    return actor_map(ds, _BroadcastJoiner, fn_constructor_kwargs={
-        "right": right_tbl, "key_col": key_col, "right_on": rk})
+    join = _BroadcastJoiner(right_tbl, key_col, rk)
+    sch = known_schema(ds)
+    if sch is None:
+        return map_blocks(ds, join)
+    join.check_names(sch.names)
+    return with_schema(map_blocks(ds, join), pa.schema(
+        [*sch, *(pa.field(f.name, f.type) for f in join.right.schema)]))
 
 
 def _segments_of_sorted(b_s: np.ndarray):

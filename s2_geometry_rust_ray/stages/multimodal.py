@@ -1,8 +1,8 @@
-"""Multimodal (image / audio / video) stages — stateful row-local maps
-(`exchange.actor_map`) over opaque binary payload columns with typed
-metadata.
+"""Multimodal (image / audio / video) stages — row-local maps
+(`exchange.map_blocks`) over opaque binary payload columns with typed
+metadata.  Each stage is a callable built once where the plan is built.
 
-The Ray-side plumbing (schema, batch sizing, actor signature, output layout)
+The Ray-side plumbing (schema, batch sizing, stage signature, output layout)
 is real and tested; the codec layer is gated: PNG decode is implemented
 from scratch (sources/images.py), everything else (JPEG, audio, video
 frames) raises NotImplementedError because no codec libraries exist in this
@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..sources.images import decode_png
-from .exchange import actor_map as _actor_map
+from .exchange import map_blocks, typed
 
 
 def _decode(fmt: str, blob: bytes) -> np.ndarray:
@@ -35,9 +35,9 @@ def _decode(fmt: str, blob: bytes) -> np.ndarray:
 
 
 class ImageFeatures:
-    """Actor stage: decode + cheap visual features (mean/std per channel,
-    luminance histogram coarse bins).  Setup (nothing heavy here, but model
-    weights would go in __init__) runs once per actor."""
+    """Stage: decode + cheap visual features (mean/std per channel).
+    Setup (nothing heavy here, but model weights would go in __init__)
+    runs once, where the plan is built."""
 
     def __init__(self, strict: bool = False):
         self.strict = strict
@@ -72,7 +72,7 @@ class ImageFeatures:
 
 
 class Resize:
-    """Actor stage: decode -> nearest-neighbor resize -> re-encode PNG.
+    """Stage: decode -> nearest-neighbor resize -> re-encode PNG.
     Emits new payload column `bytes_resized` (originals untouched —
     invariant-preserving)."""
 
@@ -94,11 +94,14 @@ class Resize:
 
 def image_features(ds, batch_size: int = 1024):
     """Feature-extraction pipeline (small batches: wide payload rows)."""
-    return _actor_map(ds, ImageFeatures, batch_size=batch_size)
+    return typed(ds, map_blocks(ds, ImageFeatures(), batch_size), [
+        "image_id", ("decode_ok", pa.bool_()),
+        *((c, pa.float64()) for c in ("mean_r", "mean_g", "mean_b",
+                                      "std_r", "std_g", "std_b"))])
 
 
 class PhashRecompute:
-    """Actor stage: REAL PNG decode -> recompute the 64-bit perceptual
+    """Stage: REAL PNG decode -> recompute the 64-bit perceptual
     hash from pixels.  The driver oracle compares the recomputed value
     against the table's stored phash column, so this is an oracle-checked
     end-to-end test of the binary-payload decode path (lossless codec =>
@@ -119,4 +122,6 @@ class PhashRecompute:
 
 
 def phash_recompute(ds, batch_size: int = 1024):
-    return _actor_map(ds, PhashRecompute, batch_size=batch_size)
+    """(image_id, phash) recomputed from each image's pixels."""
+    return typed(ds, map_blocks(ds, PhashRecompute(), batch_size),
+                 ["image_id", ("phash", pa.int64())])

@@ -2,10 +2,10 @@
 
 Broadcast path (this module): the region layer is tiny relative to the
 point table (10^1..10^5 regions vs 10^12 points), so it is prepared ONCE
-where the plan is built (`prepare_layer`: coverings memoized per process)
-and rides the object store once per job inside the stage's callable;
-`exchange.actor_map` constructs `PIPJoin` once per raw map task over a
-computed input (once per worker over a lazy one).  No shuffle (SURVEY.md §2.10).
+where the plan is built (`prepare_layer`: coverings memoized per process),
+and so is the `PIPJoin` stage that holds it; `run_join` maps the built
+stage with `exchange.map_blocks`, which puts it in the object store once
+per job.  No task or worker builds it again.  No shuffle (SURVEY.md §2.10).
 
 `PIPJoin` runs a batch in tiles of TILE_ROWS rows.  Per tile and
 region, the region's covering picks the candidates, then `refine`: the
@@ -25,6 +25,9 @@ over the regions whose coverings meet its range.
 
 Modes: inner (emit (key, region id) match rows), semi (keep matching
 points), anti (keep non-matching points).
+
+Caps and lat/lng rects join without coverings (`mask_join`): one row mask
+per region, a dot product or a degree comparison per point.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from ..functions import cellid as _cellid
 from ..functions.coords import latlng_deg_to_xyz
 from ..geometry.loop import Polygon
 from ..geometry.polyline import Polyline
-from .exchange import task
+from .exchange import known_schema, map_blocks, task, with_schema
 
 # Rows per tile of a PIPJoin batch.  It bounds the per-tile temporaries
 # (encode, covering masks, exact-refine points) to ~1 MB.  At 16384 a
@@ -204,10 +207,9 @@ def refine(region, interior, lat, lng, leaves, rows: np.ndarray) -> np.ndarray:
 
 
 class PIPJoin:
-    """Broadcast region-join stage: callable class for `exchange.actor_map`
-    (which constructs it once per map task, or per worker over a lazy
-    input, and caches the instance).  `layer` is a PreparedLayer; per tile of a batch, each
-    region's covering picks candidates and `refine` keeps those inside.
+    """Broadcast region-join stage, built once where the plan is built and
+    run by `run_join`.  `layer` is a PreparedLayer; per tile of a batch,
+    each region's covering picks candidates and `refine` keeps those inside.
     Inner mode emits (key_col, id_col) rows sorted by key, then by the
     region's place in the layer, then by row; it needs string region ids
     (the id column is a string column)."""
@@ -271,44 +273,26 @@ class PIPJoin:
         raise ValueError(f"unknown mode {self.mode}")
 
 
-def cap_join(batch: pa.Table, caps: dict[str, "object"], key_col: str = "k") -> pa.Table:
-    """Stateless region join vs a dict of Caps: emits (key, region_id)."""
-    lat = batch["lat"].to_numpy(zero_copy_only=False)
-    lng = batch["lng"].to_numpy(zero_copy_only=False)
-    x, y, z = latlng_deg_to_xyz(lat, lng)
-    keys = batch[key_col].to_numpy(zero_copy_only=False)
-    out_k, out_r = [], []
-    for rid, cap in caps.items():
-        m = cap.contains_xyz(x, y, z)
-        if m.any():
-            out_k.append(keys[m])
-            out_r.append(np.full(int(m.sum()), rid, dtype=object))
-    if out_k:
-        k = np.concatenate(out_k)
-        r = np.concatenate(out_r)
-        return pa.table({key_col: k, "region_id": pa.array(r, type=pa.string())})
-    return pa.table(
-        {key_col: pa.array([], type=batch[key_col].type),
-         "region_id": pa.array([], type=pa.string())}
-    )
+def run_join(ds, join, batch_size: int):
+    """A built region-join stage over `ds` (`exchange.map_blocks`): a
+    `PIPJoin`, or any batch callable with its `key_col`, `mode` and
+    `id_col`.  An empty computed result is one empty block of (key_col,
+    the string id column) in inner mode, of the input's schema in semi
+    and anti mode (`exchange.with_schema`)."""
+    sch = known_schema(ds)
+    if sch is not None and join.mode == "inner":
+        sch = pa.schema([sch.field(join.key_col), (join.id_col, pa.string())])
+    return with_schema(map_blocks(ds, join, batch_size), sch)
 
 
-def rect_join(batch: pa.Table, rects: dict[str, "object"], key_col: str = "k") -> pa.Table:
-    """Stateless region join vs LatLngRects (degree-space comparisons)."""
-    lat = batch["lat"].to_numpy(zero_copy_only=False)
-    lng = batch["lng"].to_numpy(zero_copy_only=False)
-    keys = batch[key_col].to_numpy(zero_copy_only=False)
-    out_k, out_r = [], []
-    for rid, rect in rects.items():
-        m = rect.contains_latlng_deg(lat, lng)
-        if m.any():
-            out_k.append(keys[m])
-            out_r.append(np.full(int(m.sum()), rid, dtype=object))
-    if out_k:
-        k = np.concatenate(out_k)
-        r = np.concatenate(out_r)
-        return pa.table({key_col: k, "region_id": pa.array(r, type=pa.string())})
-    return pa.table(
-        {key_col: pa.array([], type=batch[key_col].type),
-         "region_id": pa.array([], type=pa.string())}
-    )
+def mask_join(batch: pa.Table, key_col: str, masks) -> pa.Table:
+    """Stateless region join: (key_col, region_id) rows, from `masks`, an
+    iterable of (region id, row mask over `batch`), in its order."""
+    ids, hits = [], []
+    for rid, mask in masks:
+        ids.append(rid)
+        hits.append(np.flatnonzero(mask))
+    pos = np.repeat(np.arange(len(hits)), [h.size for h in hits])
+    rows = np.concatenate([np.empty(0, dtype=np.int64)] + hits)
+    return pa.table({key_col: batch[key_col].take(rows),
+                     "region_id": pa.array(ids, pa.string()).take(pos)})

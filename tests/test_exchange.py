@@ -9,7 +9,7 @@ from s2_geometry_rust_ray.pipelines import dedup_clusters as dc
 from s2_geometry_rust_ray.pipelines import flagship, knn
 from s2_geometry_rust_ray.pipelines import pip as ppip
 from s2_geometry_rust_ray.pipelines import pip_shuffle, textops, tiling
-from s2_geometry_rust_ray.stages import agg, exchange, simsearch
+from s2_geometry_rust_ray.stages import agg, exchange, multimodal, simsearch
 
 
 def test_hash_part_partitions_all_rows():
@@ -554,49 +554,72 @@ def test_row_map_over_lazy_input_fuses_with_it(ray_session, executors, op):
     assert executors.started - before <= 1
 
 
-def test_map_batches_is_called_only_in_map_blocks():
-    """Every row-local map in the package runs through `exchange.map_blocks`
-    (or is a grouped reduce's `prepare`): an AST scan of the package finds
-    one `.map_batches(` call, the one inside `map_blocks`."""
+def _package_trees():
+    """(file label, AST) of every package module and the driver entry
+    module."""
     import ast
     import pathlib
 
     root = pathlib.Path(exchange.__file__).parents[1]
-    calls, allowed = [], set()
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for path in [*sorted(root.rglob("*.py")), root.parent / "__ray_entry__.py"]:
+        yield path.relative_to(root.parent), ast.parse(path.read_text(), str(path))
+
+
+def _outside(fn_name: str, matches) -> tuple[list[str], int]:
+    """Where `matches(node)` holds in `_package_trees`, outside the body
+    of `exchange.<fn_name>`."""
+    import ast
+
+    found, allowed = [], set()
+    for where, tree in _package_trees():
         for node in ast.walk(tree):
-            if (isinstance(node, ast.FunctionDef) and node.name == "map_blocks"
-                    and path.name == "exchange.py"):
+            if (isinstance(node, ast.FunctionDef) and node.name == fn_name
+                    and where.name == "exchange.py"):
                 allowed |= {id(n) for n in ast.walk(node)}
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "map_batches"):
-                calls.append((node, f"{path.relative_to(root)}:{node.lineno}"))
-    outside = [where for node, where in calls if id(node) not in allowed]
+            if matches(node):
+                found.append((node, f"{where}:{getattr(node, 'lineno', '?')}"))
+    return [w for node, w in found if id(node) not in allowed], len(found)
+
+
+def test_map_batches_is_called_only_in_map_blocks():
+    """Every row-local map in the package and the driver entry runs
+    through `exchange.map_blocks` (or is a grouped reduce's `prepare`):
+    an AST scan finds one `.map_batches(` call, the one inside
+    `map_blocks`."""
+    import ast
+
+    outside, n = _outside("map_blocks", lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "map_batches"))
     assert not outside, outside
-    assert len(calls) == 1
+    assert n == 1
 
 
 def test_ray_remote_is_called_only_in_task():
     """Every raw Ray task is defined once per process: an AST scan of the
     package finds `ray.remote` only inside `exchange.task`."""
     import ast
-    import pathlib
 
-    root = pathlib.Path(exchange.__file__).parents[1]
-    refs, allowed = [], set()
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.FunctionDef) and node.name == "task"
-                    and path.name == "exchange.py"):
-                allowed |= {id(n) for n in ast.walk(node)}
-            if (isinstance(node, ast.Attribute) and node.attr == "remote"
-                    and isinstance(node.value, ast.Name) and node.value.id == "ray"):
-                refs.append((node, f"{path.relative_to(root)}:{node.lineno}"))
-    outside = [where for node, where in refs if id(node) not in allowed]
+    outside, n = _outside("task", lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "remote"
+        and isinstance(node.value, ast.Name) and node.value.id == "ray"))
     assert not outside, outside
-    assert len(refs) == 1
+    assert n == 1
+
+
+def test_stateful_maps_are_built_where_the_plan_is_built():
+    """A stateful stage is a value, built once by its caller and run by
+    `map_blocks`: an AST scan of the package and the driver entry finds
+    no use of `actor_map` (a name, an attribute or an import) and no
+    `fn_constructor_kwargs=` keyword outside the `actor_map` alias."""
+    import ast
+
+    outside, _ = _outside("actor_map", lambda node: (
+        isinstance(node, ast.Name) and node.id == "actor_map"
+        or isinstance(node, ast.Attribute) and node.attr == "actor_map"
+        or isinstance(node, ast.alias) and node.name == "actor_map"
+        or isinstance(node, ast.keyword) and node.arg == "fn_constructor_kwargs"))
+    assert not outside, outside
 
 
 def _exported_functions() -> dict:
@@ -1196,6 +1219,87 @@ def test_image_phash_near_dup_on_empty_file(ray_session, executors, tmp_path):
         [("img_a", _STR), ("img_b", _STR), ("hamming", _I64)]))
 
 
+# a dimension table for `broadcast_join`: one row per 7th key
+_DIM = pa.table({"rk": np.arange(0, 400, 7, dtype=np.int64),
+                 "name": [f"n{i}" for i in range(0, 400, 7)]})
+
+# the map operators that run one built stage (`map_blocks`) over the
+# computed inputs of `_stage_inputs` -> their output columns;
+# `image_pip_join` is given the computed geometry view in place of a
+# directory (`geometry_view` is patched to pass it through)
+_STAGE_MAPS = {
+    "broadcast_join": (lambda i: exchange.broadcast_join(
+        i["keys"], _DIM, "k", right_on="rk"), ["k", "name"]),
+    "shape_index_pip_join": (lambda i: ppip.shape_index_pip_join(
+        i["keys"], "k", layer=_urban_layer()), ["k", "polygon_id"]),
+    "image_pip_join": (lambda i: flagship.image_pip_join(i["geometry"]),
+                       ["image_id", "polygon_id"]),
+    "image_features": (lambda i: multimodal.image_features(i["images"]), [
+        "image_id", "decode_ok", "mean_r", "mean_g", "mean_b", "std_r",
+        "std_g", "std_b"]),
+    "phash_recompute": (lambda i: multimodal.phash_recompute(i["images"]),
+                        ["image_id", "phash"]),
+}
+
+
+def _stage_inputs(rows: bool = True) -> dict:
+    """400 keys, 40 images and their (image_id, lat, lng) view, each in 3
+    computed blocks, or each as one zero-row block of the same schema."""
+    import ray.data
+
+    from s2_geometry_rust_ray.sources.images import generate_images_table
+
+    images = generate_images_table(40)
+    tables = {"keys": pa.table({"k": np.arange(400, dtype=np.int64)}),
+              "images": images,
+              "geometry": images.select(["image_id", "lat", "lng"])}
+    if rows:
+        return {n: _in_blocks(t) for n, t in tables.items()}
+    return {n: ray.data.from_arrow(t.slice(0, 0)).materialize()
+            for n, t in tables.items()}
+
+
+@pytest.mark.parametrize("op", sorted(_STAGE_MAPS))
+def test_stage_map_on_empty_input_gives_declared_schema(ray_session, executors,
+                                                        monkeypatch, op):
+    """Over zero-row computed inputs each stage map returns ONE empty block
+    of the schema its result has over rows, and neither the operator nor
+    the fetch starts an executor."""
+    monkeypatch.setattr(flagship, "geometry_view", lambda ds: ds)
+    query, columns = _STAGE_MAPS[op]
+    schema = exchange.known_schema(query(_stage_inputs()))
+    empty = _stage_inputs(rows=False)
+    before = executors.started
+    tables = executors.fetch(query(empty))
+    assert executors.started == before
+    assert len(tables) == 1 and tables[0].num_rows == 0
+    assert tables[0].schema.names == columns
+    assert tables[0].schema.equals(schema), (tables[0].schema, schema)
+
+
+def test_shape_index_pip_join_builds_its_index_once(ray_session, monkeypatch):
+    """`shape_index_pip_join` builds the layer's MutableShapeIndex once, in
+    the driver, whatever the number of blocks of its computed input, and
+    its rows equal the broadcast PIPJoin's."""
+    from s2_geometry_rust_ray.geometry import shape_index as si
+
+    builds = []
+    build = si.MutableShapeIndex.build
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(si.MutableShapeIndex, "build", counting)
+    keys = _in_blocks(pa.table({"k": np.arange(4000, dtype=np.int64)}), 5)
+    assert keys.num_blocks() >= 4
+    layer = {k: v for k, v in ppip.standard_polygon_layer().items()
+             if k.startswith("urban_")}
+    got = _rows(ppip.shape_index_pip_join(keys, "k", layer=layer), "k")
+    assert len(builds) == 1
+    assert got and got == _rows(ppip.pip_join(keys, "k", layer=layer), "k")
+
+
 def test_broadcast_join_matches_pyarrow_join(ray_session):
     """Map-side broadcast join == pyarrow inner join, including unmatched
     left rows dropped and right column pruning."""
@@ -1280,7 +1384,8 @@ def test_hash_part_composite_key_spreads_low_card_leading_key():
 
 def test_broadcast_join_column_collision_raises(ray_session):
     """A right column sharing a name with a left column must raise, not
-    silently produce a duplicate-named table."""
+    silently produce a duplicate-named table, over an empty computed input
+    too (its schema is known)."""
     import pytest
     import ray.data
 
@@ -1288,10 +1393,11 @@ def test_broadcast_join_column_collision_raises(ray_session):
                      "name": [f"l{i}" for i in range(10)]})
     right = pa.table({"rk": np.arange(10, dtype=np.int64),
                       "name": [f"r{i}" for i in range(10)]})
-    with pytest.raises(Exception, match="collision"):
-        exchange.broadcast_join(
-            ray.data.from_arrow(left), right, "k", right_on="rk"
-        ).materialize()
+    for rows in (10, 0):
+        with pytest.raises(Exception, match="collision"):
+            exchange.broadcast_join(
+                ray.data.from_arrow(left.slice(0, rows)).materialize(), right, "k",
+                right_on="rk").materialize()
 
 
 def _broadcast_rows(df, key_col: str, layer) -> set:

@@ -1,7 +1,8 @@
 """Tiny-session liveness: the broadcast PIP join must complete on 1- and
 2-cpu Ray sessions (a fixed actor pool reserving every slot deadlocked
 there, because the source operator stays outside Ray's operator fusion;
-exchange.actor_map is a task-pool map for that reason)."""
+the join's stage is built once on the driver and runs as a task map,
+`exchange.map_blocks`, for that reason)."""
 
 import subprocess
 import sys
@@ -35,8 +36,8 @@ def test_two_cpu_session_pip_join_completes():
 
 def test_one_cpu_session_pip_join_completes():
     """1-cpu liveness (ADVICE r3): any fixed pool — even size 1 — reserves
-    the only slot and the un-fused source can never schedule.  actor_map
-    is a task-pool map; this must complete, not hang."""
+    the only slot and the un-fused source can never schedule.  map_blocks
+    is a task map; this must complete, not hang."""
     code = (
         "import sys; sys.path.insert(0, '/root/repo')\n"
         "import ray\n"
